@@ -25,6 +25,7 @@ from .errors import (
     ResolutionError,
     TableFormatError,
     WitnessSelectionError,
+    WitnessTooLargeError,
 )
 from .phi import (
     PhiSpec,

@@ -16,7 +16,8 @@ Exit codes are part of the interface:
 * 64 malformed command line or config (including profile grammar errors),
 * 65 a data file could not be parsed (sequence CSV, sample CSV, profile
       table),
-* 66 a sweep grid larger than the hard cap.
+* 66 a request larger than a hard cap (a sweep grid, or a witness with more
+      cells than ``witness.MAX_CELLS``).
 
 All output is deterministic: floats are printed via repr, JSON keys are
 sorted, and no timestamps or machine identifiers appear.
@@ -41,7 +42,7 @@ from .dyadic import (
     parse_space_params,
 )
 from .embedding import DEFAULT_J_MAX, DEFAULT_NU_MIN, EmbeddingQuery, decide
-from .errors import DomainError, TableFormatError
+from .errors import DomainError, TableFormatError, WitnessTooLargeError
 from .wavelet import (
     analyze as wavelet_analyze,
     daubechies_system,
@@ -297,7 +298,10 @@ def _cmd_witness(args):
         )
         # success here means "certificate produced", so a holding pair is a miss
         return EXIT_FAILS if verdict.outcome == "holds" else EXIT_UNDETERMINED
-    scan = divergence_scan(query, depth=depth, nu_min=numin)
+    try:
+        scan = divergence_scan(query, depth=depth, nu_min=numin)
+    except WitnessTooLargeError as exc:
+        raise _CliError(EXIT_TOOBIG, "witness: %s; lower --depth" % exc)
     handle, opened = _open_out(args.out)
     try:
         handle.write("# besovmorrey witness\n")

@@ -27,6 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegeneratePhiError, DomainError
 from .morrey import DyadicStepFunction, morrey_norm
 from .phi import (
@@ -79,71 +81,137 @@ def cube_contains(outer, inner):
     return all((c >> shift) == o for c, o in zip(inner.k, outer.k))
 
 
-def _orthant(m):
-    return tuple(c < 0 for c in m)
+#: Largest level: 2**-j stays a normal float up to here.
+MAX_LEVEL = 1022
+#: Bound on the magnitude of a cell coordinate, so the int64 arithmetic of
+#: the cube merge never wraps.
+MAX_COORD = 1 << 62
 
 
 class DyadicSequence:
     """Finitely supported map from dyadic cells (j, m) to reals.
 
-    Zero values are dropped on construction and levels j are required to be
-    nonnegative.  Instances are treated as immutable; the combinators return
-    new sequences.
+    ``entries`` is a mapping or an iterable of ((j, m), value) pairs; the
+    same data may come as arrays instead, ``cells=(j, m, values)`` with j a
+    level per row (or one level for all rows), m an (n, d) integer array and
+    values an (n,) array.  Repeated cells are summed, zero values are
+    dropped, and every value must be finite, every level in [0, MAX_LEVEL]
+    and every coordinate within +-MAX_COORD.
+
+    Each level is stored as an (n, d) int64 array of cell coordinates in
+    lexicographic order and an (n,) float64 array of values.  Instances are
+    treated as immutable; the combinators return new sequences.
     """
 
-    def __init__(self, d, entries=None):
+    def __init__(self, d, entries=None, *, cells=None):
         if not isinstance(d, int) or d < 1:
             raise DomainError("dimension must be a positive integer")
         self.d = d
-        by_level = {}
+        self._levels = {}
         if entries:
-            items = entries.items() if hasattr(entries, "items") else entries
-            for (j, m), val in items:
-                j = int(j)
-                if j < 0:
-                    raise DomainError("levels are nonnegative, got j=%d" % j)
-                key = tuple(int(c) for c in (m if isinstance(m, tuple) else (m,)))
-                if len(key) != d:
-                    raise DomainError("cell index %r does not have %d coordinates" % (m, d))
-                val = float(val)
-                if val != 0.0:
-                    by_level.setdefault(j, {})[key] = val
-        self._by_level = by_level
+            cells = _cells_from_items(d, entries)
+        if cells is None:
+            return
+        j, m, values = cells
+        try:
+            j = np.asarray(j, dtype=np.int64)
+            m = np.array(m, dtype=np.int64)  # a copy: the caller keeps its arrays
+        except OverflowError:
+            raise DomainError(
+                "a level or cell coordinate is too large (levels run from 0 to %d, "
+                "coordinates within +-2^62)" % MAX_LEVEL
+            )
+        values = np.array(values, dtype=np.float64)
+        n = values.shape[0] if values.ndim == 1 else -1
+        if m.shape != (n, d) or j.shape not in ((), (n,)):
+            raise DomainError(
+                "cells must be a level per row, an (n, %d) coordinate array and "
+                "n values" % d
+            )
+        if n == 0:
+            return
+        if j.ndim == 0:
+            self._add_level(int(j), m, values)
+            return
+        order = np.argsort(j, kind="stable")
+        j, m, values = j[order], m[order], values[order]
+        bounds = (np.flatnonzero(j[1:] != j[:-1]) + 1).tolist()
+        for lo, hi in zip([0] + bounds, bounds + [n]):
+            self._add_level(int(j[lo]), m[lo:hi], values[lo:hi])
+
+    def _add_level(self, j, m, values):
+        if not 0 <= j <= MAX_LEVEL:
+            raise DomainError("levels run from 0 to %d, got j=%d" % (MAX_LEVEL, j))
+        outside = (m < -MAX_COORD) | (m > MAX_COORD)
+        if outside.any():
+            row = np.flatnonzero(outside.any(axis=1))[0]
+            raise DomainError(
+                "cell %r at level %d lies outside +-2^62" % (tuple(m[row].tolist()), j)
+            )
+        m, values = _group_sum(m, values)
+        finite = np.isfinite(values)
+        if not finite.all():
+            row = np.flatnonzero(~finite)[0]
+            raise DomainError(
+                "coefficient at level %d, cell %r is not finite (%r)"
+                % (j, tuple(m[row].tolist()), float(values[row]))
+            )
+        keep = values != 0.0
+        if not keep.all():
+            m, values = m[keep], values[keep]
+        if len(values):
+            self._levels[j] = (m, values)
 
     def levels(self):
-        return sorted(self._by_level)
+        return sorted(self._levels)
 
     def level(self, j):
-        return dict(self._by_level.get(j, {}))
+        if j not in self._levels:
+            return {}
+        m, values = self._levels[j]
+        return dict(zip(zip(*m.T.tolist()), values.tolist()))
 
     def entries(self):
         for j in self.levels():
-            row = self._by_level[j]
-            for m in sorted(row):
-                yield (j, m), row[m]
+            m, values = self._levels[j]
+            for key, val in zip(zip(*m.T.tolist()), values.tolist()):
+                yield (j, key), val
+
+    def _cells(self):
+        """All entries as one (j, m, values) triple of arrays."""
+        levels = self.levels()
+        if not levels:
+            return (np.zeros(0, np.int64), np.zeros((0, self.d), np.int64), np.zeros(0))
+        rows = [self._levels[j] for j in levels]
+        return (
+            np.repeat(levels, [len(v) for _, v in rows]),
+            np.concatenate([m for m, _ in rows]),
+            np.concatenate([v for _, v in rows]),
+        )
 
     def scaled(self, factor):
-        factor = float(factor)
-        return DyadicSequence(
-            self.d, {key: factor * val for key, val in self.entries()}
-        )
+        j, m, values = self._cells()
+        return DyadicSequence(self.d, cells=(j, m, float(factor) * values))
 
     def plus(self, other):
         if other.d != self.d:
             raise DomainError("cannot add sequences of different dimensions")
-        merged = {key: val for key, val in self.entries()}
-        for key, val in other.entries():
-            merged[key] = merged.get(key, 0.0) + val
-        return DyadicSequence(self.d, merged)
+        pairs = zip(self._cells(), other._cells())
+        return DyadicSequence(self.d, cells=tuple(np.concatenate(pair) for pair in pairs))
 
     def __len__(self):
-        return sum(len(row) for row in self._by_level.values())
+        return sum(len(values) for _, values in self._levels.values())
 
     def __eq__(self, other):
         return (
             isinstance(other, DyadicSequence)
             and self.d == other.d
-            and self._by_level == other._by_level
+            and self._levels.keys() == other._levels.keys()
+            and all(
+                np.array_equal(m, other._levels[j][0])
+                and np.array_equal(values, other._levels[j][1])
+                for j, (m, values) in self._levels.items()
+            )
         )
 
     def __repr__(self):
@@ -152,6 +220,47 @@ class DyadicSequence:
             len(self),
             self.levels(),
         )
+
+
+def _cells_from_items(d, entries):
+    items = entries.items() if hasattr(entries, "items") else entries
+    js, ms, values = [], [], []
+    for (j, m), val in items:
+        m = m if isinstance(m, tuple) else (m,)
+        if len(m) != d:
+            raise DomainError("cell index %r does not have %d coordinates" % (m, d))
+        js.append(j)
+        ms.append(m)
+        values.append(val)
+    if not values:
+        return None
+    return js, ms, values
+
+
+def _group_sum(m, values):
+    """Sort the rows of m lexicographically and sum the values of equal
+    rows.  Returns the distinct rows, in order, and their sums."""
+    up, same = _compare_rows(m)
+    if not (up | same).all():
+        order = np.lexsort(m.T[::-1])
+        m, values = m[order], values[order]
+        _, same = _compare_rows(m)
+    if not same.any():
+        return m, values
+    starts = np.flatnonzero(np.concatenate(([True], ~same)))
+    with np.errstate(over="ignore"):  # an overflowing sum is reported by the caller
+        return m[starts], np.add.reduceat(values, starts)
+
+
+def _compare_rows(m):
+    """For each pair of consecutive rows of m: whether the second is
+    lexicographically larger, and whether the two are equal."""
+    up = m[1:, 0] > m[:-1, 0]
+    same = m[1:, 0] == m[:-1, 0]
+    for axis in range(1, m.shape[1]):
+        up |= same & (m[1:, axis] > m[:-1, axis])
+        same &= m[1:, axis] == m[:-1, axis]
+    return up, same
 
 
 def _parse_scalar(text):
@@ -298,32 +407,42 @@ def lq_norm(values, q):
 
 
 def level_quantity(seq, j, params):
-    """Per-level Morrey supremum of the level-j slice of the sequence."""
-    lam = seq._by_level.get(j)
-    if not lam:
+    """Per-level Morrey supremum of the level-j slice of the sequence.
+
+    Each round moves every group to its parent cube by an arithmetic right
+    shift of the coordinates (the floor, also for negative ones), then sorts
+    the groups and sums the weights of those that met; phi is evaluated once
+    per round.
+    """
+    if j not in seq._levels:
         return 0.0
+    coords, values = seq._levels[j]
     p = params.p
     dp = params.d / p
     phi = params.phi
-    groups = {}
-    for m, val in lam.items():
-        groups[m] = groups.get(m, 0.0) + abs(val) ** p
-    pattern_count = len({_orthant(m) for m in lam})
+    orthants = 1 << params.d
+    # scaled by the largest magnitude so |value|**p neither overflows nor
+    # underflows
+    magnitudes = np.abs(values)
+    scale = float(magnitudes.max())
+    weights = (magnitudes / scale) ** p
 
     best = 0.0
     nu = j
     while True:
-        heaviest = max(groups.values())
-        candidate = eval_phi(phi, 2.0 ** (-nu)) * 2.0 ** ((nu - j) * dp) * heaviest ** (1.0 / p)
+        heaviest = float(weights.max())
+        candidate = (
+            eval_phi(phi, 2.0 ** (-nu)) * 2.0 ** ((nu - j) * dp) * scale * heaviest ** (1.0 / p)
+        )
         if candidate > best:
             best = candidate
-        if len(groups) == pattern_count:
+        # every cube lies in one orthant, so the groups have settled once
+        # no two of them share one; that needs at most 2**d groups
+        if len(weights) <= orthants and len(
+            set(map(tuple, (coords < 0).tolist()))
+        ) == len(weights):
             break
-        merged = {}
-        for k, weight in groups.items():
-            parent = tuple(c >> 1 for c in k)
-            merged[parent] = merged.get(parent, 0.0) + weight
-        groups = merged
+        coords, weights = _group_sum(coords >> 1, weights)
         nu -= 1
     return best
 
@@ -353,8 +472,8 @@ def b_infty_norm(seq, s, q):
     ell_q over j of 2**(j s) * sup_m |value|."""
     terms = []
     for j in seq.levels():
-        row = seq._by_level[j]
-        terms.append(2.0 ** (j * s) * max(abs(v) for v in row.values()))
+        _, values = seq._levels[j]
+        terms.append(2.0 ** (j * s) * float(np.abs(values).max()))
     return lq_norm(terms, q)
 
 
@@ -399,8 +518,7 @@ def load_csv(path):
 
 def read_csv(fh, where="<stream>"):
     d = None
-    entries = {}
-    saw_rows = False
+    js, ms, values = [], [], []
     for lineno, raw in enumerate(fh, start=1):
         line = raw.strip()
         if not line:
@@ -413,9 +531,11 @@ def read_csv(fh, where="<stream>"):
                 except ValueError:
                     raise DomainError("%s:%d: bad dimension comment" % (where, lineno))
             continue
-        parts = [piece.strip() for piece in line.split(",")]
-        if not _looks_numeric(parts[0]):
-            if not saw_rows:
+        parts = line.split(",")
+        try:
+            j = int(parts[0])
+        except ValueError:
+            if not values:
                 continue  # column header
             raise DomainError("%s:%d: malformed row %r" % (where, lineno, line))
         if len(parts) < 3:
@@ -427,22 +547,18 @@ def read_csv(fh, where="<stream>"):
                 "%s:%d: expected %d columns for d=%d" % (where, lineno, d + 2, d)
             )
         try:
-            j = int(parts[0])
-            m = tuple(int(piece) for piece in parts[1:-1])
+            m = [int(piece) for piece in parts[1:-1]]
             val = float(parts[-1])
         except ValueError:
             raise DomainError("%s:%d: malformed row %r" % (where, lineno, line))
-        key = (j, m)
-        entries[key] = entries.get(key, 0.0) + val
-        saw_rows = True
+        js.append(j)
+        ms.append(m)
+        values.append(val)
     if d is None:
         raise DomainError("%s: no rows and no dimension comment" % (where,))
-    return DyadicSequence(d, entries)
-
-
-def _looks_numeric(text):
     try:
-        int(text)
-        return True
-    except ValueError:
-        return False
+        if not values:
+            return DyadicSequence(d)
+        return DyadicSequence(d, cells=(js, ms, values))
+    except DomainError as exc:
+        raise DomainError("%s: %s" % (where, exc))

@@ -25,6 +25,10 @@ class CapacityError(DomainError):
     """A requested witness does not fit inside the chosen cube pair."""
 
 
+class WitnessTooLargeError(DomainError):
+    """A witness would materialise more cells than the hard cap allows."""
+
+
 class WitnessSelectionError(RuntimeError):
     """No admissible witness family matches the detected failure mode."""
 

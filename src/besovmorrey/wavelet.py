@@ -194,15 +194,19 @@ class WaveletCoefficients:
         """Detail coefficients as sequences, rescaled by 2**(j d / 2)."""
         out = {}
         for gender in sorted(self.details):
-            entries = {}
+            js, ms, values = [], [], []
             for j, (offset, arr) in self.details[gender].items():
-                factor = 2.0 ** (j * self.d / 2.0)
-                for idx in np.ndindex(arr.shape):
-                    val = float(arr[idx])
-                    if val != 0.0:
-                        m = tuple(o + i for o, i in zip(offset, idx))
-                        entries[(j, m)] = factor * val
-            out[gender] = DyadicSequence(self.d, entries)
+                idx = np.nonzero(arr)
+                js.append(np.full(len(idx[0]), j))
+                ms.append(np.stack(idx, axis=1) + np.asarray(offset, dtype=np.int64))
+                values.append(2.0 ** (j * self.d / 2.0) * arr[idx])
+            if not js:
+                out[gender] = DyadicSequence(self.d)
+                continue
+            out[gender] = DyadicSequence(
+                self.d,
+                cells=(np.concatenate(js), np.concatenate(ms), np.concatenate(values)),
+            )
         return out
 
 

@@ -21,9 +21,16 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dyadic import DyadicSequence, n_norm
 from .embedding import alpha_sequence, decide, ratio_R
-from .errors import CapacityError, DomainError, WitnessSelectionError
+from .errors import (
+    CapacityError,
+    DomainError,
+    WitnessSelectionError,
+    WitnessTooLargeError,
+)
 from .phi import eval_phi
 
 #: Refuse to materialise witnesses with more cells than this.
@@ -51,15 +58,25 @@ def simple_witness(j0, nu0, phi1):
     """
     d = phi1.d
     _check_block(d, j0, nu0)
-    span = j0 - nu0
-    count = 1 << (span * d)
-    if count > MAX_CELLS:
-        raise DomainError("witness block of 2^%d cells is too large" % (span * d))
     value = 1.0 / eval_phi(phi1, 2.0 ** (-nu0))
-    entries = {}
-    for m in itertools.product(range(1 << span), repeat=d):
-        entries[(j0, m)] = value
-    return DyadicSequence(d, entries)
+    return _block(d, j0, j0 - nu0, value)
+
+
+def _block(d, j, span, value):
+    """Equal values on every level-j cell inside Q_{j-span, 0}."""
+    if span * d > 62 or (1 << (span * d)) > MAX_CELLS:
+        raise WitnessTooLargeError(
+            "witness block of 2^%d cells is too large; the cap is %d cells"
+            % (span * d, MAX_CELLS)
+        )
+    m = np.indices((1 << span,) * d).reshape(d, -1).T
+    return DyadicSequence(d, cells=(j, m, np.full(len(m), value)))
+
+
+def _spread(d, j, dist, value):
+    """Equal values on the cells of a greedy distribution."""
+    m = np.asarray(dist.cells, dtype=np.int64).reshape(-1, d)
+    return DyadicSequence(d, cells=(j, m, np.full(len(m), value)))
 
 
 @dataclass(frozen=True)
@@ -92,36 +109,42 @@ def greedy_distribution(d, j0, nu0, total):
             "%d cells do not fit the 2^%d cells of the block" % (total, capacity_bits)
         )
     if total > MAX_CELLS:
-        raise DomainError("distribution of %d cells is too large" % total)
+        raise WitnessTooLargeError(
+            "distribution of %d cells is too large; the cap is %d cells"
+            % (total, MAX_CELLS)
+        )
 
     cells = []
     children = list(itertools.product((0, 1), repeat=d))
-
-    def fill(nu, corner, load):
+    # (level, corner, load) still to place; an explicit stack rather than a
+    # recursive closure, which would be a reference cycle keeping ``cells``
+    # alive until the cyclic garbage collector runs
+    pending = [(nu0, (0,) * d, total)]
+    while pending:
+        nu, corner, load = pending.pop()
         if load == 0:
-            return
+            continue
         if nu == j0:
             cells.append(corner)
-            return
+            continue
         span = j0 - nu
         if span * d < 63 and load == (1 << (span * d)):
             base = tuple(c << span for c in corner)
             for offset in itertools.product(range(1 << span), repeat=d):
                 cells.append(tuple(b + o for b, o in zip(base, offset)))
-            return
+            continue
         share = -(-load // (1 << d))
         kids = [tuple(2 * c + e for c, e in zip(corner, bits)) for bits in children]
         if share == 1:
             for kid in kids[:load]:
                 cells.append(tuple(c << (span - 1) for c in kid))
-            return
+            continue
         for i, kid in enumerate(kids):
             give = min(share, load - i * share)
             if give <= 0:
                 break
-            fill(nu + 1, kid, give)
+            pending.append((nu + 1, kid, give))
 
-    fill(nu0, (0,) * d, total)
     return GreedyDistribution(d=d, j0=j0, nu0=nu0, total=total, cells=tuple(sorted(cells)))
 
 
@@ -149,7 +172,7 @@ def capacity_witness(d, j0, nu0, phi1, p1):
             "the profile must be at least one on the coarse cube" % (total, capacity_bits)
         )
     dist = greedy_distribution(d, j0, nu0, total)
-    return DyadicSequence(d, {(j0, m): 1.0 for m in dist.cells})
+    return _spread(d, j0, dist, 1.0)
 
 
 def select_witness_level(query, i, nu_min=-64):
@@ -193,14 +216,8 @@ def beta_witness(i, nu_i, query, nu_min=-64):
     alpha_i = alphas[i]
     span = i - nu_i
     if rho == 1.0:
-        count_bits = span * d
-        if count_bits > 62 or (1 << count_bits) > MAX_CELLS:
-            raise DomainError("witness block of 2^%d cells is too large" % count_bits)
         value = 2.0 ** (-i * src.s) * alpha_i / eval_phi(phi2, 2.0 ** (-nu_i))
-        entries = {}
-        for m in itertools.product(range(1 << span), repeat=d):
-            entries[(i, m)] = value
-        return DyadicSequence(d, entries)
+        return _block(d, i, span, value)
     f1_fine = eval_phi(phi1, 2.0 ** (-i))
     f1_coarse = eval_phi(phi1, 2.0 ** (-nu_i))
     raw = 2.0 ** (span * d) * (f1_fine / f1_coarse) ** src.p
@@ -213,7 +230,7 @@ def beta_witness(i, nu_i, query, nu_min=-64):
         * f1_coarse ** rho
         / f1_fine
     )
-    return DyadicSequence(d, {(i, m): value for m in dist.cells})
+    return _spread(d, i, dist, value)
 
 
 def shift_family(mu, d):

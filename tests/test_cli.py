@@ -221,3 +221,38 @@ def test_cli_surface(capsys):
         main(["--version"])
     assert excinfo.value.code == 0
     assert "0.1.0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("0,0,nan\n1,0,1.0\n", "not finite"),
+        ("0,0,inf\n", "not finite"),
+        ("70,9300000000000000000000,1.0\n", "too large"),
+        ("5,4611686018427387905,1.0\n", "outside +-2^62"),
+        ("2000,0,1.0\n", "levels run from 0 to 1022"),
+    ],
+)
+def test_norm_rejects_unrepresentable_rows(tmp_path, capsys, row, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("# d=1\nj,m_1,value\n" + row)
+    code = main(["norm", "--space", "s=0.5,p=2,q=inf,phi=power(2),d=1",
+                 "--seq", str(path)])
+    captured = capsys.readouterr()
+    assert code == 65
+    assert captured.out == ""
+    assert message in captured.err
+    assert str(path) in captured.err
+
+
+def test_witness_size_cap_exits_66(capsys):
+    code = main([
+        "witness",
+        "--source", "s=0,p=2,q=2,phi=capped(2),d=1",
+        "--target", "s=0,p=2,q=2,phi=power(2),d=1",
+        "--depth", "40",
+    ])
+    captured = capsys.readouterr()
+    assert code == 66
+    assert "too large" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1

@@ -2,6 +2,7 @@ import io
 import math
 import random
 
+import numpy as np
 import pytest
 
 from besovmorrey import phi as phimod
@@ -50,6 +51,9 @@ def test_sequence_container():
     assert doubled.level(1) == {(-3,): -4.0}
     merged = seq.plus(DyadicSequence(1, {(1, (-3,)): 2.0}))
     assert merged.levels() == [0]
+    empty = DyadicSequence(1)
+    assert len(empty.scaled(2.0).plus(empty)) == 0
+    assert DyadicSequence(2, cells=([], np.zeros((0, 2)), [])) == DyadicSequence(2)
     with pytest.raises(DomainError):
         DyadicSequence(1, {(-1, (0,)): 1.0})
     with pytest.raises(DomainError):
@@ -197,3 +201,73 @@ def test_csv_dimension_from_columns():
     seq = read_csv(io.StringIO("j,m_1,m_2,value\n1,0,3,2.5\n"))
     assert seq.d == 2
     assert seq.level(1) == {(0, 3): 2.5}
+
+
+def test_non_finite_values_rejected():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="not finite"):
+            DyadicSequence(1, {(0, (0,)): 1.0, (1, (3,)): bad})
+    # a NaN no longer hides behind a finite entry on another level
+    with pytest.raises(DomainError, match=r"level 0, cell \(0,\)"):
+        read_csv(io.StringIO("# d=1\nj,m_1,value\n0,0,nan\n1,0,1.0\n"))
+    # repeated rows whose sum overflows are caught after summing
+    with pytest.raises(DomainError, match="not finite"):
+        read_csv(io.StringIO("# d=1\nj,m_1,value\n0,0,1e308\n0,0,1e308\n"))
+
+
+def test_coordinates_bounded():
+    edge = 2 ** 62
+    # the two cells share a cube only after 63 merge rounds
+    seq = DyadicSequence(1, {(0, (edge,)): 1.0, (0, (0,)): 1.0, (0, (-edge,)): 1.0})
+    assert len(seq) == 3
+    params = parse_space_params("s=0,p=2,q=2,phi=const(1),d=1")
+    assert n_norm(seq, params) == pytest.approx(1.0, rel=1e-15)
+    assert n_norm(seq, params) == pytest.approx(n_norm_via_morrey(seq, params), rel=1e-15)
+    for coord in (edge + 1, -edge - 1, 2 ** 63 - 1, -(2 ** 63)):
+        with pytest.raises(DomainError, match="outside"):
+            DyadicSequence(2, {(3, (0, coord)): 1.0})
+    # beyond int64: refused, never truncated
+    with pytest.raises(DomainError, match="too large"):
+        DyadicSequence(1, {(3, (2 ** 70,)): 1.0})
+    with pytest.raises(DomainError, match="too large"):
+        read_csv(io.StringIO("# d=1\nj,m_1,value\n70,9300000000000000000000,1.0\n"))
+
+
+def test_levels_bounded():
+    seq = DyadicSequence(1, {(1022, (0,)): 1.0})
+    params = parse_space_params("s=0,p=2,q=2,phi=capped(2),d=1")
+    assert n_norm(seq, params) > 0.0
+    for j in (1023, 2000, 2 ** 70):
+        with pytest.raises(DomainError, match="levels run from 0 to 1022"):
+            DyadicSequence(1, {(j, (0,)): 1.0})
+    with pytest.raises(DomainError, match="levels run from 0 to 1022"):
+        read_csv(io.StringIO("# d=1\nj,m_1,value\n2000,0,1.0\n"))
+
+
+def test_array_cells_match_mapping():
+    # repeated cells are summed and zero sums dropped, in any row order
+    seq = DyadicSequence(
+        2,
+        cells=([3, 1, 3, 3], [[0, -1], [2, 2], [0, -1], [5, 5]], [1.0, -2.0, 0.5, 0.0]),
+    )
+    assert seq == DyadicSequence(2, {(3, (0, -1)): 1.5, (1, (2, 2)): -2.0})
+    assert list(seq.entries()) == [((1, (2, 2)), -2.0), ((3, (0, -1)), 1.5)]
+    with pytest.raises(DomainError, match="cells must be"):
+        DyadicSequence(2, cells=(0, [[0, 1, 2]], [1.0]))
+
+
+def test_level_quantity_extreme_magnitudes():
+    # |value|**p would overflow or underflow on its own; the quantity scales
+    params = parse_space_params("s=0,p=2,q=inf,phi=const(1),d=1")
+    for v in (1e200, 1e-200):
+        seq = DyadicSequence(1, {(0, (0,)): v, (0, (1,)): v})
+        assert level_quantity(seq, 0, params) == pytest.approx(v, rel=1e-15)
+
+
+def test_array_cells_are_copied():
+    m = np.array([[0], [1]])
+    values = np.array([1.0, 2.0])
+    seq = DyadicSequence(1, cells=(0, m, values))
+    m[0, 0] = 7
+    values[1] = 0.0
+    assert seq == DyadicSequence(1, {(0, (0,)): 1.0, (0, (1,)): 2.0})
