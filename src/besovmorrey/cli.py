@@ -126,9 +126,9 @@ def _section_block(cfg, section):
     return ",".join("%s=%s" % (key, items[key]) for key in _SPACE_KEYS if key in items)
 
 
-def _parse_space(block, label):
+def _parse_space(block, label, d=None):
     try:
-        return parse_space_params(block)
+        return parse_space_params(block, d=d)
     except TableFormatError as exc:
         raise _CliError(EXIT_DATA, "%s space: %s" % (label, exc))
     except DomainError as exc:
@@ -148,7 +148,7 @@ def _resolve_pair(args):
             EXIT_CONFIG, "no target space: pass --target or a config with [target]"
         )
     source = _parse_space(src_block, "source")
-    target = _parse_space(tgt_block, "target")
+    target = _parse_space(tgt_block, "target", d=source.d)
     try:
         query = EmbeddingQuery(source=source, target=target)
     except DomainError as exc:
@@ -273,7 +273,10 @@ def _cmd_norm(args):
             "sequence dimension %d does not match space dimension %d"
             % (seq.d, params.d),
         )
-    value = n_norm(seq, params)
+    try:
+        value = n_norm(seq, params)
+    except DomainError as exc:
+        raise _CliError(EXIT_DATA, "%s: %s" % (args.seq, exc))
     sys.stdout.write("space=%s\n" % format_space_params(params))
     sys.stdout.write("entries=%d\n" % len(seq))
     sys.stdout.write("norm=%r\n" % value)
@@ -447,6 +450,9 @@ def _cmd_sweep(args):
             "sweep grid has %d combinations; the cap is %d" % (count, MAX_SWEEP),
         )
 
+    # grid points repeat blocks, so each distinct block (and the table file
+    # it names) is parsed once per call
+    parsed = {}
     handle, opened = _open_out(args.out)
     try:
         _emit_json(
@@ -471,8 +477,10 @@ def _cmd_sweep(args):
             record = {"index": index}
             record.update(dict(zip(names, combo)))
             try:
-                source = _parse_space(_format_block(blocks["source"]), "source")
-                target = _parse_space(_format_block(blocks["target"]), "target")
+                source = _parse_cached(parsed, _format_block(blocks["source"]), "source")
+                target = _parse_cached(
+                    parsed, _format_block(blocks["target"]), "target", d=source.d
+                )
                 query = EmbeddingQuery(source=source, target=target)
             except _CliError as err:
                 if err.code == EXIT_DATA:
@@ -500,6 +508,24 @@ def _cmd_sweep(args):
         if opened:
             handle.close()
     return EXIT_HOLDS
+
+
+def _parse_cached(parsed, block, label, d=None):
+    """_parse_space through the call's cache, keyed by everything the
+    result depends on.  A bad data file still ends the sweep; a config
+    error is kept as its message and reported for every point."""
+    key = (block, label, d)
+    if key not in parsed:
+        try:
+            parsed[key] = _parse_space(block, label, d=d)
+        except _CliError as err:
+            if err.code == EXIT_DATA:
+                raise
+            parsed[key] = err.message
+    result = parsed[key]
+    if isinstance(result, str):
+        raise _CliError(EXIT_CONFIG, result)
+    return result
 
 
 def _format_block(mapping):

@@ -24,12 +24,13 @@ the admissibility of phi, which SpaceParams validates on construction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePhiError, DomainError
+from .errors import DegeneratePhiError, DomainError, ExtrapolationError
 from .morrey import DyadicStepFunction, morrey_norm
 from .phi import (
     PhiSpec,
@@ -356,9 +357,9 @@ def parse_space_params(text, d=None):
         fields[key.strip().lower()] = value.strip()
 
     if "d" in fields:
-        dim = int(_parse_scalar(fields["d"]))
+        dim = _parse_dimension(fields["d"])
     elif d is not None:
-        dim = int(d)
+        dim = _parse_dimension(d)
     else:
         raise DomainError("no dimension given in %r" % (text,))
     missing = [key for key in ("s", "p", "q", "phi") if key not in fields]
@@ -372,6 +373,18 @@ def parse_space_params(text, d=None):
         phi=phi,
         d=dim,
     )
+
+
+def _parse_dimension(value):
+    """A dimension, from block text or a caller's argument: an integer
+    >= 1, also when written as an integral float such as ``2.0``."""
+    try:
+        dim = float(value)
+    except (TypeError, ValueError):
+        dim = math.nan
+    if not (math.isfinite(dim) and dim.is_integer() and dim >= 1):
+        raise DomainError("dimension must be an integer >= 1, got %r" % (value,))
+    return int(dim)
 
 
 def format_space_params(params):
@@ -389,21 +402,44 @@ def format_space_params(params):
 # quasi-norms
 
 
-def lq_norm(values, q):
-    """ell_q norm of an iterable, with the supremum convention at q = inf."""
-    if q == INF:
-        best = 0.0
-        for x in values:
-            x = abs(x)
-            if x > best:
-                best = x
-        return best
+def lq_norm(values, q, log2_weights=None):
+    """ell_q norm of an iterable, with the supremum convention at q = inf.
+
+    With ``log2_weights`` (one per value) it is the norm of the terms
+    2**w * x.  Each term is split into a mantissa and a power of two, and
+    the sum runs over the terms divided by the largest such power, so no
+    weight, term or power of a term overflows or underflows on the way.  A
+    norm outside the range of positive floats raises DomainError.
+    """
     if q <= 0:
         raise DomainError("q must be positive")
-    total = 0.0
-    for x in values:
-        total += abs(x) ** q
-    return total ** (1.0 / q)
+    if log2_weights is None:
+        log2_weights = itertools.repeat(0)
+    parts = []
+    for x, w in zip(values, log2_weights):
+        if x == 0.0:
+            continue
+        if not (math.isfinite(x) and math.isfinite(w)):
+            raise DomainError("the term 2^%r * %r is not finite" % (w, x))
+        whole = math.floor(w)
+        mant, exp = math.frexp(abs(x))
+        mant, shift = math.frexp(mant * 2.0 ** (w - whole))
+        parts.append((mant, exp + shift + whole))
+    if not parts:
+        return 0.0
+    top = max(exp for _, exp in parts)
+    scaled = [math.ldexp(mant, exp - top) for mant, exp in parts]
+    if q == INF:
+        total = max(scaled)
+    else:
+        total = sum(x ** q for x in scaled) ** (1.0 / q)
+    try:
+        norm = math.ldexp(total, top)
+    except OverflowError:
+        norm = INF
+    if not 0.0 < norm < INF:
+        raise DomainError("the norm, about 2^%d, is outside the float range" % (top,))
+    return norm
 
 
 def level_quantity(seq, j, params):
@@ -451,8 +487,17 @@ def n_norm(seq, params):
     """Quasi-norm of the sequence in the space described by params."""
     if seq.d != params.d:
         raise DomainError("sequence dimension %d does not match space dimension %d" % (seq.d, params.d))
-    terms = (2.0 ** (j * params.s) * level_quantity(seq, j, params) for j in seq.levels())
-    return lq_norm(terms, params.q)
+    levels = seq.levels()
+    quantities = []
+    for j in levels:
+        try:
+            quantity = level_quantity(seq, j, params)
+        except ExtrapolationError as exc:
+            raise ExtrapolationError("level %d: %s" % (j, exc)) from None
+        if not 0.0 < quantity < INF:
+            raise DomainError("level %d: the Morrey supremum is outside the float range" % j)
+        quantities.append(quantity)
+    return lq_norm(quantities, params.q, [j * params.s for j in levels])
 
 
 def n_norm_via_morrey(seq, params):
@@ -460,21 +505,20 @@ def n_norm_via_morrey(seq, params):
     functions.  Used as an independent cross-check of n_norm."""
     if seq.d != params.d:
         raise DomainError("sequence dimension %d does not match space dimension %d" % (seq.d, params.d))
+    levels = seq.levels()
     terms = []
-    for j in seq.levels():
+    for j in levels:
         f = DyadicStepFunction(d=params.d, level=j, values=seq.level(j))
-        terms.append(2.0 ** (j * params.s) * morrey_norm(f, params.phi, params.p))
-    return lq_norm(terms, params.q)
+        terms.append(morrey_norm(f, params.phi, params.p))
+    return lq_norm(terms, params.q, [j * params.s for j in levels])
 
 
 def b_infty_norm(seq, s, q):
     """Besov-type quasi-norm with the inner exponent at infinity:
     ell_q over j of 2**(j s) * sup_m |value|."""
-    terms = []
-    for j in seq.levels():
-        _, values = seq._levels[j]
-        terms.append(2.0 ** (j * s) * float(np.abs(values).max()))
-    return lq_norm(terms, q)
+    levels = seq.levels()
+    terms = [float(np.abs(seq._levels[j][1]).max()) for j in levels]
+    return lq_norm(terms, q, [j * s for j in levels])
 
 
 def tilde_norm(coeffs, params):

@@ -24,18 +24,18 @@ the verdict records that alongside the decision.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 
-from .dyadic import INF, DyadicSequence, SpaceParams, lq_norm, n_norm
+from .dyadic import INF, DyadicSequence, SpaceParams, n_norm
 from .errors import (
     DomainError,
-    ExtrapolationError,
     NoProfileError,
     NotApplicableError,
 )
-from .phi import asymptotic_profile, eval_phi, power
+from .phi import asymptotic_profile, eval_phi, phi_lattice, power
 
 #: Tail ratios at or below this bound count as a geometric envelope.
 GEOMETRIC_RATIO = 1.0 - 1e-3
@@ -45,6 +45,9 @@ DIVERGENCE_CAP = 1e12
 
 DEFAULT_J_MAX = 64
 DEFAULT_NU_MIN = -64
+
+#: Finest lattice level: 2**-nu underflows to 0 beyond it.
+_FINEST_NU = 1074
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,30 @@ def ratio_R(phi1, phi2, rho, nu):
     return eval_phi(phi2, t) / eval_phi(phi1, t) ** rho
 
 
+def _lattice_ratios(phi1, phi2, rho, nu_lo, nu_hi):
+    """R(nu) for nu = nu_lo..nu_hi from one lattice of each profile, None
+    where either profile is unsampled or overflows; the arithmetic is that
+    of ratio_R."""
+    return [
+        None if f1 is None or f2 is None else f2 / f1 ** rho
+        for f1, f2 in zip(phi_lattice(phi1, nu_lo, nu_hi), phi_lattice(phi2, nu_lo, nu_hi))
+    ]
+
+
+def _running_maxima(ratios, nu_lo):
+    """alpha_j for j = 0, 1, ... from R(nu) listed from nu = nu_lo <= 0 on."""
+    running = None
+    alphas = []
+    for nu, r in enumerate(ratios, start=nu_lo):
+        if r is not None and (running is None or r > running):
+            running = r
+        if nu >= 0:
+            if running is None:
+                raise DomainError("no sampled scales below level %d" % nu)
+            alphas.append(running)
+    return tuple(alphas)
+
+
 def alpha_sequence(phi1, phi2, rho, j_max=DEFAULT_J_MAX, nu_min=DEFAULT_NU_MIN):
     """Sampled running maxima alpha_j = max_{nu_min <= nu <= j} R(nu).
 
@@ -106,20 +133,7 @@ def alpha_sequence(phi1, phi2, rho, j_max=DEFAULT_J_MAX, nu_min=DEFAULT_NU_MIN):
     """
     if j_max < 0 or nu_min > 0:
         raise DomainError("need nu_min <= 0 <= j_max")
-    running = None
-    alphas = []
-    for nu in range(nu_min, j_max + 1):
-        try:
-            r = ratio_R(phi1, phi2, rho, nu)
-        except (ExtrapolationError, OverflowError):
-            r = None
-        if r is not None and (running is None or r > running):
-            running = r
-        if nu >= 0:
-            if running is None:
-                raise DomainError("no sampled scales below level %d" % nu)
-            alphas.append(running)
-    return tuple(alphas)
+    return _running_maxima(_lattice_ratios(phi1, phi2, rho, nu_min, j_max), nu_min)
 
 
 def _tail_in_lqstar(gamma, delta, qs):
@@ -197,28 +211,43 @@ def _cond2_exponents(pr1, pr2, s1, s2, rho):
     return gamma, delta
 
 
+@functools.lru_cache(maxsize=256)
+def _pair_diagnostics(phi1, phi2, rho, j_max, nu_min):
+    """The part of the sampled diagnostics fixed by the pair of profiles.
+
+    Returns R(nu) for nu = 0 down to nu_min, the running maxima alpha_j and
+    phi1(2**-j)**(rho-1) for j = 0..j_max (None where unsampled), all from
+    one ratio per lattice level.  No alpha is reported when the window has
+    no level 0 or runs past the finest level.
+    """
+    lo, hi = min(nu_min, 0), min(max(j_max, 0), _FINEST_NU)
+    ratios = _lattice_ratios(phi1, phi2, rho, lo, hi)
+    rvals = tuple(ratios[nu - lo] for nu in range(0, nu_min - 1, -1))
+    alphas = ()
+    if nu_min <= 0 <= j_max <= _FINEST_NU:
+        try:
+            alphas = _running_maxima(ratios, lo)
+        except DomainError:
+            pass
+    damps = []
+    for f1 in phi_lattice(phi1, lo, hi)[-lo:-lo + len(alphas)]:
+        try:
+            damps.append(None if f1 is None else f1 ** (rho - 1.0))
+        except OverflowError:
+            damps.append(None)
+    return rvals, alphas, tuple(damps)
+
+
 def _diag_values(query, rho, j_max, nu_min):
     """Sampled R on large cubes and the cross-level sequence, for reports."""
-    phi1, phi2 = query.source.phi, query.target.phi
-    rvals = []
-    for nu in range(0, nu_min - 1, -1):
-        try:
-            rvals.append(ratio_R(phi1, phi2, rho, nu))
-        except (ExtrapolationError, OverflowError):
-            rvals.append(None)
-    try:
-        alphas = alpha_sequence(phi1, phi2, rho, j_max=j_max, nu_min=nu_min)
-    except DomainError:
-        alphas = ()
-    terms = []
-    s1, s2 = query.source.s, query.target.s
-    for j, alpha in enumerate(alphas):
-        try:
-            f1 = eval_phi(phi1, 2.0 ** (-j)) ** (rho - 1.0)
-        except (ExtrapolationError, OverflowError):
-            terms.append(None)
-            continue
-        terms.append(2.0 ** (j * (s2 - s1)) * alpha * f1)
+    rvals, alphas, damps = _pair_diagnostics(
+        query.source.phi, query.target.phi, rho, j_max, nu_min
+    )
+    gap = query.target.s - query.source.s
+    terms = [
+        None if damp is None else 2.0 ** (j * gap) * alpha * damp
+        for j, (alpha, damp) in enumerate(zip(alphas, damps))
+    ]
     return rvals, alphas, terms
 
 

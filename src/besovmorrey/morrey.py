@@ -74,7 +74,10 @@ def morrey_norm(f, phi, p):
     d = f.d
     level = f.level
     patterns = {_orthant(m) for m in f.values}
-    powers = {m: abs(v) ** p for m, v in f.values.items()}
+    # scaled by the largest magnitude so |v|**p neither overflows nor
+    # underflows
+    top = max(abs(v) for v in f.values.values())
+    powers = {m: (abs(v) / top) ** p for m, v in f.values.items()}
 
     best = 0.0
     nu = level
@@ -86,7 +89,7 @@ def morrey_norm(f, phi, p):
             groups[key] = groups.get(key, 0.0) + w
         heaviest = max(groups.values())
         cell_volume = 2.0 ** ((nu - level) * d)
-        candidate = eval_phi(phi, 2.0 ** (-nu)) * (cell_volume * heaviest) ** (1.0 / p)
+        candidate = eval_phi(phi, 2.0 ** (-nu)) * (cell_volume * heaviest) ** (1.0 / p) * top
         if candidate > best:
             best = candidate
         if len(groups) == len(patterns):

@@ -21,6 +21,7 @@ exactly from the knots.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -195,6 +196,24 @@ def eval_phi(spec, t):
     if not math.isfinite(t) or t <= 0.0:
         raise DomainError("profiles are defined for finite t > 0, got %r" % (t,))
     return _base_eval(spec, t) / spec.denom
+
+
+@functools.lru_cache(maxsize=512)
+def phi_lattice(spec, nu_lo, nu_hi):
+    """Values phi(2**-nu) for nu = nu_lo..nu_hi, as a tuple.
+
+    The embedding criterion reads profiles only on the dyadic lattice, so
+    each window is evaluated once per profile and kept in a bounded cache.
+    An entry is None where a table is not sampled or the value overflows;
+    any other DomainError (2**-nu is 0 beyond nu = 1074) propagates.
+    """
+    values = []
+    for nu in range(nu_lo, nu_hi + 1):
+        try:
+            values.append(eval_phi(spec, 2.0 ** -nu))
+        except (ExtrapolationError, OverflowError):
+            values.append(None)
+    return tuple(values)
 
 
 def normalize(spec):

@@ -256,3 +256,92 @@ def test_witness_size_cap_exits_66(capsys):
     assert code == 66
     assert "too large" in captured.err
     assert len(captured.err.strip().splitlines()) == 1
+
+
+def _norm(tmp_path, space, rows):
+    path = tmp_path / "coeffs.csv"
+    path.write_text("# d=1\nj,m_1,value\n" + rows)
+    return main(["norm", "--space", space, "--seq", str(path)]), path
+
+
+def test_norm_weights_levels_without_overflow(tmp_path, capsys):
+    # 2^(600*2) overflows a float; the term 2^1200 * phi(2^-600) = 2^600 does not
+    code, _ = _norm(tmp_path, "s=2,p=1,q=1,phi=power(1),d=1", "600,0,1.0\n")
+    assert code == 0
+    assert "norm=%r\n" % 2.0 ** 600 in capsys.readouterr().out
+    # (1e200)^2 overflows; the ell_2 sum is taken relative to the largest term
+    code, _ = _norm(tmp_path, "s=0.5,p=2,q=2,phi=power(2),d=1", "0,0,1e200\n1,0,1.0\n")
+    assert code == 0
+    assert "norm=1e+200\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "space, rows, message",
+    [
+        # the norm itself is 2^1201
+        ("s=3,p=1,q=1,phi=power(1),d=1", "600,0,1.0\n", "outside the float range"),
+        # the level-600 supremum 2^-600 * 1e-200 underflows
+        ("s=-3,p=1,q=1,phi=power(1),d=1", "600,0,1e-200\n", "level 600"),
+    ],
+)
+def test_norm_outside_float_range_exits_65(tmp_path, capsys, space, rows, message):
+    code, path = _norm(tmp_path, space, rows)
+    captured = capsys.readouterr()
+    assert code == 65
+    assert captured.out == ""
+    assert message in captured.err and str(path) in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_norm_beyond_table_knots_exits_65(tmp_path, capsys):
+    table = tmp_path / "t.csv"
+    knots = [10.0 ** k for k in range(-3, 4)]
+    table.write_text("t,value\n" + "".join("%r,%r\n" % (t, t ** 0.5) for t in knots))
+    code, path = _norm(tmp_path, "s=0.5,p=2,q=2,phi=table(%s),d=1" % table, "20,0,1.0\n")
+    captured = capsys.readouterr()
+    assert code == 65
+    assert "level 20" in captured.err and str(path) in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("dim", ["inf", "1.7", "nan", "0", "-1", "two"])
+def test_dimension_must_be_an_integer(capsys, dim):
+    code = main(["check", "--source", "s=1,p=2,q=2,phi=power(2),d=%s" % dim,
+                 "--target", "s=0,p=2,q=2,phi=power(2),d=%s" % dim])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert "dimension must be an integer >= 1" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_integral_float_dimension_is_accepted(capsys):
+    code = main(["check", "--source", "s=1,p=2,q=2,phi=power(2),d=2.0",
+                 "--target", "s=0,p=2,q=2,phi=power(2),d=2"])
+    assert code == 0
+    assert ",d=2\n" in capsys.readouterr().out
+
+
+# the INI example of the README: the target block gives no d
+README_INI = (
+    "[source]\ns = 1\np = 2\nq = 2\nphi = power(2)\nd = 1\n\n"
+    "[target]\ns = 0\np = 2\nq = 2\nphi = power(4)\n\n"
+    "[run]\njmax = 32\nnumin = -32\n"
+)
+
+
+def test_target_inherits_dimension(tmp_path, capsys):
+    cfg = tmp_path / "pair.ini"
+    cfg.write_text(README_INI)
+    assert main(["check", "--config", str(cfg)]) == 0
+    assert "target=s=0.0,p=2.0,q=2.0,phi=power(4.0),d=1\n" in capsys.readouterr().out
+    cfg.write_text(README_INI + "\n[sweep]\nsource.s = 0.5; 1.0; 1.5\n"
+                   "target.phi = power(2); power(4)\n")
+    out_path = tmp_path / "grid.jsonl"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out_path)]) == 0
+    records = [json.loads(line) for line in out_path.read_text().splitlines()[1:]]
+    assert len(records) == 6
+    assert all(r["outcome"] in ("holds", "fails") for r in records)
+    # a target that names its own, different dimension is still refused
+    assert main(["check", "--config", str(cfg),
+                 "--target", "s=0,p=2,q=2,phi=power(4),d=2"]) == 64
+    assert "dimensions differ" in capsys.readouterr().err

@@ -271,3 +271,35 @@ def test_array_cells_are_copied():
     m[0, 0] = 7
     values[1] = 0.0
     assert seq == DyadicSequence(1, {(0, (0,)): 1.0, (0, (1,)): 2.0})
+
+
+def test_lq_norm_scales_by_the_largest_term():
+    # (1e200)**2 and (1e-200)**2 leave the float range; the norm does not
+    assert lq_norm([1e200, 2.0], 2.0) == 1e200
+    assert lq_norm([3e-200, -4e-200], 2.0) == pytest.approx(5e-200, rel=1e-15)
+    # 2**1200 * 2**-600: the weight alone overflows, the term does not
+    assert lq_norm([2.0 ** -600], 1.0, [1200]) == 2.0 ** 600
+    assert lq_norm([2.0 ** -600, 1.0], INF, [1200.5, 0]) == 2.0 ** 600.5
+    with pytest.raises(DomainError, match="outside the float range"):
+        lq_norm([1.0], 1.0, [1100])
+    with pytest.raises(DomainError, match="outside the float range"):
+        lq_norm([1e-300], 2.0, [-100])
+    with pytest.raises(DomainError, match="not finite"):
+        lq_norm([math.inf], 2.0)
+
+
+def test_n_norm_at_extreme_levels_and_values():
+    params = parse_space_params("s=2,p=1,q=1,phi=power(1),d=1")
+    seq = DyadicSequence(1, {(600, (0,)): 1.0})
+    assert n_norm(seq, params) == n_norm_via_morrey(seq, params) == 2.0 ** 600
+
+
+@pytest.mark.parametrize("dim", [1.7, math.inf, math.nan, 0, "x", None])
+def test_parse_space_params_rejects_non_integer_dimension(dim):
+    text = "s=1,p=2,q=2,phi=power(2)"
+    with pytest.raises(DomainError, match="dimension"):
+        parse_space_params(text if dim is None else text + ",d=%s" % dim)
+    if dim is not None:
+        with pytest.raises(DomainError, match="dimension must be an integer"):
+            parse_space_params(text, d=dim)
+    assert parse_space_params(text + ",d=2.0") == parse_space_params(text, d=2)

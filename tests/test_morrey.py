@@ -117,3 +117,15 @@ def test_step_function_validation():
         DyadicStepFunction(d=0, level=0, values={})
     with pytest.raises(DomainError):
         DyadicStepFunction(d=2, level=0, values={(0,): 1.0})
+
+
+@pytest.mark.parametrize("value", [1.1308673418524387e-181, -1e200])
+def test_extreme_values_do_not_leave_the_float_range(value):
+    # |v|**2 underflows to 0 at 1e-181 and overflows at 1e200 when unscaled;
+    # with phi = const(1) the norm is |v| itself
+    f = DyadicStepFunction(d=1, level=3, values={(5,): value})
+    assert morrey_norm(f, phimod.const(1.0), 2.0) == abs(value)
+    # two cells merged in the parent cube: phi(2) * (|v|**2 * 2 / 4)**(1/2)
+    g = DyadicStepFunction(d=2, level=0, values={(0, 0): value, (1, 0): value})
+    assert morrey_norm(g, phimod.power(2.0, d=2), 2.0) == pytest.approx(
+        abs(value) * math.sqrt(2.0), rel=1e-15)

@@ -10,6 +10,7 @@ import itertools
 import math
 import random
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -177,3 +178,12 @@ def test_beta_witness_matches_cellwise(pair, d, i, span):
     )
     cells = greedy_distribution(d, i, nu_i, total).cells
     assert got == DyadicSequence(d, {(i, m): value for m in cells})
+
+
+@pytest.mark.parametrize("value", [1.1308673418524387e-181, 1e200])
+@pytest.mark.parametrize("phi", PROFILES)
+def test_morrey_route_at_extreme_magnitudes(value, phi):
+    # the oracle squared these entries unscaled: 0.0 at 1e-181, OverflowError at 1e200
+    params = parse_space_params("s=0.5,p=2,q=2,phi=%s,d=1" % phi)
+    seq = DyadicSequence(1, {(0, (0,)): value})
+    assert n_norm_via_morrey(seq, params) == n_norm(seq, params) == value
