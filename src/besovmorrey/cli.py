@@ -17,7 +17,7 @@ Exit codes are part of the interface:
 * 65 a data file could not be parsed (sequence CSV, sample CSV, profile
       table),
 * 66 a request larger than a hard cap (a sweep grid, or a witness with more
-      cells than ``witness.MAX_CELLS``).
+      cells than ``witness.MAX_CELLS`` or values outside the float range).
 
 All output is deterministic: floats are printed via repr, JSON keys are
 sorted, and no timestamps or machine identifiers appear.
@@ -42,7 +42,7 @@ from .dyadic import (
     parse_space_params,
 )
 from .embedding import DEFAULT_J_MAX, DEFAULT_NU_MIN, EmbeddingQuery, decide
-from .errors import DomainError, TableFormatError, WitnessTooLargeError
+from .errors import DomainError, TableFormatError
 from .wavelet import (
     analyze as wavelet_analyze,
     daubechies_system,
@@ -59,7 +59,6 @@ EXIT_CONFIG = 64
 EXIT_DATA = 65
 EXIT_TOOBIG = 66
 
-DEFAULT_TOL = 1e-9
 DEFAULT_WITNESS_DEPTH = 12
 MAX_SWEEP = 100_000
 
@@ -113,9 +112,7 @@ def _load_config(path):
     return parser
 
 
-def _section_block(cfg, section):
-    if cfg is None or not cfg.has_section(section):
-        return None
+def _section_items(cfg, section):
     items = dict(cfg.items(section))
     unknown = sorted(set(items) - set(_SPACE_KEYS))
     if unknown:
@@ -123,7 +120,13 @@ def _section_block(cfg, section):
             EXIT_CONFIG,
             "unknown key(s) %s in [%s]" % (", ".join(unknown), section),
         )
-    return ",".join("%s=%s" % (key, items[key]) for key in _SPACE_KEYS if key in items)
+    return items
+
+
+def _section_block(cfg, section):
+    if cfg is None or not cfg.has_section(section):
+        return None
+    return _format_block(_section_items(cfg, section))
 
 
 def _parse_space(block, label, d=None):
@@ -206,13 +209,7 @@ def _cmd_check(args):
     if args.json:
         _emit_json(
             sys.stdout,
-            {
-                "command": "check",
-                "version": __version__,
-                "jmax": jmax,
-                "numin": numin,
-                "tol": DEFAULT_TOL,
-            },
+            {"command": "check", "version": __version__, "jmax": jmax, "numin": numin},
         )
         record = _verdict_record(verdict)
         record["source"] = format_space_params(query.source)
@@ -303,7 +300,8 @@ def _cmd_witness(args):
         return EXIT_FAILS if verdict.outcome == "holds" else EXIT_UNDETERMINED
     try:
         scan = divergence_scan(query, depth=depth, nu_min=numin)
-    except WitnessTooLargeError as exc:
+    except DomainError as exc:
+        # over MAX_CELLS, or a witness or its norm outside the float range
         raise _CliError(EXIT_TOOBIG, "witness: %s; lower --depth" % exc)
     handle, opened = _open_out(args.out)
     try:
@@ -311,9 +309,7 @@ def _cmd_witness(args):
         handle.write("# source=%s\n" % format_space_params(query.source))
         handle.write("# target=%s\n" % format_space_params(query.target))
         handle.write("# family=%s outcome=%s\n" % (scan.family, scan.outcome))
-        handle.write(
-            "# depth=%d numin=%d tol=%r\n" % (depth, numin, DEFAULT_TOL)
-        )
+        handle.write("# depth=%d numin=%d\n" % (depth, numin))
         handle.write("index,ratio\n")
         for i, ratio in zip(scan.indices, scan.ratios):
             handle.write("%d,%r\n" % (i, ratio))
@@ -421,14 +417,7 @@ def _cmd_sweep(args):
     for section in ("source", "target"):
         if not cfg.has_section(section):
             raise _CliError(EXIT_CONFIG, "config is missing the [%s] section" % section)
-        items = dict(cfg.items(section))
-        unknown = sorted(set(items) - set(_SPACE_KEYS))
-        if unknown:
-            raise _CliError(
-                EXIT_CONFIG,
-                "unknown key(s) %s in [%s]" % (", ".join(unknown), section),
-            )
-        base[section] = items
+        base[section] = _section_items(cfg, section)
     jmax = _run_int(args.jmax, cfg, "jmax", DEFAULT_J_MAX)
     numin = _run_int(args.numin, cfg, "numin", DEFAULT_NU_MIN)
 
@@ -464,7 +453,6 @@ def _cmd_sweep(args):
                 "keys": names,
                 "jmax": jmax,
                 "numin": numin,
-                "tol": DEFAULT_TOL,
             },
         )
         for index, combo in enumerate(itertools.product(*choices)):

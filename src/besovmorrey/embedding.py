@@ -147,6 +147,30 @@ def _tail_in_lqstar(gamma, delta, qs):
     return delta * qs < -1.0
 
 
+def _cross_level(gamma, delta, qs, cond0_ok=True, value=0.0, suffix=""):
+    """Whether the cross-level sequence 2**(-j gamma) * (1+j)**delta lies in
+    ell_{q*} (and the large-cube condition holds), with its report."""
+    ok = cond0_ok and _tail_in_lqstar(gamma, delta, qs)
+    return ok, ConditionReport(
+        "satisfied" if ok else "violated",
+        value,
+        "cross-level decay 2^(-j*%r)*(1+j)^%r%s" % (gamma, delta, suffix),
+    )
+
+
+#: The cross-level report when the large-cube condition already fails.
+_DIVERGES = ConditionReport("violated", detail="running maxima diverge")
+
+
+def _geometric_tail(values):
+    """Whether the last third (at least five) of the values decays under
+    the geometric envelope."""
+    tail = values[-max(5, len(values) // 3):]
+    return len(tail) > 1 and all(
+        later <= earlier * GEOMETRIC_RATIO for earlier, later in zip(tail, tail[1:])
+    )
+
+
 def _classify_sup(values):
     """Three-way verdict on boundedness of sampled values along a limit."""
     finite = [v for v in values if v is not None and math.isfinite(v)]
@@ -157,13 +181,7 @@ def _classify_sup(values):
     peak = max(finite)
     if peak > DIVERGENCE_CAP:
         return "violated", peak
-    tail = finite[-max(5, len(finite) // 3):]
-    decaying = all(
-        later <= earlier * GEOMETRIC_RATIO for earlier, later in zip(tail, tail[1:])
-    )
-    if decaying and len(tail) > 1:
-        return "satisfied", peak
-    return "undetermined", peak
+    return ("satisfied" if _geometric_tail(finite) else "undetermined"), peak
 
 
 def _classify_lq(terms, qs):
@@ -178,19 +196,16 @@ def _classify_lq(terms, qs):
         if not math.isfinite(t):
             return "violated", math.inf
         clean.append(t)
-        total += t ** qs
+        try:
+            total += t ** qs
+        except OverflowError:
+            return "violated", math.inf
         if total > DIVERGENCE_CAP:
             return "violated", total ** (1.0 / qs) if total != math.inf else math.inf
     if not clean:
         return "undetermined", 0.0
     value = total ** (1.0 / qs)
-    tail = clean[-max(5, len(clean) // 3):]
-    decaying = all(
-        later <= earlier * GEOMETRIC_RATIO for earlier, later in zip(tail, tail[1:])
-    )
-    if decaying and len(tail) > 1:
-        return "satisfied", value
-    return "undetermined", value
+    return ("satisfied" if _geometric_tail(clean) else "undetermined"), value
 
 
 def _cond2_exponents(pr1, pr2, s1, s2, rho):
@@ -244,11 +259,31 @@ def _diag_values(query, rho, j_max, nu_min):
         query.source.phi, query.target.phi, rho, j_max, nu_min
     )
     gap = query.target.s - query.source.s
-    terms = [
-        None if damp is None else 2.0 ** (j * gap) * alpha * damp
-        for j, (alpha, damp) in enumerate(zip(alphas, damps))
-    ]
+    try:
+        terms = [
+            None if damp is None else 2.0 ** (j * gap) * alpha * damp
+            for j, (alpha, damp) in enumerate(zip(alphas, damps))
+        ]
+    except OverflowError:  # some 2**(j*gap) alone is beyond the float range
+        terms = [
+            None if damp is None else _cross_term(j * gap, alpha, damp)
+            for j, (alpha, damp) in enumerate(zip(alphas, damps))
+        ]
     return rvals, alphas, terms
+
+
+def _cross_term(w, alpha, damp):
+    """2**w * alpha * damp; where 2**w overflows, through the split
+    2**frac(w) * alpha * damp * 2**floor(w), and inf when the term itself is
+    beyond the float range."""
+    try:
+        return 2.0 ** w * alpha * damp
+    except OverflowError:
+        whole = math.floor(w)
+        try:
+            return math.ldexp(2.0 ** (w - whole) * alpha * damp, whole)
+        except OverflowError:
+            return math.inf
 
 
 def decide(query, j_max=DEFAULT_J_MAX, nu_min=DEFAULT_NU_MIN):
@@ -298,15 +333,11 @@ def decide(query, j_max=DEFAULT_J_MAX, nu_min=DEFAULT_NU_MIN):
         )
 
     gamma, delta = _cond2_exponents(pr1, pr2, src.s, tgt.s, rho)
-    member = _tail_in_lqstar(gamma, delta, qs)
     _, partial = _classify_lq(terms, qs)
-    cond2 = ConditionReport(
-        status="satisfied" if member else "violated",
-        value=partial,
-        detail="cross-level decay 2^(-j*%r)*(1+j)^%r against q*=%s"
-        % (gamma, delta, "inf" if qs == INF else repr(qs)),
+    holds, cond2 = _cross_level(
+        gamma, delta, qs, value=partial,
+        suffix=" against q*=%s" % ("inf" if qs == INF else repr(qs)),
     )
-    holds = cond0_ok and member
     return EmbeddingVerdict(
         outcome="holds" if holds else "fails",
         rho=rho,
@@ -349,7 +380,7 @@ def _decide_sampled(query, rho, qs, j_max, nu_min):
 # specialised decision rules
 
 
-def _specialised_verdict(query, outcome, method, cond0, cond2, notes=()):
+def _specialised_verdict(query, outcome, method, cond0, cond2):
     return EmbeddingVerdict(
         outcome=outcome,
         rho=query.rho,
@@ -357,7 +388,6 @@ def _specialised_verdict(query, outcome, method, cond0, cond2, notes=()):
         cond0=cond0,
         cond2=cond2,
         method=method,
-        notes=tuple(notes),
     )
 
 
@@ -387,15 +417,10 @@ def decide_same_phi(query):
         detail="losing local integrability needs a bounded profile",
     )
     if not bounded:
-        cond2 = ConditionReport("violated", detail="running maxima diverge")
-        return _specialised_verdict(query, "fails", "same-phi", cond0, cond2)
+        return _specialised_verdict(query, "fails", "same-phi", cond0, _DIVERGES)
     gamma = src.s - tgt.s + prof.a_zero * (rho - 1.0)
     delta = prof.b_zero * (rho - 1.0)
-    ok = _tail_in_lqstar(gamma, delta, qs)
-    cond2 = ConditionReport(
-        "satisfied" if ok else "violated",
-        detail="cross-level decay 2^(-j*%r)*(1+j)^%r" % (gamma, delta),
-    )
+    ok, cond2 = _cross_level(gamma, delta, qs)
     return _specialised_verdict(query, "holds" if ok else "fails", "same-phi", cond0, cond2)
 
 
@@ -421,15 +446,10 @@ def decide_into_besov(source, s2, p2, q2):
         detail="needs p1 <= p2 and the pure power t^(d/p1) on large cubes",
     )
     if not ok0:
-        cond2 = ConditionReport("violated", detail="running maxima diverge")
-        return _specialised_verdict(query, "fails", "into-besov", cond0, cond2)
+        return _specialised_verdict(query, "fails", "into-besov", cond0, _DIVERGES)
     gamma = src.s - s2 + prof.a_zero * (rho - 1.0)
     delta = prof.b_zero * (rho - 1.0)
-    ok = _tail_in_lqstar(gamma, delta, qs)
-    cond2 = ConditionReport(
-        "satisfied" if ok else "violated",
-        detail="cross-level decay 2^(-j*%r)*(1+j)^%r" % (gamma, delta),
-    )
+    ok, cond2 = _cross_level(gamma, delta, qs)
     return _specialised_verdict(query, "holds" if ok else "fails", "into-besov", cond0, cond2)
 
 
@@ -451,11 +471,7 @@ def decide_from_besov(s1, p1, q1, target):
         cond0 = ConditionReport("satisfied", detail="automatic for p1 <= p2")
         gamma = s1 - tgt.s - dp1 + prof.a_zero
         delta = prof.b_zero
-        ok = _tail_in_lqstar(gamma, delta, qs)
-        cond2 = ConditionReport(
-            "satisfied" if ok else "violated",
-            detail="cross-level decay 2^(-j*%r)*(1+j)^%r" % (gamma, delta),
-        )
+        ok, cond2 = _cross_level(gamma, delta, qs)
         return _specialised_verdict(query, "holds" if ok else "fails", "from-besov", cond0, cond2)
     ok0 = prof.a_inf < dp1 or (prof.a_inf == dp1 and prof.b_inf <= 0.0)
     cond0 = ConditionReport(
@@ -463,8 +479,7 @@ def decide_from_besov(s1, p1, q1, target):
         detail="target profile against t^(d/p1) on large cubes",
     )
     if not ok0:
-        cond2 = ConditionReport("violated", detail="running maxima diverge")
-        return _specialised_verdict(query, "fails", "from-besov", cond0, cond2)
+        return _specialised_verdict(query, "fails", "from-besov", cond0, _DIVERGES)
     head = dp1 - prof.a_zero
     if head > 0.0 or (head == 0.0 and prof.b_zero > 0.0):
         gamma = s1 - tgt.s - head
@@ -472,11 +487,7 @@ def decide_from_besov(s1, p1, q1, target):
     else:
         gamma = s1 - tgt.s
         delta = 0.0
-    ok = _tail_in_lqstar(gamma, delta, qs)
-    cond2 = ConditionReport(
-        "satisfied" if ok else "violated",
-        detail="cross-level decay 2^(-j*%r)*(1+j)^%r" % (gamma, delta),
-    )
+    ok, cond2 = _cross_level(gamma, delta, qs)
     return _specialised_verdict(query, "holds" if ok else "fails", "from-besov", cond0, cond2)
 
 
@@ -555,7 +566,7 @@ def decide_under_IS(query):
                 detail="plain cross-level decay 2^(j(s2-s1))",
             )
         else:
-            cond2 = ConditionReport("violated", detail="running maxima diverge")
+            cond2 = _DIVERGES
         ok = cond0_ok and tail_ok
         return _specialised_verdict(
             query, "holds" if ok else "fails", "IS:source-bounded-below", cond0, cond2
@@ -563,21 +574,13 @@ def decide_under_IS(query):
     if is2.has_I:
         gamma = src.s - tgt.s - pr1.a_zero
         delta = -pr1.b_zero
-        ok = cond0_ok and _tail_in_lqstar(gamma, delta, qs)
-        cond2 = ConditionReport(
-            "satisfied" if ok else "violated",
-            detail="cross-level decay 2^(-j*%r)*(1+j)^%r" % (gamma, delta),
-        )
+        ok, cond2 = _cross_level(gamma, delta, qs, cond0_ok)
         return _specialised_verdict(
             query, "holds" if ok else "fails", "IS:target-bounded-below", cond0, cond2
         )
     if is2.has_S:
         gamma, delta = _cond2_exponents(pr1, pr2, src.s, tgt.s, rho)
-        ok = _tail_in_lqstar(gamma, delta, qs)
-        cond2 = ConditionReport(
-            "satisfied" if ok else "violated",
-            detail="cross-level decay 2^(-j*%r)*(1+j)^%r" % (gamma, delta),
-        )
+        ok, cond2 = _cross_level(gamma, delta, qs)
         return _specialised_verdict(
             query,
             "holds" if ok else "fails",
@@ -592,14 +595,10 @@ def decide_under_IS(query):
                 "fails",
                 "IS:source-bounded-above",
                 ConditionReport("violated", detail="target profile unbounded above"),
-                ConditionReport("violated", detail="running maxima diverge"),
+                _DIVERGES,
             )
         gamma, delta = _cond2_exponents(pr1, pr2, src.s, tgt.s, rho)
-        ok = _tail_in_lqstar(gamma, delta, qs)
-        cond2 = ConditionReport(
-            "satisfied" if ok else "violated",
-            detail="cross-level decay 2^(-j*%r)*(1+j)^%r" % (gamma, delta),
-        )
+        ok, cond2 = _cross_level(gamma, delta, qs)
         return _specialised_verdict(
             query, "holds" if ok else "fails", "IS:source-bounded-above", cond0, cond2
         )

@@ -17,6 +17,10 @@ families (the log-perturbed families reduce to a single critical point) and
 checked on a dyadic grid as a cross-check.  Tabulated profiles interpolate
 linearly in log-log coordinates, which makes the class conditions decidable
 exactly from the knots.
+
+Each family is one row of ``_FAMILIES``: its arguments, its value, its
+admissibility rule and its asymptotics.  Adding a family is adding a row and
+a constructor.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .errors import DomainError, ExtrapolationError, NoProfileError, TableFormatError
 
@@ -84,42 +89,62 @@ def _check_dim(d):
     return d
 
 
+def _log_shift(x):
+    x = float(x)
+    if not math.isfinite(x) or x < _E:
+        raise DomainError("log shift must be >= e, got %r" % (x,))
+    return x
+
+
+#: Argument check per PhiSpec field.
+_FIELD_CHECKS = {
+    "u": functools.partial(_positive, "u"),
+    "v": functools.partial(_positive, "v"),
+    "c": functools.partial(_positive, "c"),
+    "a": float,
+    "lshift": _log_shift,
+}
+
+
+def _make(kind, d, *args):
+    d = _check_dim(d)
+    fields = _FAMILIES[kind].fields
+    return PhiSpec(kind, d, **{name: _FIELD_CHECKS[name](x) for name, x in zip(fields, args)})
+
+
 def power(u, d=1):
     """phi(t) = t**(d/u)."""
-    return PhiSpec(kind="power", d=_check_dim(d), u=_positive("u", u))
+    return _make("power", d, u)
 
 
 def twopower(u, v, d=1):
     """phi(t) = t**(d/u) for t <= 1 and t**(d/v) for t > 1."""
-    return PhiSpec(kind="twopower", d=_check_dim(d), u=_positive("u", u), v=_positive("v", v))
+    return _make("twopower", d, u, v)
 
 
 def capped(u, d=1):
     """phi(t) = min(t**(d/u), 1)."""
-    return PhiSpec(kind="capped", d=_check_dim(d), u=_positive("u", u))
+    return _make("capped", d, u)
 
 
 def floorone(v, d=1):
     """phi(t) = max(t**(d/v), 1)."""
-    return PhiSpec(kind="floorone", d=_check_dim(d), v=_positive("v", v))
+    return _make("floorone", d, v)
 
 
 def powerlog(u, a, lshift=_E, d=1):
     """phi(t) = t**(d/u) * log(lshift + t)**a, with lshift >= e."""
-    lshift = float(lshift)
-    if not math.isfinite(lshift) or lshift < _E:
-        raise DomainError("log shift must be >= e, got %r" % (lshift,))
-    return PhiSpec(kind="powerlog", d=_check_dim(d), u=_positive("u", u), a=float(a), lshift=lshift)
+    return _make("powerlog", d, u, a, lshift)
 
 
 def cappedlog(u, a, d=1):
     """phi(t) = t**(d/u) * (1 + |log t|)**a for t < 1 and 1 for t >= 1."""
-    return PhiSpec(kind="cappedlog", d=_check_dim(d), u=_positive("u", u), a=float(a))
+    return _make("cappedlog", d, u, a)
 
 
 def const(c, d=1):
     """phi(t) = c."""
-    return PhiSpec(kind="const", d=_check_dim(d), c=_positive("c", c))
+    return _make("const", d, c)
 
 
 def tabulated(ts, vals, d=1):
@@ -142,30 +167,6 @@ def tabulated(ts, vals, d=1):
         if not lo < hi:
             raise DomainError("knot abscissae must be strictly increasing")
     return PhiSpec(kind="table", d=_check_dim(d), ts=ts, vals=vals)
-
-
-def _base_eval(spec, t):
-    d = spec.d
-    kind = spec.kind
-    if kind == "power":
-        return t ** (d / spec.u)
-    if kind == "twopower":
-        return t ** (d / spec.u) if t <= 1.0 else t ** (d / spec.v)
-    if kind == "capped":
-        return min(t ** (d / spec.u), 1.0)
-    if kind == "floorone":
-        return max(t ** (d / spec.v), 1.0)
-    if kind == "powerlog":
-        return t ** (d / spec.u) * math.log(spec.lshift + t) ** spec.a
-    if kind == "cappedlog":
-        if t >= 1.0:
-            return 1.0
-        return t ** (d / spec.u) * (1.0 - math.log(t)) ** spec.a
-    if kind == "const":
-        return spec.c
-    if kind == "table":
-        return _table_eval(spec, t)
-    raise DomainError("unknown profile kind %r" % (kind,))
 
 
 def _table_eval(spec, t):
@@ -195,7 +196,11 @@ def eval_phi(spec, t):
     t = float(t)
     if not math.isfinite(t) or t <= 0.0:
         raise DomainError("profiles are defined for finite t > 0, got %r" % (t,))
-    return _base_eval(spec, t) / spec.denom
+    try:
+        family = _FAMILIES[spec.kind]
+    except KeyError:
+        raise DomainError("unknown profile kind %r" % (spec.kind,)) from None
+    return family.value(spec, t) / spec.denom
 
 
 @functools.lru_cache(maxsize=512)
@@ -204,15 +209,17 @@ def phi_lattice(spec, nu_lo, nu_hi):
 
     The embedding criterion reads profiles only on the dyadic lattice, so
     each window is evaluated once per profile and kept in a bounded cache.
-    An entry is None where a table is not sampled or the value overflows;
-    any other DomainError (2**-nu is 0 beyond nu = 1074) propagates.
+    An entry is None where a table is not sampled or the value leaves the
+    positive floats (overflows, or underflows to 0); any other DomainError
+    (2**-nu is 0 beyond nu = 1074) propagates.
     """
     values = []
     for nu in range(nu_lo, nu_hi + 1):
         try:
-            values.append(eval_phi(spec, 2.0 ** -nu))
+            value = eval_phi(spec, 2.0 ** -nu)
         except (ExtrapolationError, OverflowError):
-            values.append(None)
+            value = None
+        values.append(value or None)
     return tuple(values)
 
 
@@ -222,7 +229,7 @@ def normalize(spec):
     The divisor is the raw family value at t = 1, so normalising twice
     returns an identical object.
     """
-    return replace(spec, denom=_base_eval(spec, 1.0))
+    return replace(spec, denom=_family(spec.kind).value(spec, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +240,10 @@ def normalize(spec):
 class GpReport:
     """Outcome of the admissibility check for a given p.
 
-    ``exact`` records whether a closed-form decision was available; when it
-    is False the verdict is the grid verdict.  ``failures`` lists offending
-    grid pairs as (t_low, t_high, condition) triples.
+    ``member`` is the closed-form decision, which every family has, so
+    ``exact`` is always True; ``grid_member`` is the grid cross-check.
+    ``failures`` lists offending grid pairs as (t_low, t_high, condition)
+    triples.
     """
 
     member: bool
@@ -250,14 +258,21 @@ def _grid_check(spec, p, grid):
     pts = []
     for t in grid:
         try:
-            pts.append((t, eval_phi(spec, t)))
+            f = eval_phi(spec, t)
+            h = f * t ** (-dp)
         except ExtrapolationError:
             continue
-    for (t0, f0), (t1, f1) in zip(pts, pts[1:]):
+        except OverflowError:
+            h = math.inf
+        if not math.isfinite(h):  # also when phi(t) itself is inf
+            raise DomainError(
+                "profile %s leaves the float range at t=%r (phi(t) or "
+                "t^(-d/p) phi(t) for p=%g)" % (format_phi(spec), t, p)
+            )
+        pts.append((t, f, h))
+    for (t0, f0, h0), (t1, f1, h1) in zip(pts, pts[1:]):
         if f0 > f1 * (1.0 + _GRID_SLACK):
             failures.append((t0, t1, "nondecreasing"))
-        h0 = f0 * t0 ** (-dp)
-        h1 = f1 * t1 ** (-dp)
         if h1 > h0 * (1.0 + _GRID_SLACK):
             failures.append((t0, t1, "t^(-d/p)-damped nonincreasing"))
     return not failures, tuple(failures)
@@ -294,33 +309,72 @@ def _powerlog_damped_nonincreasing(u, a, lshift, d, p):
     return h <= 0.0
 
 
-def _exact_gp(spec, p):
-    """Closed-form admissibility where the family allows it, else None."""
-    d = spec.d
-    kind = spec.kind
-    if kind == "power":
-        return p <= spec.u
-    if kind == "twopower":
-        return p <= min(spec.u, spec.v)
-    if kind == "capped":
-        return p <= spec.u
-    if kind == "floorone":
-        return p <= spec.v
-    if kind == "const":
-        return True
-    if kind == "powerlog":
-        return _powerlog_nondecreasing(spec.u, spec.a, spec.lshift, d) and \
-            _powerlog_damped_nonincreasing(spec.u, spec.a, spec.lshift, d, p)
-    if kind == "cappedlog":
-        # nondecreasing on (0,1) needs a <= d/u; the damped condition on the
-        # same interval needs d/p >= d/u + max(0, -a)
-        return spec.a <= d / spec.u and d / p >= d / spec.u + max(0.0, -spec.a)
-    if kind == "table":
-        # both class conditions restrict to pure powers between knots, so the
-        # knot comparisons decide the interpolant exactly
-        ok, _ = _grid_check(spec, p, spec.ts)
-        return ok
-    return None
+# ---------------------------------------------------------------------------
+# the families
+
+
+class _Family(NamedTuple):
+    """One profile family: the PhiSpec fields its grammar takes, in order,
+    with defaults for the last ones; the raw value at t; the closed-form
+    admissibility for p; and the power-log exponents (a_zero, b_zero, a_inf,
+    b_inf), or None when the tails are not extrapolated."""
+
+    fields: tuple
+    defaults: tuple
+    value: object
+    gp: object
+    asymptotics: object
+
+
+_FAMILIES = {
+    "power": _Family(("u",), (),
+        lambda s, t: t ** (s.d / s.u),
+        lambda s, p: p <= s.u,
+        lambda s: (s.d / s.u, 0.0, s.d / s.u, 0.0)),
+    "twopower": _Family(("u", "v"), (),
+        lambda s, t: t ** (s.d / s.u) if t <= 1.0 else t ** (s.d / s.v),
+        lambda s, p: p <= min(s.u, s.v),
+        lambda s: (s.d / s.u, 0.0, s.d / s.v, 0.0)),
+    "capped": _Family(("u",), (),
+        lambda s, t: min(t ** (s.d / s.u), 1.0),
+        lambda s, p: p <= s.u,
+        lambda s: (s.d / s.u, 0.0, 0.0, 0.0)),
+    "floorone": _Family(("v",), (),
+        lambda s, t: max(t ** (s.d / s.v), 1.0),
+        lambda s, p: p <= s.v,
+        lambda s: (0.0, 0.0, s.d / s.v, 0.0)),
+    # log(L + t) tends to the constant log L near zero, so the log factor
+    # only shows up in the infinity-side exponent
+    "powerlog": _Family(("u", "a", "lshift"), (_E,),
+        lambda s, t: t ** (s.d / s.u) * math.log(s.lshift + t) ** s.a,
+        lambda s, p: _powerlog_nondecreasing(s.u, s.a, s.lshift, s.d)
+        and _powerlog_damped_nonincreasing(s.u, s.a, s.lshift, s.d, p),
+        lambda s: (s.d / s.u, 0.0, s.d / s.u, s.a)),
+    # nondecreasing on (0,1) needs a <= d/u; the damped condition on the
+    # same interval needs d/p >= d/u + max(0, -a)
+    "cappedlog": _Family(("u", "a"), (),
+        lambda s, t: 1.0 if t >= 1.0 else t ** (s.d / s.u) * (1.0 - math.log(t)) ** s.a,
+        lambda s, p: s.a <= s.d / s.u and s.d / p >= s.d / s.u + max(0.0, -s.a),
+        lambda s: (s.d / s.u, s.a, 0.0, 0.0)),
+    "const": _Family(("c",), (),
+        lambda s, t: s.c,
+        lambda s, p: True,
+        lambda s: (0.0, 0.0, 0.0, 0.0)),
+    # both class conditions restrict to pure powers between knots, so the
+    # knot comparisons decide the interpolant exactly; the grammar form is
+    # table(path), read by load_table
+    "table": _Family((), (),
+        _table_eval,
+        lambda s, p: _grid_check(s, p, s.ts)[0],
+        None),
+}
+
+
+def _family(kind):
+    try:
+        return _FAMILIES[kind]
+    except KeyError:
+        raise DomainError("unknown profile kind %r" % (kind,)) from None
 
 
 def check_class_gp(spec, p, grid=None):
@@ -328,16 +382,15 @@ def check_class_gp(spec, p, grid=None):
 
     Returns a GpReport.  Closed-form decisions are cross-checked against the
     grid; a tabulated profile is checked on its own knots, where the log-log
-    interpolant makes the comparison exact.
+    interpolant makes the comparison exact.  A profile whose value, or
+    damped value, leaves the float range on the grid raises DomainError.
     """
     p = _positive("p", p)
     if grid is None:
-        grid = spec.ts if spec.kind == "table" else DEFAULT_GRID
+        grid = spec.ts or DEFAULT_GRID
     grid_ok, failures = _grid_check(spec, p, grid)
-    exact = _exact_gp(spec, p)
-    if exact is None:
-        return GpReport(member=grid_ok, exact=False, grid_member=grid_ok, failures=failures)
-    return GpReport(member=exact, exact=True, grid_member=grid_ok, failures=failures)
+    member = _family(spec.kind).gp(spec, p)
+    return GpReport(member=member, exact=True, grid_member=grid_ok, failures=failures)
 
 
 def check_nontrivial(spec, p):
@@ -349,7 +402,7 @@ def check_nontrivial(spec, p):
     a compact interval and are always nontrivial.
     """
     p = _positive("p", p)
-    if spec.kind == "table":
+    if _family(spec.kind).asymptotics is None:
         return True
     prof = asymptotic_profile(spec)
     dp = spec.d / p
@@ -364,40 +417,16 @@ def asymptotic_profile(spec):
     Raises NoProfileError for tabulated profiles, whose tails are not
     extrapolated.
     """
-    d = spec.d
-    kind = spec.kind
-    if kind == "power":
-        e = d / spec.u
-        return PowerLogProfile(e, 0.0, e, 0.0)
-    if kind == "twopower":
-        return PowerLogProfile(d / spec.u, 0.0, d / spec.v, 0.0)
-    if kind == "capped":
-        return PowerLogProfile(d / spec.u, 0.0, 0.0, 0.0)
-    if kind == "floorone":
-        return PowerLogProfile(0.0, 0.0, d / spec.v, 0.0)
-    if kind == "powerlog":
-        # log(L + t) tends to the constant log L near zero, so the log factor
-        # only shows up in the infinity-side exponent
-        e = d / spec.u
-        return PowerLogProfile(e, 0.0, e, spec.a)
-    if kind == "cappedlog":
-        return PowerLogProfile(d / spec.u, spec.a, 0.0, 0.0)
-    if kind == "const":
-        return PowerLogProfile(0.0, 0.0, 0.0, 0.0)
-    raise NoProfileError("a %r profile has no power-log asymptotics" % (kind,))
+    family = _FAMILIES.get(spec.kind)
+    if family is None or family.asymptotics is None:
+        raise NoProfileError("a %r profile has no power-log asymptotics" % (spec.kind,))
+    return PowerLogProfile(*family.asymptotics(spec))
 
 
 # ---------------------------------------------------------------------------
 # grammar
 
-_FLOAT_KINDS = {
-    "power": ("u",),
-    "twopower": ("u", "v"),
-    "capped": ("u",),
-    "floorone": ("v",),
-    "cappedlog": ("u", "a"),
-    "const": ("c",),
-}
+_COUNT_WORDS = ("zero", "one", "two", "three")
 
 
 def parse_phi(text, d=1):
@@ -426,49 +455,26 @@ def parse_phi(text, d=1):
     except ValueError:
         raise DomainError("non-numeric argument in profile expression %r" % (text,))
 
-    if name == "powerlog":
-        if len(values) == 2:
-            return powerlog(values[0], values[1], d=d)
-        if len(values) == 3:
-            return powerlog(values[0], values[1], values[2], d=d)
-        raise DomainError("powerlog takes two or three arguments, got %d" % len(values))
-
-    if name in _FLOAT_KINDS:
-        names = _FLOAT_KINDS[name]
-        if len(values) != len(names):
-            raise DomainError(
-                "%s takes %d argument(s), got %d" % (name, len(names), len(values))
-            )
-        maker = globals()[name]
-        return maker(*values, d=d)
-
-    raise DomainError("unknown profile family %r" % (name,))
-
-
-def _fmt(x):
-    return repr(float(x))
+    family = _FAMILIES.get(name)
+    if family is None:
+        raise DomainError("unknown profile family %r" % (name,))
+    most = len(family.fields)
+    least = most - len(family.defaults)
+    if not least <= len(values) <= most:
+        if least == most:
+            takes = "%d argument(s)" % most
+        else:
+            takes = "%s or %s arguments" % (_COUNT_WORDS[least], _COUNT_WORDS[most])
+        raise DomainError("%s takes %s, got %d" % (name, takes, len(values)))
+    return _make(name, d, *values, *family.defaults[len(values) - least:])
 
 
 def format_phi(spec):
     """Canonical text form of the profile, parseable by parse_phi."""
-    kind = spec.kind
-    if kind == "power":
-        return "power(%s)" % _fmt(spec.u)
-    if kind == "twopower":
-        return "twopower(%s,%s)" % (_fmt(spec.u), _fmt(spec.v))
-    if kind == "capped":
-        return "capped(%s)" % _fmt(spec.u)
-    if kind == "floorone":
-        return "floorone(%s)" % _fmt(spec.v)
-    if kind == "powerlog":
-        return "powerlog(%s,%s,%s)" % (_fmt(spec.u), _fmt(spec.a), _fmt(spec.lshift))
-    if kind == "cappedlog":
-        return "cappedlog(%s,%s)" % (_fmt(spec.u), _fmt(spec.a))
-    if kind == "const":
-        return "const(%s)" % _fmt(spec.c)
-    if kind == "table":
+    if spec.kind == "table":
         return "table(<%d knots on [%g, %g]>)" % (len(spec.ts), spec.ts[0], spec.ts[-1])
-    raise DomainError("unknown profile kind %r" % (kind,))
+    fields = _family(spec.kind).fields
+    return "%s(%s)" % (spec.kind, ",".join(repr(float(getattr(spec, name))) for name in fields))
 
 
 def load_table(path, d=1):
@@ -501,8 +507,6 @@ def load_table(path, d=1):
         raise TableFormatError("cannot read table %r: %s" % (path, exc))
     try:
         return tabulated(ts, vals, d=d)
-    except TableFormatError:
-        raise
     except DomainError as exc:
         raise TableFormatError("%s: %s" % (path, exc))
 

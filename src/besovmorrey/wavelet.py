@@ -37,8 +37,6 @@ from .errors import (
     ResolutionError,
 )
 
-MAX_SHIPPED_ORDER = 10
-
 _DOMINATE_BUDGET = 2_000_000
 
 
@@ -145,6 +143,10 @@ class SampledFunction:
             raise DomainError("offset must have one entry per dimension")
         if self.js < 0:
             raise DomainError("resolution level must be >= 0")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            cell = tuple(int(o + i) for o, i in zip(self.offset, np.argwhere(~finite)[0]))
+            raise DomainError("sample value at cell %r is not finite" % (cell,))
         object.__setattr__(self, "values", arr)
         object.__setattr__(self, "offset", tuple(int(c) for c in self.offset))
 
@@ -286,16 +288,19 @@ def read_samples(handle):
     js = None
     cells = {}
     saw_rows = False
-    for raw in handle:
+    for lineno, raw in enumerate(handle, start=1):
         line = raw.strip()
         if not line:
             continue
         if line.startswith("#"):
             for token in line[1:].split():
-                if token.startswith("d="):
-                    d = int(token[2:])
-                elif token.lower().startswith("js="):
-                    js = int(token[3:])
+                try:
+                    if token.startswith("d="):
+                        d = int(token[2:])
+                    elif token.lower().startswith("js="):
+                        js = int(token[3:])
+                except ValueError:
+                    raise DomainError("line %d: %r is not an integer setting" % (lineno, token))
             continue
         parts = [p.strip() for p in line.split(",")]
         try:

@@ -28,6 +28,7 @@ from .embedding import alpha_sequence, decide, ratio_R
 from .errors import (
     CapacityError,
     DomainError,
+    ExtrapolationError,
     WitnessSelectionError,
     WitnessTooLargeError,
 )
@@ -181,20 +182,22 @@ def select_witness_level(query, i, nu_min=-64):
 
     Taking the largest admissible nu keeps the materialised witness small;
     any nu with R(nu) >= alpha_i / 2 certifies the same growth up to a
-    factor 2.
+    factor 2.  Levels where a profile is unsampled or leaves the positive
+    floats are skipped.
     """
     if i < 0:
         raise DomainError("level index must be >= 0")
     phi1, phi2 = query.source.phi, query.target.phi
     rho = query.rho
-    best = None
+    ratios = {}
     for nu in range(nu_min, i + 1):
-        r = ratio_R(phi1, phi2, rho, nu)
-        if best is None or r > best:
-            best = r
-    threshold = best / 2.0
+        try:
+            ratios[nu] = ratio_R(phi1, phi2, rho, nu)
+        except (ArithmeticError, ExtrapolationError):
+            pass
+    threshold = max(ratios.values(), default=math.inf) / 2.0
     for nu in range(i, nu_min - 1, -1):
-        if ratio_R(phi1, phi2, rho, nu) >= threshold:
+        if nu in ratios and ratios[nu] >= threshold:
             return nu
     raise WitnessSelectionError("no level attains half the running maximum")
 

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -345,3 +346,101 @@ def test_target_inherits_dimension(tmp_path, capsys):
     assert main(["check", "--config", str(cfg),
                  "--target", "s=0,p=2,q=2,phi=power(4),d=2"]) == 64
     assert "dimensions differ" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, source, target",
+    [
+        # 2^(64*20) is beyond the float range: the split form gives inf terms
+        ([], "s=0,p=2,q=2,phi=power(2),d=1", "s=20,p=2,q=2,phi=power(2),d=1"),
+        ([], "s=0,p=2,q=inf,phi=power(2),d=1", "s=20,p=2,q=inf,phi=power(2),d=1"),
+        # the term 2^1000 is a float, its square in the ell_2 sum is not
+        (["--jmax", "1"], "s=0,p=2,q=2,phi=power(2),d=1", "s=1000,p=2,q=1,phi=power(2),d=1"),
+    ],
+    ids=["q*=2", "q*=inf", "square-overflows"],
+)
+def test_check_huge_smoothness_gap_fails_exactly(capsys, args, source, target):
+    code = main(["check", "--source", source, "--target", target] + args)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "outcome=fails\n" in captured.out
+    assert "cond2=violated value=inf (cross-level decay" in captured.out
+    assert captured.err == ""
+
+
+def test_sweep_survives_huge_smoothness_gap(tmp_path, capsys):
+    cfg = _sweep_config(tmp_path, ["target.s = 0; 20"])
+    out_path = tmp_path / "grid.jsonl"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out_path)]) == 0
+    records = [json.loads(line) for line in out_path.read_text().splitlines()[1:]]
+    assert [r["outcome"] for r in records] == ["holds", "fails"]
+    assert records[1]["cond2_value"] == "inf"
+    assert capsys.readouterr().err == ""
+
+
+# in d=40, power(2) is t^20: phi(2^-64) underflows to 0 and phi(2^64) overflows
+D40_LOW = "s=0,p=2,q=2,phi=power(2),d=40"
+D40_HIGH = "s=1,p=2,q=2,phi=power(2),d=40"
+
+
+def test_profiles_leaving_the_float_range_keep_exact_verdicts(capsys):
+    assert main(["check", "--source", D40_HIGH, "--target", D40_LOW]) == 0
+    assert main(["check", "--source", D40_LOW, "--target", D40_HIGH]) == 1
+    assert "method=profile" in capsys.readouterr().out
+    assert main(["witness", "--source", D40_LOW, "--target", D40_HIGH, "--depth", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.endswith("index,ratio\n0,1.0\n1,2.0\n2,4.0\n3,8.0\n")
+    assert captured.err == ""
+    # at level 52 the witness coefficient 1/phi(2^-52) is no longer a float
+    assert main(["witness", "--source", D40_LOW, "--target", D40_HIGH, "--depth", "60"]) == 66
+    err = capsys.readouterr().err
+    assert "not finite" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "s=0,p=0.001,q=2,phi=power(0.001),d=1",  # phi(2^40) = 2^40000
+        "s=0,p=0.01,q=2,phi=power(0.04),d=1",  # 2^(40*100) in t^(-d/p)
+    ],
+    ids=["phi", "damped"],
+)
+def test_profile_outside_float_range_exits_64(capsys, source):
+    code = main(["check", "--source", source, "--target", HOLD_TGT])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert "leaves the float range at t=" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# d=x js=3\nm_1,value\n0,1.0\n1,2.0\n", "line 1: 'd=x'"),
+        ("# note\n# d=1 js=y\nm_1,value\n0,1.0\n1,2.0\n", "line 2: 'js=y'"),
+        ("# d=1 js=1\nm_1,value\n0,1.0\n1,nan\n", "cell (1,) is not finite"),
+        ("# d=1 js=1\nm_1,value\n0,inf\n1,1.0\n", "cell (0,) is not finite"),
+    ],
+    ids=["bad-d", "bad-js", "nan", "inf"],
+)
+def test_analyze_rejects_bad_sample_files(tmp_path, capsys, text, message):
+    samples = tmp_path / "samples.csv"
+    samples.write_text(text)
+    out = tmp_path / "coeffs.csv"
+    code = main(["analyze", "--samples", str(samples), "--moments", "1", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 65
+    assert message in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_witness_on_a_table_skips_unsampled_levels(capsys):
+    # the knots of t^(1/2) span [2^-40, 2^48]; the scan window reaches 2^64
+    table = Path(__file__).parent / "data" / "sweep_small" / "sqrt_table.csv"
+    code = main(["witness", "--source", "s=0,p=2,q=2,phi=table(%s),d=1" % table,
+                 "--target", "s=1,p=2,q=2,phi=power(2),d=1", "--depth", "4"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.endswith("index,ratio\n0,1.0\n1,2.0\n2,4.0\n3,8.0\n4,16.0\n")
+    assert captured.err == ""

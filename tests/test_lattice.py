@@ -4,7 +4,7 @@
 the pair-dependent part of its diagnostics in a cache.  These tests hold it
 to a scalar reference built here from ``eval_phi``/``ratio_R`` (bit for bit,
 field for field), check that a tabulated verdict never contradicts the exact
-verdict of its analytic twin, and pin a small ``sweep`` to a golden file.
+verdict of its analytic twin, and pin two ``sweep`` grids to golden files.
 """
 
 import math
@@ -204,13 +204,23 @@ def test_tabulated_verdict_never_contradicts_its_twin(case):
     assert sampled.outcome in ("undetermined", exact.outcome)
 
 
+def _sweep_golden(name, tmp_path, monkeypatch, capsys):
+    for path in (DATA / name).iterdir():
+        shutil.copy(path, tmp_path / path.name)
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "--config", "grid.ini", "--out", "out.jsonl"]) == 0
+    assert (tmp_path / "out.jsonl").read_bytes() == (DATA / name / "expected.jsonl").read_bytes()
+    assert capsys.readouterr().err == ""
+
+
 def test_sweep_matches_golden_file(tmp_path, monkeypatch, capsys):
     """A table source, a repeated block and per-point errors; the output is
     the one the scalar route wrote."""
-    for name in ("grid.ini", "sqrt_table.csv"):
-        shutil.copy(DATA / "sweep_small" / name, tmp_path / name)
-    monkeypatch.chdir(tmp_path)
-    assert main(["sweep", "--config", "grid.ini", "--out", "out.jsonl"]) == 0
-    assert (tmp_path / "out.jsonl").read_bytes() == \
-        (DATA / "sweep_small" / "expected.jsonl").read_bytes()
-    assert capsys.readouterr().err == ""
+    _sweep_golden("sweep_small", tmp_path, monkeypatch, capsys)
+
+
+def test_sweep_crosses_every_family(tmp_path, monkeypatch, capsys):
+    """Every profile family and a knot table against each other, and a source
+    that is not admissible at one p; the output is the one the per-kind
+    branches of the profile module wrote."""
+    _sweep_golden("sweep_families", tmp_path, monkeypatch, capsys)

@@ -218,6 +218,9 @@ def test_table_has_no_profile():
         "powerlog(2, -1, 3.5)",
         "cappedlog(2,0.5)",
         "const(2)",
+        " Power ( 0.25 ) ",
+        "powerlog(3, 0.5, 2.718281828459045)",
+        "cappedlog(1e-3, -2)",
     ],
 )
 def test_parse_format_round_trip(text):
@@ -238,11 +241,74 @@ def test_parse_format_round_trip(text):
         "powerlog(2)",
         "powerlog(2,1,2,9)",
         "table()",
+        "table(a.csv, b.csv)",
+        "twopower(1)",
+        "twopower(1,2,3)",
+        "capped()",
+        "floorone(1,2)",
+        "cappedlog(2)",
+        "cappedlog(2,1,1)",
+        "const()",
+        "const(1,2)",
+        "powerlog(2,1,2)",  # log shift below e
+        "power(0)",
+        "twopower(1,-2)",
+        "floorone(inf)",
+        "const(nan)",
     ],
 )
 def test_parse_rejects_malformed(text):
     with pytest.raises(DomainError):
         phimod.parse_phi(text)
+
+
+@pytest.mark.parametrize(
+    "text, canonical",
+    [
+        ("power(2)", "power(2.0)"),
+        ("twopower(1, 2)", "twopower(1.0,2.0)"),
+        ("capped(0.5)", "capped(0.5)"),
+        ("floorone(4)", "floorone(4.0)"),
+        ("powerlog(2,-1)", "powerlog(2.0,-1.0,2.718281828459045)"),
+        ("powerlog(2,-1,3.5)", "powerlog(2.0,-1.0,3.5)"),
+        ("cappedlog(2,0.5)", "cappedlog(2.0,0.5)"),
+        ("const(3)", "const(3.0)"),
+    ],
+)
+def test_format_text(text, canonical):
+    assert phimod.format_phi(phimod.parse_phi(text)) == canonical
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("power(2,3)", "power takes 1 argument(s), got 2"),
+        ("twopower(1)", "twopower takes 2 argument(s), got 1"),
+        ("const()", "const takes 1 argument(s), got 0"),
+        ("powerlog(2)", "powerlog takes two or three arguments, got 1"),
+        ("powerlog(2,1,3,4)", "powerlog takes two or three arguments, got 4"),
+        ("bogus(1)", "unknown profile family 'bogus'"),
+        ("bogus(x)", "non-numeric argument in profile expression 'bogus(x)'"),
+        ("capped(-1)", "u must be a positive finite number, got -1.0"),
+        ("floorone(0)", "v must be a positive finite number, got 0.0"),
+        ("const(0)", "c must be a positive finite number, got 0.0"),
+        ("powerlog(2,1,2)", "log shift must be >= e, got 2.0"),
+    ],
+)
+def test_parse_error_texts(text, message):
+    with pytest.raises(DomainError) as info:
+        phimod.parse_phi(text)
+    assert str(info.value) == message
+
+
+def test_admissibility_outside_float_range_raises():
+    # t^100 overflows from t = 2^11 on; a table with a knot at 1e-300 has
+    # t^(-d/p) phi(t) = 1e900 there for p = 0.25
+    with pytest.raises(DomainError, match="leaves the float range at t=2048.0"):
+        phimod.check_class_gp(phimod.power(0.01), 0.5)
+    table = phimod.tabulated((1e-300, 1.0), (1e-300, 1.0))
+    with pytest.raises(DomainError, match="leaves the float range at t=1e-300"):
+        phimod.check_class_gp(table, 0.25)
 
 
 def test_table_file_round_trip(tmp_path):
@@ -268,3 +334,12 @@ def test_table_file_errors(tmp_path):
     nonmono.write_text("1,1\n0.5,2\n")
     with pytest.raises(TableFormatError):
         phimod.load_table(str(nonmono))
+
+
+def test_unknown_kind_is_a_domain_error():
+    spec = phimod.PhiSpec(kind="bogus", d=1)
+    for call in (phimod.normalize, phimod.format_phi, lambda s: phimod.eval_phi(s, 1.0)):
+        with pytest.raises(DomainError, match="unknown profile kind 'bogus'"):
+            call(spec)
+    with pytest.raises(NoProfileError):
+        phimod.asymptotic_profile(spec)
