@@ -13,9 +13,11 @@ Exit codes are part of the interface:
 * 1  the decided outcome is negative (``check``: embedding fails;
       ``witness``: the embedding holds, so there is nothing to certify),
 * 2  the numeric classifier could not settle the question,
-* 64 malformed command line or config (including profile grammar errors),
-* 65 a data file could not be parsed (sequence CSV, sample CSV, profile
-      table),
+* 64 malformed command line or config (including profile grammar errors,
+      and an ``analyze`` filter too long for the sample grid),
+* 65 a data file (coefficient CSV, sample CSV, knot table) that is not
+      UTF-8, breaks the shared ``csvio`` grammar or leaves its bounds; the
+      one-line message starts ``<file>:<line>:`` or ``<file>:``,
 * 66 a request larger than a hard cap (a sweep grid, or a witness with more
       cells than ``witness.MAX_CELLS`` or values outside the float range).
 
@@ -35,6 +37,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from .csvio import write_header, write_rows
 from .dyadic import (
     format_space_params,
     load_csv,
@@ -170,6 +173,23 @@ def _run_int(args_value, cfg, key, fallback):
     return fallback
 
 
+def _read_data(load, path, what, params):
+    """load(path): an unreadable or malformed file exits 65, and data whose
+    dimension is not the space's (when one is given) exits 64."""
+    try:
+        data = load(path)
+    except OSError as exc:
+        raise _CliError(EXIT_DATA, "cannot read %r: %s" % (path, exc))
+    except DomainError as exc:
+        raise _CliError(EXIT_DATA, str(exc))
+    if params is not None and data.d != params.d:
+        raise _CliError(
+            EXIT_CONFIG,
+            "%s dimension %d does not match space dimension %d" % (what, data.d, params.d),
+        )
+    return data
+
+
 def _open_out(path):
     if path is None or path == "-":
         return sys.stdout, False
@@ -258,18 +278,7 @@ def _cmd_norm(args):
             EXIT_CONFIG, "no space: pass --space or a config with [source]"
         )
     params = _parse_space(block, "norm")
-    try:
-        seq = load_csv(args.seq)
-    except OSError as exc:
-        raise _CliError(EXIT_DATA, "cannot read %r: %s" % (args.seq, exc))
-    except DomainError as exc:
-        raise _CliError(EXIT_DATA, str(exc))
-    if seq.d != params.d:
-        raise _CliError(
-            EXIT_CONFIG,
-            "sequence dimension %d does not match space dimension %d"
-            % (seq.d, params.d),
-        )
+    seq = _read_data(load_csv, args.seq, "sequence", params)
     try:
         value = n_norm(seq, params)
     except DomainError as exc:
@@ -331,18 +340,7 @@ def _cmd_analyze(args):
         raise _CliError(
             EXIT_CONFIG, "pass --moments or a space (--space / config [source])"
         )
-    try:
-        f = load_samples(args.samples)
-    except OSError as exc:
-        raise _CliError(EXIT_DATA, "cannot read %r: %s" % (args.samples, exc))
-    except DomainError as exc:
-        raise _CliError(EXIT_DATA, str(exc))
-    if params is not None and f.d != params.d:
-        raise _CliError(
-            EXIT_CONFIG,
-            "sample dimension %d does not match space dimension %d"
-            % (f.d, params.d),
-        )
+    f = _read_data(load_samples, args.samples, "sample", params)
     try:
         if args.moments is not None:
             system = daubechies_system(args.moments)
@@ -356,33 +354,22 @@ def _cmd_analyze(args):
         raise _CliError(EXIT_CONFIG, str(exc))
     handle, opened = _open_out(args.out)
     try:
-        handle.write("# besovmorrey analyze\n")
-        handle.write(
-            "# moments=%d depth=%d prune=%r\n" % (system.moments, depth, args.prune)
-        )
-        handle.write("# d=%d js=%d base_level=%d\n" % (f.d, f.js, coeffs.base_level))
-        handle.write(
-            "# detail rows carry the 2^(j d/2) rescaling; scaling rows are raw\n"
-        )
-        cols = ",".join("m_%d" % (r + 1) for r in range(f.d))
-        handle.write("gender,j,%s,value\n" % cols)
+        comments = [
+            "besovmorrey analyze",
+            "moments=%d depth=%d prune=%r" % (system.moments, depth, args.prune),
+            "d=%d js=%d base_level=%d" % (f.d, f.js, coeffs.base_level),
+            "detail rows carry the 2^(j d/2) rescaling; scaling rows are raw",
+        ]
+        coords = ["m_%d" % (r + 1) for r in range(f.d)]
+        write_header(handle, comments, ["gender", "j", *coords, "value"])
         scale_off, scale_arr = coeffs.scaling
-        lowpass_label = "F" * f.d
-        for idx in np.ndindex(scale_arr.shape):
-            val = float(scale_arr[idx])
-            if val == 0.0:
-                continue
-            cell = [scale_off[r] + idx[r] for r in range(f.d)]
-            handle.write(
-                "%s,%d,%s,%r\n"
-                % (lowpass_label, coeffs.base_level, ",".join(str(c) for c in cell), val)
-            )
+        nonzero = np.nonzero(scale_arr)
+        level = np.full(len(nonzero[0]), coeffs.base_level)
+        rows = np.column_stack([level] + [i + o for i, o in zip(nonzero, scale_off)])
+        write_rows(handle, rows, scale_arr[nonzero], prefix="F" * f.d + ",")
         for gender, seq in sorted(coeffs.detail_sequences().items()):
-            for (j, m), val in seq.entries():
-                handle.write(
-                    "%s,%d,%s,%r\n"
-                    % (gender, j, ",".join(str(c) for c in m), val)
-                )
+            j, m, values = seq.cells()
+            write_rows(handle, np.column_stack((j, m)), values, prefix=gender + ",")
     finally:
         if opened:
             handle.close()

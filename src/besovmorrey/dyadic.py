@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .csvio import read_rows, source_name, write_header, write_rows
 from .errors import DegeneratePhiError, DomainError, ExtrapolationError
 from .morrey import DyadicStepFunction, morrey_norm
 from .phi import (
@@ -174,12 +175,10 @@ class DyadicSequence:
 
     def entries(self):
         for j in self.levels():
-            m, values = self._levels[j]
-            for key, val in zip(zip(*m.T.tolist()), values.tolist()):
-                yield (j, key), val
+            yield from (((j, key), val) for key, val in self.level(j).items())
 
-    def _cells(self):
-        """All entries as one (j, m, values) triple of arrays."""
+    def cells(self):
+        """All entries as one (j, m, values) triple of arrays, as ``cells=`` takes it."""
         levels = self.levels()
         if not levels:
             return (np.zeros(0, np.int64), np.zeros((0, self.d), np.int64), np.zeros(0))
@@ -191,13 +190,13 @@ class DyadicSequence:
         )
 
     def scaled(self, factor):
-        j, m, values = self._cells()
+        j, m, values = self.cells()
         return DyadicSequence(self.d, cells=(j, m, float(factor) * values))
 
     def plus(self, other):
         if other.d != self.d:
             raise DomainError("cannot add sequences of different dimensions")
-        pairs = zip(self._cells(), other._cells())
+        pairs = zip(self.cells(), other.cells())
         return DyadicSequence(self.d, cells=tuple(np.concatenate(pair) for pair in pairs))
 
     def __len__(self):
@@ -544,65 +543,27 @@ def save_csv(seq, path, header_lines=()):
 
 
 def write_csv(seq, fh, header_lines=()):
-    for line in header_lines:
-        fh.write("# %s\n" % line)
-    fh.write("# d=%d\n" % seq.d)
-    cols = ["j"] + ["m_%d" % (i + 1) for i in range(seq.d)] + ["value"]
-    fh.write(",".join(cols) + "\n")
-    for (j, m), val in seq.entries():
-        fh.write("%d,%s,%s\n" % (j, ",".join(str(c) for c in m), repr(val)))
+    coords = ["m_%d" % (i + 1) for i in range(seq.d)]
+    write_header(fh, [*header_lines, "d=%d" % seq.d], ["j", *coords, "value"])
+    j, m, values = seq.cells()
+    write_rows(fh, np.column_stack((j, m)), values)
 
 
 def load_csv(path):
-    """Read a sequence written by save_csv.  The dimension comes from the
-    ``# d=...`` comment, or failing that from the column count."""
+    """Read a sequence written by save_csv."""
     with open(path, "r", encoding="utf-8") as fh:
-        return read_csv(fh, where=path)
+        return read_csv(fh)
 
 
-def read_csv(fh, where="<stream>"):
-    d = None
-    js, ms, values = [], [], []
-    for lineno, raw in enumerate(fh, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("d="):
-                try:
-                    d = int(body[2:].split()[0])
-                except ValueError:
-                    raise DomainError("%s:%d: bad dimension comment" % (where, lineno))
-            continue
-        parts = line.split(",")
-        try:
-            j = int(parts[0])
-        except ValueError:
-            if not values:
-                continue  # column header
-            raise DomainError("%s:%d: malformed row %r" % (where, lineno, line))
-        if len(parts) < 3:
-            raise DomainError("%s:%d: expected j, m_1..m_d, value" % (where, lineno))
-        if d is None:
-            d = len(parts) - 2
-        if len(parts) != d + 2:
-            raise DomainError(
-                "%s:%d: expected %d columns for d=%d" % (where, lineno, d + 2, d)
-            )
-        try:
-            m = [int(piece) for piece in parts[1:-1]]
-            val = float(parts[-1])
-        except ValueError:
-            raise DomainError("%s:%d: malformed row %r" % (where, lineno, line))
-        js.append(j)
-        ms.append(m)
-        values.append(val)
-    if d is None:
-        raise DomainError("%s: no rows and no dimension comment" % (where,))
+def read_csv(fh):
+    """Parse rows ``j, m_1..m_d, value`` in the csvio grammar.  The
+    dimension comes from the ``# d=...`` comment, or failing that from the
+    width of the first row."""
+    settings, ints, values = read_rows(fh, keys=("d",), lead=1)
+    where = source_name(fh)
+    if "d" not in settings:
+        raise DomainError("%s: no rows and no dimension comment" % where)
     try:
-        if not values:
-            return DyadicSequence(d)
-        return DyadicSequence(d, cells=(js, ms, values))
+        return DyadicSequence(settings["d"], cells=(ints[:, 0], ints[:, 1:], values[:, 0]))
     except DomainError as exc:
         raise DomainError("%s: %s" % (where, exc))

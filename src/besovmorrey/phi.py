@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
+from .csvio import read_rows
 from .errors import DomainError, ExtrapolationError, NoProfileError, TableFormatError
 
 _E = math.e
@@ -478,42 +479,18 @@ def format_phi(spec):
 
 
 def load_table(path, d=1):
-    """Read a two-column CSV of (t, phi) knots into a tabulated profile.
-
-    Content problems (and an unreadable file) raise TableFormatError so
-    callers can tell a bad data file from a bad expression.
-    """
-    ts = []
-    vals = []
+    """Read (t, phi) knots, two float columns in the csvio grammar, into a
+    tabulated profile.  Content problems (and an unreadable file) raise
+    TableFormatError so callers can tell a bad data file from a bad
+    expression."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = [piece.strip() for piece in line.split(",")]
-                if len(parts) != 2:
-                    raise TableFormatError(
-                        "%s:%d: expected two comma-separated columns" % (path, lineno)
-                    )
-                if not ts and not _is_number(parts[0]):
-                    continue  # header row
-                try:
-                    ts.append(float(parts[0]))
-                    vals.append(float(parts[1]))
-                except ValueError:
-                    raise TableFormatError("%s:%d: non-numeric knot" % (path, lineno))
+            knots = read_rows(fh, floats=2)[2]
     except OSError as exc:
         raise TableFormatError("cannot read table %r: %s" % (path, exc))
+    except DomainError as exc:
+        raise TableFormatError(str(exc))
     try:
-        return tabulated(ts, vals, d=d)
+        return tabulated(knots[:, 0], knots[:, 1], d=d)
     except DomainError as exc:
         raise TableFormatError("%s: %s" % (path, exc))
-
-
-def _is_number(text):
-    try:
-        float(text)
-        return True
-    except ValueError:
-        return False

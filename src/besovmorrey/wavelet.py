@@ -30,7 +30,8 @@ from functools import lru_cache
 import mpmath as mp
 import numpy as np
 
-from .dyadic import DyadicSequence, tilde_norm
+from .csvio import read_rows, source_name, write_header, write_rows
+from .dyadic import MAX_COORD, MAX_LEVEL, DyadicSequence, tilde_norm
 from .errors import (
     DomainError,
     InsufficientMomentsError,
@@ -38,6 +39,8 @@ from .errors import (
 )
 
 _DOMINATE_BUDGET = 2_000_000
+#: Largest dense box built from sparse cells, e.g. a sample file: a 4096^2 grid.
+MAX_BOX_CELLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -136,13 +139,17 @@ class SampledFunction:
     values: object
 
     def __post_init__(self):
+        if not isinstance(self.d, int) or self.d < 1:
+            raise DomainError("dimension must be a positive integer")
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != self.d:
             raise DomainError("value array must have one axis per dimension")
         if len(self.offset) != self.d:
             raise DomainError("offset must have one entry per dimension")
-        if self.js < 0:
-            raise DomainError("resolution level must be >= 0")
+        if not 0 <= self.js * self.d <= MAX_LEVEL:
+            raise DomainError("resolution level must satisfy 0 <= js*d <= %d" % MAX_LEVEL)
+        if any(o < -MAX_COORD or o + n - 1 > MAX_COORD for o, n in zip(self.offset, arr.shape)):
+            raise DomainError("sample cells must lie within +-2^62")
         finite = np.isfinite(arr)
         if not finite.all():
             cell = tuple(int(o + i) for o, i in zip(self.offset, np.argwhere(~finite)[0]))
@@ -185,12 +192,9 @@ class WaveletCoefficients:
                 "level 0 is required" % self.base_level
             )
         offset, arr = self.scaling
-        out = {}
-        for idx in np.ndindex(arr.shape):
-            val = float(arr[idx])
-            if val != 0.0:
-                out[tuple(o + i for o, i in zip(offset, idx))] = val
-        return out
+        idx = np.nonzero(arr)
+        cells = np.stack(idx, axis=1) + np.asarray(offset, dtype=np.int64)
+        return dict(zip(map(tuple, cells.tolist()), arr[idx].tolist()))
 
     def detail_sequences(self):
         """Detail coefficients as sequences, rescaled by 2**(j d / 2)."""
@@ -221,111 +225,77 @@ def coefficients_from_entries(d, top_level, scaling_entries, detail_entries):
     """
     if top_level < 0:
         raise DomainError("top level must be >= 0")
-    scaling = _dense_from_cells(d, scaling_entries)
+    cells = np.array(list(scaling_entries), dtype=np.int64).reshape(-1, d)
+    scaling = _dense_from_cells(d, cells, np.array(list(scaling_entries.values()), dtype=float))
+    top = max(top_level, 1)
     details = {}
     for gender, entries in detail_entries.items():
         if len(gender) != d or any(ch not in "FM" for ch in gender) or "M" not in gender:
             raise DomainError("bad orientation label %r for d=%d" % (gender, d))
-        per_level = {}
-        for (j, m), val in entries.items():
-            if not 0 <= j < max(top_level, 1):
-                raise DomainError(
-                    "detail level %d outside [0, %d)" % (j, max(top_level, 1))
-                )
-            per_level.setdefault(j, {})[m] = val / 2.0 ** (j * d / 2.0)
-        details[gender] = {
-            j: _dense_from_cells(d, cells) for j, cells in per_level.items()
-        }
+        j = np.array([key[0] for key in entries], dtype=np.int64)
+        m = np.array([key[1] for key in entries], dtype=np.int64).reshape(-1, d)
+        values = np.array(list(entries.values()), dtype=float)
+        outside = (j < 0) | (j >= top)
+        if outside.any():
+            raise DomainError("detail level %d outside [0, %d)" % (j[outside][0], top))
+        details[gender] = {}
+        for level in np.unique(j).tolist():
+            at = j == level
+            scaled = values[at] / 2.0 ** (level * d / 2.0)
+            details[gender][level] = _dense_from_cells(d, m[at], scaled)
     return WaveletCoefficients(
         d=d, base_level=0, top_level=top_level, scaling=scaling, details=details
     )
 
 
-def _dense_from_cells(d, cells):
-    if not cells:
+def _dense_from_cells(d, m, values):
+    """The values on the box hull of the cells m, an (n, d) integer array, as
+    an (offset, array) pair; repeated cells are summed in order."""
+    if not len(values):
         return ((0,) * d, np.zeros((1,) * d))
-    keys = list(cells)
-    lo = tuple(min(k[r] for k in keys) for r in range(d))
-    hi = tuple(max(k[r] for k in keys) for r in range(d))
-    arr = np.zeros(tuple(h - l + 1 for l, h in zip(lo, hi)))
-    for m, val in cells.items():
-        arr[tuple(c - l for c, l in zip(m, lo))] = val
-    return (lo, arr)
+    lo, hi = m.min(axis=0).tolist(), m.max(axis=0).tolist()
+    shape = tuple(h - l + 1 for l, h in zip(lo, hi))
+    if math.prod(shape) > MAX_BOX_CELLS:
+        box = " x ".join(map(str, shape))
+        raise DomainError("the cells span a box of %s cells; the cap is %d" % (box, MAX_BOX_CELLS))
+    arr = np.zeros(shape)
+    np.add.at(arr, tuple((m - lo).T), values)
+    return (tuple(lo), arr)
 
 
 def save_samples(f, path, header_lines=()):
     """Write a sampled function as CSV: comment metadata, a column row, then
     one dense row per grid cell."""
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
         write_samples(f, handle, header_lines=header_lines)
 
 
 def write_samples(f, handle, header_lines=()):
-    for line in header_lines:
-        handle.write("# %s\n" % line)
-    handle.write("# d=%d js=%d\n" % (f.d, f.js))
-    cols = ",".join("m_%d" % (r + 1) for r in range(f.d))
-    handle.write("%s,value\n" % cols)
-    for idx in np.ndindex(f.values.shape):
-        cell = [f.offset[r] + idx[r] for r in range(f.d)]
-        handle.write(
-            "%s,%s\n" % (",".join(str(c) for c in cell), repr(float(f.values[idx])))
-        )
+    coords = ["m_%d" % (r + 1) for r in range(f.d)]
+    write_header(handle, [*header_lines, "d=%d js=%d" % (f.d, f.js)], [*coords, "value"])
+    cells = np.indices(f.values.shape).reshape(f.d, -1).T + np.asarray(f.offset)
+    write_rows(handle, cells, f.values.ravel())
 
 
 def load_samples(path):
-    with open(path) as handle:
+    with open(path, "r", encoding="utf-8") as handle:
         return read_samples(handle)
 
 
 def read_samples(handle):
-    """Parse the CSV written by save_samples back into a SampledFunction.
-
-    The grid hull is taken from the rows themselves; cells missing from the
-    file are treated as zero.
-    """
-    d = None
-    js = None
-    cells = {}
-    saw_rows = False
-    for lineno, raw in enumerate(handle, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            for token in line[1:].split():
-                try:
-                    if token.startswith("d="):
-                        d = int(token[2:])
-                    elif token.lower().startswith("js="):
-                        js = int(token[3:])
-                except ValueError:
-                    raise DomainError("line %d: %r is not an integer setting" % (lineno, token))
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        try:
-            float(parts[0])
-        except ValueError:
-            if saw_rows:
-                raise DomainError("malformed sample row: %r" % line)
-            continue
-        saw_rows = True
-        if d is None:
-            d = len(parts) - 1
-        if len(parts) != d + 1:
-            raise DomainError("sample row has %d fields, expected %d" % (len(parts), d + 1))
-        try:
-            cell = tuple(int(p) for p in parts[:d])
-            val = float(parts[d])
-        except ValueError:
-            raise DomainError("malformed sample row: %r" % line)
-        cells[cell] = cells.get(cell, 0.0) + val
-    if js is None:
-        raise DomainError("sample file does not declare its resolution level (# js=...)")
-    if d is None or not cells:
-        raise DomainError("sample file holds no rows")
-    offset, arr = _dense_from_cells(d, cells)
-    return SampledFunction(d=d, js=js, offset=offset, values=arr)
+    """Parse rows ``m_1..m_d, value`` in the csvio grammar, with the settings
+    ``d`` and ``js``, into a SampledFunction over the hull of the rows' cells;
+    missing cells are zero and repeated cells are summed."""
+    settings, cells, values = read_rows(handle, keys=("d", "js"))
+    try:
+        if "js" not in settings:
+            raise DomainError("no '# js=' setting gives the resolution level")
+        if not len(values):
+            raise DomainError("no sample rows")
+        offset, arr = _dense_from_cells(settings["d"], cells, values[:, 0])
+        return SampledFunction(d=settings["d"], js=settings["js"], offset=offset, values=arr)
+    except DomainError as exc:
+        raise DomainError("%s: %s" % (source_name(handle), exc))
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +393,9 @@ def analyze(f, system, depth=None, prune=0.0):
         raise ResolutionError(
             "depth %d not available from sampling level %d" % (depth, f.js)
         )
+    # each level's bands together hold about prod(n + taps) cells
+    if math.prod(n + len(system.h) for n in f.values.shape) > 2 * MAX_BOX_CELLS:
+        raise DomainError("the cascade exceeds %d cells; use fewer moments" % (2 * MAX_BOX_CELLS))
     d = f.d
     lowpass_label = "F" * d
     off, arr = f.offset, f.values

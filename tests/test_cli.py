@@ -416,8 +416,8 @@ def test_profile_outside_float_range_exits_64(capsys, source):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("# d=x js=3\nm_1,value\n0,1.0\n1,2.0\n", "line 1: 'd=x'"),
-        ("# note\n# d=1 js=y\nm_1,value\n0,1.0\n1,2.0\n", "line 2: 'js=y'"),
+        ("# d=x js=3\nm_1,value\n0,1.0\n1,2.0\n", "samples.csv:1: 'd=x'"),
+        ("# note\n# d=1 js=y\nm_1,value\n0,1.0\n1,2.0\n", "samples.csv:2: 'js=y'"),
         ("# d=1 js=1\nm_1,value\n0,1.0\n1,nan\n", "cell (1,) is not finite"),
         ("# d=1 js=1\nm_1,value\n0,inf\n1,1.0\n", "cell (0,) is not finite"),
     ],
