@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +51,19 @@ def test_greedy_distribution_frozen():
     dist = greedy_distribution(1, 2, 0, 4)
     assert dist.cells == ((0,), (1,), (2,), (3,))
     assert greedy_distribution(1, 3, 3, 1).cells == ((0,),)
+
+
+def test_greedy_distribution_matches_golden():
+    # one digest per block over repr(cells) for every total from 0 to the
+    # block's capacity: AC05's blocks and two d=3 blocks, each digest written
+    # by the stack-based placement this module used before the array frontier
+    golden = json.loads((Path(__file__).parent / "data" / "greedy_cells.json").read_text())
+    for block in golden["blocks"]:
+        d, j0, nu0 = block["d"], block["j0"], block["nu0"]
+        h = hashlib.sha256()
+        for total in range(2 ** ((j0 - nu0) * d) + 1):
+            h.update((repr(greedy_distribution(d, j0, nu0, total).cells) + "\n").encode())
+        assert h.hexdigest() == block["sha256"], (d, j0, nu0)
 
 
 def test_greedy_distribution_loads():
