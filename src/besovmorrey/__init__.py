@@ -19,6 +19,7 @@ from .errors import (
     DegeneratePhiError,
     DomainError,
     ExtrapolationError,
+    FloatRangeError,
     InsufficientMomentsError,
     NoProfileError,
     NotApplicableError,

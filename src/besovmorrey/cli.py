@@ -16,8 +16,8 @@ Exit codes are part of the interface:
 * 64 malformed command line or config (including profile grammar errors,
       and an ``analyze`` filter too long for the sample grid),
 * 65 a data file (coefficient CSV, sample CSV, knot table) that is not
-      UTF-8, breaks the shared ``csvio`` grammar or leaves its bounds; the
-      one-line message starts ``<file>:<line>:`` or ``<file>:``,
+      UTF-8, breaks the shared ``csvio`` grammar, leaves its bounds or has a
+      norm outside the float range; the one-line message starts ``<file>:``,
 * 66 a request larger than a hard cap (a sweep grid, or a witness with more
       cells than ``witness.MAX_CELLS`` or values outside the float range).
 
@@ -45,7 +45,7 @@ from .dyadic import (
     parse_space_params,
 )
 from .embedding import DEFAULT_J_MAX, DEFAULT_NU_MIN, EmbeddingQuery, decide
-from .errors import DomainError, TableFormatError
+from .errors import DomainError, FloatRangeError, TableFormatError
 from .wavelet import (
     analyze as wavelet_analyze,
     daubechies_system,
@@ -314,14 +314,15 @@ def _cmd_witness(args):
         raise _CliError(EXIT_TOOBIG, "witness: %s; lower --depth" % exc)
     handle, opened = _open_out(args.out)
     try:
-        handle.write("# besovmorrey witness\n")
-        handle.write("# source=%s\n" % format_space_params(query.source))
-        handle.write("# target=%s\n" % format_space_params(query.target))
-        handle.write("# family=%s outcome=%s\n" % (scan.family, scan.outcome))
-        handle.write("# depth=%d numin=%d\n" % (depth, numin))
-        handle.write("index,ratio\n")
-        for i, ratio in zip(scan.indices, scan.ratios):
-            handle.write("%d,%r\n" % (i, ratio))
+        comments = [
+            "besovmorrey witness",
+            "source=%s" % format_space_params(query.source),
+            "target=%s" % format_space_params(query.target),
+            "family=%s outcome=%s" % (scan.family, scan.outcome),
+            "depth=%d numin=%d" % (depth, numin),
+        ]
+        write_header(handle, comments, ["index", "ratio"])
+        write_rows(handle, np.array(scan.indices).reshape(-1, 1), np.array(scan.ratios))
     finally:
         if opened:
             handle.close()
@@ -350,6 +351,10 @@ def _cmd_analyze(args):
             )
         depth = args.depth if args.depth is not None else f.js
         coeffs = wavelet_analyze(f, system, depth=depth, prune=args.prune)
+        if params is not None:
+            estimate = function_norm_estimate(f, params, system=system)
+    except FloatRangeError as exc:
+        raise _CliError(EXIT_DATA, "%s: %s" % (args.samples, exc))
     except DomainError as exc:
         raise _CliError(EXIT_CONFIG, str(exc))
     handle, opened = _open_out(args.out)
@@ -374,10 +379,6 @@ def _cmd_analyze(args):
         if opened:
             handle.close()
     if params is not None:
-        try:
-            estimate = function_norm_estimate(f, params, system=system)
-        except DomainError as exc:
-            raise _CliError(EXIT_CONFIG, str(exc))
         sys.stdout.write("norm_estimate=%r\n" % estimate)
     return EXIT_HOLDS
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import read_rows, source_name, write_header, write_rows
-from .errors import DegeneratePhiError, DomainError, ExtrapolationError
+from .errors import DegeneratePhiError, DomainError, ExtrapolationError, FloatRangeError
 from .morrey import DyadicStepFunction, morrey_norm
 from .phi import (
     PhiSpec,
@@ -437,7 +437,7 @@ def lq_norm(values, q, log2_weights=None):
     except OverflowError:
         norm = INF
     if not 0.0 < norm < INF:
-        raise DomainError("the norm, about 2^%d, is outside the float range" % (top,))
+        raise FloatRangeError("the norm, about 2^%d, is outside the float range" % (top,))
     return norm
 
 
@@ -494,7 +494,7 @@ def n_norm(seq, params):
         except ExtrapolationError as exc:
             raise ExtrapolationError("level %d: %s" % (j, exc)) from None
         if not 0.0 < quantity < INF:
-            raise DomainError("level %d: the Morrey supremum is outside the float range" % j)
+            raise FloatRangeError("level %d: the Morrey supremum is outside the float range" % j)
         quantities.append(quantity)
     return lq_norm(quantities, params.q, [j * params.s for j in levels])
 

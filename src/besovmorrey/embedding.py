@@ -79,7 +79,6 @@ class EmbeddingVerdict:
     cond0: ConditionReport
     cond2: ConditionReport
     method: str
-    alpha_tail: tuple = ()
     never_compact: bool = True
     constant: float = None
     notes: tuple = ()
@@ -302,8 +301,7 @@ def decide(query, j_max=DEFAULT_J_MAX, nu_min=DEFAULT_NU_MIN):
     except NoProfileError:
         return _decide_sampled(query, rho, qs, j_max, nu_min)
 
-    rvals, alphas, terms = _diag_values(query, rho, j_max, nu_min)
-    alpha_tail = tuple(alphas[-5:])
+    rvals, _, terms = _diag_values(query, rho, j_max, nu_min)
 
     lhs = pr2.a_inf - rho * pr1.a_inf
     cond0_ok = lhs < 0.0 or (lhs == 0.0 and pr2.b_inf <= rho * pr1.b_inf)
@@ -328,7 +326,6 @@ def decide(query, j_max=DEFAULT_J_MAX, nu_min=DEFAULT_NU_MIN):
             cond0=cond0,
             cond2=cond2,
             method="profile",
-            alpha_tail=alpha_tail,
             notes=("ratio of profiles unbounded on large cubes",),
         )
 
@@ -345,14 +342,13 @@ def decide(query, j_max=DEFAULT_J_MAX, nu_min=DEFAULT_NU_MIN):
         cond0=cond0,
         cond2=cond2,
         method="profile",
-        alpha_tail=alpha_tail,
         constant=partial if holds else None,
         notes=("the embedding is not compact",) if holds else (),
     )
 
 
 def _decide_sampled(query, rho, qs, j_max, nu_min):
-    rvals, alphas, terms = _diag_values(query, rho, j_max, nu_min)
+    rvals, _, terms = _diag_values(query, rho, j_max, nu_min)
     st0, v0 = _classify_sup(rvals)
     st2, v2 = _classify_lq(terms, qs)
     cond0 = ConditionReport(st0, v0, "sampled ratio on large cubes")
@@ -370,7 +366,6 @@ def _decide_sampled(query, rho, qs, j_max, nu_min):
         cond0=cond0,
         cond2=cond2,
         method="sampled",
-        alpha_tail=tuple(alphas[-5:]),
         constant=v2 if outcome == "holds" else None,
         notes=("sampled verdicts depend on the scan window",),
     )
@@ -576,7 +571,11 @@ def decide_under_IS(query):
         delta = -pr1.b_zero
         ok, cond2 = _cross_level(gamma, delta, qs, cond0_ok)
         return _specialised_verdict(
-            query, "holds" if ok else "fails", "IS:target-bounded-below", cond0, cond2
+            query,
+            "holds" if ok else "fails",
+            "IS:target-bounded-below",
+            cond0,
+            cond2 if cond0_ok else _DIVERGES,
         )
     if is2.has_S:
         gamma, delta = _cond2_exponents(pr1, pr2, src.s, tgt.s, rho)

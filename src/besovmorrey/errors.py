@@ -21,6 +21,10 @@ class NoProfileError(DomainError):
     """Asked for power-log asymptotics of a profile that has none."""
 
 
+class FloatRangeError(DomainError):
+    """A computed norm or supremum leaves the positive finite floats."""
+
+
 class CapacityError(DomainError):
     """A requested witness does not fit inside the chosen cube pair."""
 

@@ -17,7 +17,6 @@ capacity witnesses uniformly bounded.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -70,36 +69,56 @@ def _block(d, j, span, value):
             "witness block of 2^%d cells is too large; the cap is %d cells"
             % (span * d, MAX_CELLS)
         )
-    m = np.indices((1 << span,) * d).reshape(d, -1).T
+    return _constant(d, j, np.indices((1 << span,) * d).reshape(d, -1).T, value)
+
+
+def _constant(d, j, m, value):
+    """The value on each level-j cell of the (n, d) coordinate array m."""
     return DyadicSequence(d, cells=(j, m, np.full(len(m), value)))
 
 
-def _spread(d, j, dist, value):
-    """Equal values on the cells of a greedy distribution."""
-    m = np.asarray(dist.cells, dtype=np.int64).reshape(-1, d)
-    return DyadicSequence(d, cells=(j, m, np.full(len(m), value)))
+def _cell_count(bits, ratio, p):
+    """Cells of a block of 2**bits cells thinned by ratio**p: the product
+    rounded up, less a rounding allowance, and at least one."""
+    try:
+        raw = 2.0 ** bits * ratio ** p
+    except OverflowError:
+        raise WitnessTooLargeError(
+            "the cell count 2^%d * %r^%r leaves the float range; the cap is %d cells"
+            % (bits, ratio, p, MAX_CELLS)
+        ) from None
+    return max(1, math.ceil(raw - _CEIL_DUST))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GreedyDistribution:
-    """Placement of ``total`` unit cells at level j0 inside Q_{nu0, 0}."""
+    """Placement of ``total`` unit cells at level j0 inside Q_{nu0, 0}.
+
+    ``m`` holds the cells as a read-only (total, d) int64 array in
+    lexicographic order; ``cells`` is the same list as sorted tuples.
+    """
 
     d: int
     j0: int
     nu0: int
     total: int
-    cells: tuple
+    m: np.ndarray
+
+    @property
+    def cells(self):
+        return tuple(map(tuple, self.m.tolist()))
 
 
 def greedy_distribution(d, j0, nu0, total):
     """Spread ``total`` cells of level j0 over the coarse cube Q_{nu0, 0}.
 
-    The load splits over the 2**d children a ceiling-share at a time, in
-    lexicographic child order; once a node's load fits a single split
-    (at most 2**d), each child receives at most one cell, placed at its
-    minimal corner.  Consequences, tested exhaustively: every dyadic cube
-    between the two levels holds at most ceil(parent/2**d) of its parent's
-    cells, hence at most 2**(d(nu0-nu)) * total + 2 cells overall.
+    One level at a time, every cube's load splits over its 2**d children a
+    ceiling-share ceil(load/2**d) at a time, in lexicographic child order:
+    child i takes the d bits of i as its offset, axis 0 most significant.
+    Consequences, tested exhaustively: every dyadic cube between the two
+    levels holds at most ceil(parent/2**d) of its parent's cells, hence at
+    most 2**(d(nu0-nu)) * total + 2 cells overall.  Memory grows with
+    total * d, whatever the dimension.
     """
     _check_block(d, j0, nu0)
     capacity_bits = (j0 - nu0) * d
@@ -114,39 +133,27 @@ def greedy_distribution(d, j0, nu0, total):
             "distribution of %d cells is too large; the cap is %d cells"
             % (total, MAX_CELLS)
         )
+    if total > 1 and j0 - nu0 > 63:
+        # the second cell sits at 2**(j0-nu0-1) along the last axis
+        raise DomainError(
+            "cells of a block %d levels deep leave the int64 range" % (j0 - nu0)
+        )
 
-    cells = []
-    children = list(itertools.product((0, 1), repeat=d))
-    # (level, corner, load) still to place; an explicit stack rather than a
-    # recursive closure, which would be a reference cycle keeping ``cells``
-    # alive until the cyclic garbage collector runs
-    pending = [(nu0, (0,) * d, total)]
-    while pending:
-        nu, corner, load = pending.pop()
-        if load == 0:
-            continue
-        if nu == j0:
-            cells.append(corner)
-            continue
-        span = j0 - nu
-        if span * d < 63 and load == (1 << (span * d)):
-            base = tuple(c << span for c in corner)
-            for offset in itertools.product(range(1 << span), repeat=d):
-                cells.append(tuple(b + o for b, o in zip(base, offset)))
-            continue
-        share = -(-load // (1 << d))
-        kids = [tuple(2 * c + e for c, e in zip(corner, bits)) for bits in children]
-        if share == 1:
-            for kid in kids[:load]:
-                cells.append(tuple(c << (span - 1) for c in kid))
-            continue
-        for i, kid in enumerate(kids):
-            give = min(share, load - i * share)
-            if give <= 0:
-                break
-            pending.append((nu + 1, kid, give))
-
-    return GreedyDistribution(d=d, j0=j0, nu0=nu0, total=total, cells=tuple(sorted(cells)))
+    # no load exceeds MAX_CELLS, so a wider fan-out gives the same shares
+    fan = min(2 ** d, MAX_CELLS)
+    shifts = np.minimum(np.arange(d - 1, -1, -1), 63)
+    loads = np.full(int(total > 0), total, dtype=np.int64)
+    m = np.zeros((len(loads), d), dtype=np.int64)
+    for _ in range(j0 - nu0):
+        share = -(-loads // fan)
+        kids = -(-loads // share)
+        parent = np.repeat(np.arange(len(loads)), kids)
+        i = np.arange(len(parent)) - (np.cumsum(kids) - kids)[parent]
+        loads = np.minimum(share[parent], loads[parent] - i * share[parent])
+        m = 2 * m[parent] + ((i[:, None] >> shifts) & 1)
+    m = m[np.lexsort(m.T[::-1])]
+    m.flags.writeable = False
+    return GreedyDistribution(d=d, j0=j0, nu0=nu0, total=total, m=m)
 
 
 def capacity_witness(d, j0, nu0, phi1, p1):
@@ -163,17 +170,8 @@ def capacity_witness(d, j0, nu0, phi1, p1):
         raise DomainError("profile dimension %d does not match d=%d" % (phi1.d, d))
     if p1 <= 0:
         raise DomainError("p1 must be positive")
-    weight = eval_phi(phi1, 2.0 ** (-nu0))
-    raw = 2.0 ** ((j0 - nu0) * d) * weight ** (-p1)
-    total = max(1, math.ceil(raw - _CEIL_DUST))
-    capacity_bits = (j0 - nu0) * d
-    if capacity_bits < 63 and total > (1 << capacity_bits):
-        raise CapacityError(
-            "capacity witness needs %d cells but the block only has 2^%d; "
-            "the profile must be at least one on the coarse cube" % (total, capacity_bits)
-        )
-    dist = greedy_distribution(d, j0, nu0, total)
-    return _spread(d, j0, dist, 1.0)
+    total = _cell_count((j0 - nu0) * d, eval_phi(phi1, 2.0 ** (-nu0)), -p1)
+    return _constant(d, j0, greedy_distribution(d, j0, nu0, total).m, 1.0)
 
 
 def select_witness_level(query, i, nu_min=-64):
@@ -223,9 +221,7 @@ def beta_witness(i, nu_i, query, nu_min=-64):
         return _block(d, i, span, value)
     f1_fine = eval_phi(phi1, 2.0 ** (-i))
     f1_coarse = eval_phi(phi1, 2.0 ** (-nu_i))
-    raw = 2.0 ** (span * d) * (f1_fine / f1_coarse) ** src.p
-    total = max(1, math.ceil(raw - _CEIL_DUST))
-    dist = greedy_distribution(d, i, nu_i, total)
+    dist = greedy_distribution(d, i, nu_i, _cell_count(span * d, f1_fine / f1_coarse, src.p))
     value = (
         2.0 ** (-i * src.s)
         * alpha_i
@@ -233,7 +229,7 @@ def beta_witness(i, nu_i, query, nu_min=-64):
         * f1_coarse ** rho
         / f1_fine
     )
-    return _spread(d, i, dist, value)
+    return _constant(d, i, dist.m, value)
 
 
 def shift_family(mu, d):
@@ -276,26 +272,19 @@ def divergence_scan(query, depth=12, nu_min=-64):
             "nothing to certify: the embedding verdict is %r" % verdict.outcome
         )
     src, tgt = query.source, query.target
-    d = src.d
-    indices = tuple(range(depth + 1))
-    ratios = []
-    if verdict.cond0.status == "violated":
-        if query.rho == 1.0:
-            family = "simple"
-            for i in indices:
-                w = simple_witness(0, -i, src.phi)
-                ratios.append(n_norm(w, tgt) / n_norm(w, src))
-        else:
-            family = "capacity"
-            for i in indices:
-                w = capacity_witness(d, 0, -i, src.phi, src.p)
-                ratios.append(n_norm(w, tgt) / n_norm(w, src))
-    else:
+    if verdict.cond0.status != "violated":
         family = "beta"
-        for i in indices:
-            nu_i = select_witness_level(query, i, nu_min=nu_min)
-            w = beta_witness(i, nu_i, query, nu_min=nu_min)
-            ratios.append(n_norm(w, tgt) / n_norm(w, src))
+    else:
+        family = "simple" if query.rho == 1.0 else "capacity"
+    build = {
+        "simple": lambda i: simple_witness(0, -i, src.phi),
+        "capacity": lambda i: capacity_witness(src.d, 0, -i, src.phi, src.p),
+        "beta": lambda i: beta_witness(
+            i, select_witness_level(query, i, nu_min=nu_min), query, nu_min=nu_min
+        ),
+    }[family]
+    indices = tuple(range(depth + 1))
+    ratios = tuple(n_norm(w, tgt) / n_norm(w, src) for w in map(build, indices))
     return DivergenceScan(
-        family=family, indices=indices, ratios=tuple(ratios), outcome=verdict.outcome
+        family=family, indices=indices, ratios=ratios, outcome=verdict.outcome
     )

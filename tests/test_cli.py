@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from besovmorrey.cli import main
 from besovmorrey.dyadic import DyadicSequence, save_csv
 from besovmorrey.wavelet import SampledFunction, save_samples
+from besovmorrey.witness import greedy_distribution
 
 HOLD_SRC = "s=1,p=2,q=2,phi=power(2),d=1"
 HOLD_TGT = "s=0,p=2,q=2,phi=power(2),d=1"
@@ -257,6 +259,40 @@ def test_witness_size_cap_exits_66(capsys):
     assert code == 66
     assert "too large" in captured.err
     assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("d", [40, 300])
+def test_witness_in_high_dimension_is_capped_without_allocating(capsys, d):
+    # placement used to list all 2^d children of a cube before any check;
+    # the cells array `m` marks the placement that makes only the children
+    # receiving load, so this never runs the old allocation
+    assert greedy_distribution(1, 1, 0, 1).m.shape == (1, 1)
+    tracemalloc.start()
+    try:
+        code = main([
+            "witness",
+            "--source", "s=0,p=12,q=1,phi=const(1),d=%d" % d,
+            "--target", "s=0,p=24,q=1,phi=floorone(1e4),d=%d" % d,
+            "--depth", "3",
+        ])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 66 and peak < 1 << 24
+    assert "too large" in err and len(err.strip().splitlines()) == 1
+
+
+def test_analyze_norm_outside_float_range_exits_65(tmp_path, capsys):
+    # the estimate used to exit 64, after the --out file had been written
+    samples = tmp_path / "samples.csv"
+    samples.write_text("# d=1 js=1022\n0,1.0\n1,-2.0\n")
+    out = tmp_path / "F"
+    code = main(["analyze", "--samples", str(samples),
+                 "--space", "s=-3,p=0.5,q=2,phi=power(4),d=1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 65 and not out.exists()
+    assert err == "%s: the norm, about 2^-2650, is outside the float range\n" % samples
 
 
 def _norm(tmp_path, space, rows):

@@ -234,6 +234,17 @@ def test_extremal_decider_matches_general():
     assert compared == (25 - 1) * 9
 
 
+def test_under_IS_blames_the_large_cube_condition():
+    # target bounded below and a failing large-cube condition: cond2 reports
+    # the divergence, as in the other branches, not the cross-level decay
+    verdict = decide_under_IS(
+        query("s=3,p=1,q=2,phi=capped(2)", "s=0,p=1,q=2,phi=floorone(1)")
+    )
+    assert (verdict.outcome, verdict.method) == ("fails", "IS:target-bounded-below")
+    assert verdict.cond0.status == "violated"
+    assert verdict.cond2.detail == "running maxima diverge"
+
+
 def test_lebesgue_targets():
     # essentially bounded target, critical smoothness: only the smallest
     # fine index squeaks through

@@ -3,11 +3,17 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from besovmorrey.dyadic import DyadicSequence, n_norm, parse_space_params
 from besovmorrey.embedding import EmbeddingQuery
-from besovmorrey.errors import CapacityError, DomainError, WitnessSelectionError
+from besovmorrey.errors import (
+    CapacityError,
+    DomainError,
+    WitnessSelectionError,
+    WitnessTooLargeError,
+)
 from besovmorrey.witness import (
     beta_witness,
     capacity_witness,
@@ -102,6 +108,28 @@ def test_capacity_witness_frozen():
         capacity_witness(1, 2, 1, phi1, 1.0)
     with pytest.raises(DomainError):
         capacity_witness(1, 0, -4, phi1, 0.0)
+
+
+@pytest.mark.parametrize("d, j0, nu0", [(1, 2000, 0), (2, 0, -600)])
+def test_capacity_count_outside_float_range_is_too_large(d, j0, nu0):
+    # 2^2000 and 2^1200 cells: the count itself overflowed a float
+    phi1 = sp("s=0,p=1,q=1,phi=const(1)", d).phi
+    with pytest.raises(WitnessTooLargeError, match="leaves the float range"):
+        capacity_witness(d, j0, nu0, phi1, 1.0)
+
+
+def test_greedy_distribution_any_dimension():
+    # a block 64 levels deep has cells past int64 unless it holds one cell
+    with pytest.raises(DomainError, match="int64"):
+        greedy_distribution(1, 0, -64, 2)
+    assert greedy_distribution(1, 0, -64, 1).cells == ((0,),)
+    # only the children that receive load are made, so d=300 is cheap
+    dist = greedy_distribution(300, 2, 0, 5)
+    assert dist.m.shape == (5, 300) and dist.m.dtype == np.int64
+    # child i of a cube takes the bits of i as its offset, axis 0 first
+    assert dist.cells == tuple(
+        tuple(2 * int(bit) for bit in np.binary_repr(i, 300)) for i in range(5)
+    )
 
 
 def test_select_witness_level_saturates():
