@@ -480,3 +480,26 @@ def test_witness_on_a_table_skips_unsampled_levels(capsys):
     assert code == 0
     assert captured.out.endswith("index,ratio\n0,1.0\n1,2.0\n2,4.0\n3,8.0\n4,16.0\n")
     assert captured.err == ""
+
+
+CLI_SMALL = Path(__file__).parent / "data" / "cli_small"
+CLI_CASES = json.loads((CLI_SMALL / "cases.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", CLI_CASES, ids=[c["name"] for c in CLI_CASES])
+def test_cli_small_golden(case, tmp_path, monkeypatch, capsys):
+    # cases.json holds, per command line, the exit code, stdout, stderr and
+    # --out file that the cli wrote before its handlers were folded together;
+    # "{out}" in an argv stands for a fresh output path
+    monkeypatch.chdir(CLI_SMALL)
+    out_path = tmp_path / "out.csv"
+    argv = [str(out_path) if a == "{out}" else a for a in case["argv"]]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == case["code"]
+    assert captured.out.encode() == case["stdout"].encode()
+    assert captured.err.encode() == case["stderr"].encode()
+    if "out" in case:
+        assert out_path.read_bytes() == case["out"].encode()
+    else:
+        assert not out_path.exists()

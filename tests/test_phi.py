@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from besovmorrey import phi as phimod
 from besovmorrey.errors import (
@@ -343,3 +345,39 @@ def test_unknown_kind_is_a_domain_error():
             call(spec)
     with pytest.raises(NoProfileError):
         phimod.asymptotic_profile(spec)
+
+
+_FIELD_DRAWS = {
+    "u": st.floats(0.01, 100.0),
+    "v": st.floats(0.01, 100.0),
+    "c": st.floats(1e-3, 1e3),
+    "a": st.floats(-50.0, 50.0),
+    "lshift": st.floats(math.e, 100.0),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(
+    kind=st.sampled_from(sorted(phimod._FAMILIES)),
+    p=st.floats(0.01, 100.0),
+    d=st.integers(1, 3),
+    data=st.data(),
+)
+def test_admissible_profiles_are_nontrivial(kind, p, d, data):
+    # admissibility forces a_zero >= 0 and a_inf <= d/p (with the log
+    # exponents on the right side at equality), so no admissible profile
+    # gives the trivial space and SpaceParams needs no separate check
+    if kind == "table":
+        ts = sorted(set(data.draw(st.lists(st.floats(1e-6, 1e6), min_size=2, max_size=6))))
+        assume(len(ts) >= 2)
+        vals = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=len(ts), max_size=len(ts)))
+        spec = phimod.tabulated(ts, vals, d=d)
+    else:
+        fields = phimod._FAMILIES[kind].fields
+        spec = phimod._make(kind, d, *(data.draw(_FIELD_DRAWS[name]) for name in fields))
+    try:
+        member = phimod.check_class_gp(spec, p).member
+    except (DomainError, OverflowError):  # values leave the float range
+        member = False
+    if member:
+        assert phimod.check_nontrivial(spec, p)
