@@ -16,7 +16,6 @@ The package is organised bottom-up:
 
 from .errors import (
     CapacityError,
-    DegeneratePhiError,
     DomainError,
     ExtrapolationError,
     FloatRangeError,

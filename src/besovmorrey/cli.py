@@ -14,7 +14,8 @@ Exit codes are part of the interface:
       ``witness``: the embedding holds, so there is nothing to certify),
 * 2  the numeric classifier could not settle the question,
 * 64 malformed command line or config (including profile grammar errors,
-      and an ``analyze`` filter too long for the sample grid),
+      a profile with no positive float value at t = 1, a ``witness``
+      ``--numin`` above 0, and an ``analyze`` filter too long for the grid),
 * 65 a data file (coefficient CSV, sample CSV, knot table) that is not
       UTF-8, breaks the shared ``csvio`` grammar, leaves its bounds or has a
       norm outside the float range; the one-line message starts ``<file>:``,
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import itertools
 import json
 import math
@@ -119,10 +121,7 @@ def _section_items(cfg, section):
     items = dict(cfg.items(section))
     unknown = sorted(set(items) - set(_SPACE_KEYS))
     if unknown:
-        raise _CliError(
-            EXIT_CONFIG,
-            "unknown key(s) %s in [%s]" % (", ".join(unknown), section),
-        )
+        raise _CliError(EXIT_CONFIG, "unknown key(s) %s in [%s]" % (", ".join(unknown), section))
     return items
 
 
@@ -141,25 +140,32 @@ def _parse_space(block, label, d=None):
         raise _CliError(EXIT_CONFIG, "%s space: %s" % (label, exc))
 
 
+def _one_space(args, label):
+    """The --space block, else the config's [source], parsed; None when
+    there is neither."""
+    cfg = _load_config(args.config) if args.config else None
+    block = args.space or _section_block(cfg, "source")
+    return _parse_space(block, label) if block else None
+
+
+def _query(source, target):
+    try:
+        return EmbeddingQuery(source=source, target=target)
+    except DomainError as exc:
+        raise _CliError(EXIT_CONFIG, str(exc))
+
+
 def _resolve_pair(args):
     cfg = _load_config(args.config) if args.config else None
     src_block = args.source or _section_block(cfg, "source")
     tgt_block = args.target or _section_block(cfg, "target")
-    if not src_block:
-        raise _CliError(
-            EXIT_CONFIG, "no source space: pass --source or a config with [source]"
-        )
-    if not tgt_block:
-        raise _CliError(
-            EXIT_CONFIG, "no target space: pass --target or a config with [target]"
-        )
+    for label, block in (("source", src_block), ("target", tgt_block)):
+        if not block:
+            raise _CliError(
+                EXIT_CONFIG, "no {0} space: pass --{0} or a config with [{0}]".format(label)
+            )
     source = _parse_space(src_block, "source")
-    target = _parse_space(tgt_block, "target", d=source.d)
-    try:
-        query = EmbeddingQuery(source=source, target=target)
-    except DomainError as exc:
-        raise _CliError(EXIT_CONFIG, str(exc))
-    return query, cfg
+    return _query(source, _parse_space(tgt_block, "target", d=source.d)), cfg
 
 
 def _run_int(args_value, cfg, key, fallback):
@@ -190,35 +196,40 @@ def _read_data(load, path, what, params):
     return data
 
 
-def _open_out(path):
+@contextlib.contextmanager
+def _output(path):
+    """The --out file, closed on leaving; stdout for none or "-"."""
     if path is None or path == "-":
-        return sys.stdout, False
+        yield sys.stdout
+        return
     try:
-        return open(path, "w", encoding="utf-8"), True
+        handle = open(path, "w", encoding="utf-8")
     except OSError as exc:
         raise _CliError(EXIT_CONFIG, "cannot write %r: %s" % (path, exc))
+    with handle:
+        yield handle
 
 
 # ---------------------------------------------------------------------------
 # check
 
 
-def _verdict_record(verdict):
-    return {
+def _conditions(verdict):
+    return (("cond0", verdict.cond0), ("cond2", verdict.cond2))
+
+
+def _verdict_summary(verdict):
+    """The verdict fields that check --json and every sweep record share."""
+    record = {
         "outcome": verdict.outcome,
         "method": verdict.method,
         "rho": _jsonable(verdict.rho),
         "q_star": _jsonable(verdict.q_star),
-        "cond0_status": verdict.cond0.status,
-        "cond0_value": _jsonable(verdict.cond0.value),
-        "cond0_detail": verdict.cond0.detail,
-        "cond2_status": verdict.cond2.status,
-        "cond2_value": _jsonable(verdict.cond2.value),
-        "cond2_detail": verdict.cond2.detail,
-        "never_compact": verdict.never_compact,
-        "constant": _jsonable(verdict.constant),
-        "notes": list(verdict.notes),
     }
+    for name, cond in _conditions(verdict):
+        record[name + "_status"] = cond.status
+        record[name + "_value"] = _jsonable(cond.value)
+    return record
 
 
 def _cmd_check(args):
@@ -226,39 +237,28 @@ def _cmd_check(args):
     jmax = _run_int(args.jmax, cfg, "jmax", DEFAULT_J_MAX)
     numin = _run_int(args.numin, cfg, "numin", DEFAULT_NU_MIN)
     verdict = decide(query, j_max=jmax, nu_min=numin)
+    source, target = format_space_params(query.source), format_space_params(query.target)
+    out = sys.stdout
     if args.json:
-        _emit_json(
-            sys.stdout,
-            {"command": "check", "version": __version__, "jmax": jmax, "numin": numin},
+        _emit_json(out, {"command": "check", "version": __version__, "jmax": jmax, "numin": numin})
+        record = _verdict_summary(verdict)
+        record.update(
+            cond0_detail=verdict.cond0.detail,
+            cond2_detail=verdict.cond2.detail,
+            never_compact=verdict.never_compact,
+            constant=_jsonable(verdict.constant),
+            notes=list(verdict.notes),
+            source=source,
+            target=target,
         )
-        record = _verdict_record(verdict)
-        record["source"] = format_space_params(query.source)
-        record["target"] = format_space_params(query.target)
-        _emit_json(sys.stdout, record)
+        _emit_json(out, record)
     else:
-        out = sys.stdout
-        out.write("source=%s\n" % format_space_params(query.source))
-        out.write("target=%s\n" % format_space_params(query.target))
-        out.write("outcome=%s\n" % verdict.outcome)
-        out.write("method=%s\n" % verdict.method)
-        out.write("rho=%r\n" % verdict.rho)
-        out.write("q_star=%r\n" % verdict.q_star)
-        out.write(
-            "cond0=%s value=%r%s\n"
-            % (
-                verdict.cond0.status,
-                verdict.cond0.value,
-                " (%s)" % verdict.cond0.detail if verdict.cond0.detail else "",
-            )
-        )
-        out.write(
-            "cond2=%s value=%r%s\n"
-            % (
-                verdict.cond2.status,
-                verdict.cond2.value,
-                " (%s)" % verdict.cond2.detail if verdict.cond2.detail else "",
-            )
-        )
+        out.write("source=%s\ntarget=%s\n" % (source, target))
+        out.write("outcome=%s\nmethod=%s\n" % (verdict.outcome, verdict.method))
+        out.write("rho=%r\nq_star=%r\n" % (verdict.rho, verdict.q_star))
+        for name, cond in _conditions(verdict):
+            detail = " (%s)" % cond.detail if cond.detail else ""
+            out.write("%s=%s value=%r%s\n" % (name, cond.status, cond.value, detail))
         if verdict.constant is not None:
             out.write("constant=%r\n" % verdict.constant)
         for note in verdict.notes:
@@ -271,13 +271,9 @@ def _cmd_check(args):
 
 
 def _cmd_norm(args):
-    cfg = _load_config(args.config) if args.config else None
-    block = args.space or _section_block(cfg, "source")
-    if not block:
-        raise _CliError(
-            EXIT_CONFIG, "no space: pass --space or a config with [source]"
-        )
-    params = _parse_space(block, "norm")
+    params = _one_space(args, "norm")
+    if params is None:
+        raise _CliError(EXIT_CONFIG, "no space: pass --space or a config with [source]")
     seq = _read_data(load_csv, args.seq, "sequence", params)
     try:
         value = n_norm(seq, params)
@@ -299,6 +295,9 @@ def _cmd_witness(args):
     depth = _run_int(args.depth, cfg, "depth", DEFAULT_WITNESS_DEPTH)
     if depth < 0:
         raise _CliError(EXIT_CONFIG, "depth must be >= 0")
+    if numin > 0:
+        # the running maxima of the scan start at a level nu_min <= 0
+        raise _CliError(EXIT_CONFIG, "numin must be <= 0")
     verdict = decide(query, nu_min=numin)
     if verdict.outcome != "fails":
         sys.stderr.write(
@@ -312,8 +311,7 @@ def _cmd_witness(args):
     except DomainError as exc:
         # over MAX_CELLS, or a witness or its norm outside the float range
         raise _CliError(EXIT_TOOBIG, "witness: %s; lower --depth" % exc)
-    handle, opened = _open_out(args.out)
-    try:
+    with _output(args.out) as handle:
         comments = [
             "besovmorrey witness",
             "source=%s" % format_space_params(query.source),
@@ -323,9 +321,6 @@ def _cmd_witness(args):
         ]
         write_header(handle, comments, ["index", "ratio"])
         write_rows(handle, np.array(scan.indices).reshape(-1, 1), np.array(scan.ratios))
-    finally:
-        if opened:
-            handle.close()
     return EXIT_HOLDS
 
 
@@ -334,21 +329,15 @@ def _cmd_witness(args):
 
 
 def _cmd_analyze(args):
-    cfg = _load_config(args.config) if args.config else None
-    block = args.space or _section_block(cfg, "source")
-    params = _parse_space(block, "analyze") if block else None
+    params = _one_space(args, "analyze")
     if args.moments is None and params is None:
-        raise _CliError(
-            EXIT_CONFIG, "pass --moments or a space (--space / config [source])"
-        )
+        raise _CliError(EXIT_CONFIG, "pass --moments or a space (--space / config [source])")
     f = _read_data(load_samples, args.samples, "sample", params)
     try:
-        if args.moments is not None:
-            system = daubechies_system(args.moments)
-        else:
-            system = daubechies_system(
-                min_vanishing_moments(params.s, params.p, params.d)
-            )
+        moments = args.moments
+        if moments is None:
+            moments = min_vanishing_moments(params.s, params.p, params.d)
+        system = daubechies_system(moments)
         depth = args.depth if args.depth is not None else f.js
         coeffs = wavelet_analyze(f, system, depth=depth, prune=args.prune)
         if params is not None:
@@ -357,8 +346,7 @@ def _cmd_analyze(args):
         raise _CliError(EXIT_DATA, "%s: %s" % (args.samples, exc))
     except DomainError as exc:
         raise _CliError(EXIT_CONFIG, str(exc))
-    handle, opened = _open_out(args.out)
-    try:
+    with _output(args.out) as handle:
         comments = [
             "besovmorrey analyze",
             "moments=%d depth=%d prune=%r" % (system.moments, depth, args.prune),
@@ -375,9 +363,6 @@ def _cmd_analyze(args):
         for gender, seq in sorted(coeffs.detail_sequences().items()):
             j, m, values = seq.cells()
             write_rows(handle, np.column_stack((j, m)), values, prefix=gender + ",")
-    finally:
-        if opened:
-            handle.close()
     if params is not None:
         sys.stdout.write("norm_estimate=%r\n" % estimate)
     return EXIT_HOLDS
@@ -385,16 +370,6 @@ def _cmd_analyze(args):
 
 # ---------------------------------------------------------------------------
 # sweep
-
-
-def _apply_override(blocks, key, value):
-    prefix, _, fieldname = key.partition(".")
-    if prefix not in ("source", "target") or fieldname not in _SPACE_KEYS:
-        raise _CliError(
-            EXIT_CONFIG,
-            "sweep key %r is not source.<s|p|q|phi|d> or target.<...>" % key,
-        )
-    blocks[prefix][fieldname] = value
 
 
 def _cmd_sweep(args):
@@ -411,16 +386,19 @@ def _cmd_sweep(args):
 
     sweep_items = sorted(cfg.items("sweep"))
     names = [key for key, _ in sweep_items]
+    fields = [key.partition(".")[::2] for key in names]
     choices = []
-    for key, raw in sweep_items:
+    for (key, raw), (prefix, fieldname) in zip(sweep_items, fields):
         values = [piece.strip() for piece in raw.split(";") if piece.strip()]
         if not values:
             raise _CliError(EXIT_CONFIG, "sweep key %r has no values" % key)
-        _apply_override({"source": {}, "target": {}}, key, values[0])  # validates key
+        if prefix not in base or fieldname not in _SPACE_KEYS:
+            raise _CliError(
+                EXIT_CONFIG,
+                "sweep key %r is not source.<s|p|q|phi|d> or target.<...>" % key,
+            )
         choices.append(values)
-    count = 1
-    for values in choices:
-        count *= len(values)
+    count = math.prod(len(values) for values in choices)
     if count > MAX_SWEEP:
         raise _CliError(
             EXIT_TOOBIG,
@@ -430,78 +408,45 @@ def _cmd_sweep(args):
     # grid points repeat blocks, so each distinct block (and the table file
     # it names) is parsed once per call
     parsed = {}
-    handle, opened = _open_out(args.out)
-    try:
-        _emit_json(
-            handle,
-            {
-                "command": "sweep",
-                "version": __version__,
-                "count": count,
-                "keys": names,
-                "jmax": jmax,
-                "numin": numin,
-            },
-        )
+    with _output(args.out) as handle:
+        _emit_json(handle, {"command": "sweep", "version": __version__, "count": count,
+                            "keys": names, "jmax": jmax, "numin": numin})
         for index, combo in enumerate(itertools.product(*choices)):
-            blocks = {
-                "source": dict(base["source"]),
-                "target": dict(base["target"]),
-            }
-            for key, value in zip(names, combo):
-                _apply_override(blocks, key, value)
-            record = {"index": index}
-            record.update(dict(zip(names, combo)))
+            blocks = {prefix: dict(items) for prefix, items in base.items()}
+            for (prefix, fieldname), value in zip(fields, combo):
+                blocks[prefix][fieldname] = value
+            record = dict(zip(names, combo), index=index)
             try:
                 source = _parse_cached(parsed, _format_block(blocks["source"]), "source")
                 target = _parse_cached(
                     parsed, _format_block(blocks["target"]), "target", d=source.d
                 )
-                query = EmbeddingQuery(source=source, target=target)
+                record.update(_verdict_summary(
+                    decide(_query(source, target), j_max=jmax, nu_min=numin)
+                ))
             except _CliError as err:
                 if err.code == EXIT_DATA:
                     raise
-                record["outcome"] = "error"
-                record["error"] = err.message
-                _emit_json(handle, record)
-                continue
-            except DomainError as exc:
-                record["outcome"] = "error"
-                record["error"] = str(exc)
-                _emit_json(handle, record)
-                continue
-            verdict = decide(query, j_max=jmax, nu_min=numin)
-            record["outcome"] = verdict.outcome
-            record["method"] = verdict.method
-            record["rho"] = _jsonable(verdict.rho)
-            record["q_star"] = _jsonable(verdict.q_star)
-            record["cond0_status"] = verdict.cond0.status
-            record["cond0_value"] = _jsonable(verdict.cond0.value)
-            record["cond2_status"] = verdict.cond2.status
-            record["cond2_value"] = _jsonable(verdict.cond2.value)
+                record.update(outcome="error", error=err.message)
             _emit_json(handle, record)
-    finally:
-        if opened:
-            handle.close()
     return EXIT_HOLDS
 
 
 def _parse_cached(parsed, block, label, d=None):
     """_parse_space through the call's cache, keyed by everything the
-    result depends on.  A bad data file still ends the sweep; a config
-    error is kept as its message and reported for every point."""
+    result depends on.  An error is kept as its message and raised again
+    as a config error for every later point; a bad data file ends the
+    sweep the first time."""
     key = (block, label, d)
     if key not in parsed:
         try:
             parsed[key] = _parse_space(block, label, d=d)
         except _CliError as err:
-            if err.code == EXIT_DATA:
-                raise
             parsed[key] = err.message
-    result = parsed[key]
-    if isinstance(result, str):
-        raise _CliError(EXIT_CONFIG, result)
-    return result
+            raise
+    if isinstance(parsed[key], str):
+        raise _CliError(EXIT_CONFIG, parsed[key])
+    return parsed[key]
 
 
 def _format_block(mapping):
@@ -525,9 +470,7 @@ def _build_parser():
     sub.required = True
 
     def add_pair(p):
-        p.add_argument(
-            "--source", help="inline block s=...,p=...,q=...,phi=...,d=..."
-        )
+        p.add_argument("--source", help="inline block s=...,p=...,q=...,phi=...,d=...")
         p.add_argument("--target", help="inline block, same grammar as --source")
         p.add_argument("--config", help="INI file with [source]/[target]/[run]")
 
@@ -544,9 +487,7 @@ def _build_parser():
     norm.add_argument("--seq", required=True, help="coefficient CSV file")
     norm.set_defaults(handler=_cmd_norm)
 
-    witness = sub.add_parser(
-        "witness", help="divergence certificate for a failing embedding"
-    )
+    witness = sub.add_parser("witness", help="divergence certificate for a failing embedding")
     add_pair(witness)
     witness.add_argument("--depth", type=int, help="largest witness index")
     witness.add_argument("--numin", type=int, help="coarsest cube level probed")
@@ -555,21 +496,15 @@ def _build_parser():
 
     analyze = sub.add_parser("analyze", help="wavelet cascade over a sample grid")
     analyze.add_argument("--samples", required=True, help="sample CSV file")
-    analyze.add_argument(
-        "--space", help="space block; enables the quasi-norm estimate"
-    )
+    analyze.add_argument("--space", help="space block; enables the quasi-norm estimate")
     analyze.add_argument("--config", help="INI file; [source] supplies the space")
     analyze.add_argument("--moments", type=int, help="filter order override")
     analyze.add_argument("--depth", type=int, help="cascade depth (default: full)")
-    analyze.add_argument(
-        "--prune", type=float, default=0.0, help="relative pruning threshold"
-    )
+    analyze.add_argument("--prune", type=float, default=0.0, help="relative pruning threshold")
     analyze.add_argument("--out", help="CSV output path (default: stdout)")
     analyze.set_defaults(handler=_cmd_analyze)
 
-    sweep = sub.add_parser(
-        "sweep", help="batch embedding decisions over a parameter grid"
-    )
+    sweep = sub.add_parser("sweep", help="batch embedding decisions over a parameter grid")
     sweep.add_argument("--config", required=True, help="INI file with [sweep]")
     sweep.add_argument("--jmax", type=int, help="levels probed by the classifier")
     sweep.add_argument("--numin", type=int, help="coarsest cube level probed")

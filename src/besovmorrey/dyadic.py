@@ -31,17 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .csvio import read_rows, source_name, write_header, write_rows
-from .errors import DegeneratePhiError, DomainError, ExtrapolationError, FloatRangeError
+from .errors import DomainError, ExtrapolationError, FloatRangeError
 from .morrey import DyadicStepFunction, morrey_norm
-from .phi import (
-    PhiSpec,
-    check_class_gp,
-    check_nontrivial,
-    eval_phi,
-    format_phi,
-    normalize,
-    parse_phi,
-)
+from .phi import PhiSpec, check_class_gp, eval_phi, format_phi, normalize, parse_phi
 
 INF = float("inf")
 
@@ -278,7 +270,8 @@ class SpaceParams:
     """Parameters (s, p, q, phi, d) of one sequence space.
 
     The profile is normalised to phi(1) = 1 on construction, must be
-    admissible for p and must give a nontrivial space.  q = inf is allowed.
+    admissible for p, which also makes the space nontrivial.  q = inf is
+    allowed.
     """
 
     s: float
@@ -309,11 +302,6 @@ class SpaceParams:
         if not report.member:
             raise DomainError(
                 "profile %s is not admissible for p=%g" % (format_phi(self.phi), self.p)
-            )
-        if not check_nontrivial(phin, self.p):
-            raise DegeneratePhiError(
-                "profile %s gives the trivial space for p=%g"
-                % (format_phi(self.phi), self.p)
             )
         object.__setattr__(self, "phi", phin)
 

@@ -13,10 +13,6 @@ class TableFormatError(DomainError):
     """A profile table file is missing or its content cannot be parsed."""
 
 
-class DegeneratePhiError(DomainError):
-    """The weight profile yields a trivial (only-zero) space."""
-
-
 class NoProfileError(DomainError):
     """Asked for power-log asymptotics of a profile that has none."""
 

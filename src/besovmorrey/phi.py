@@ -228,9 +228,18 @@ def normalize(spec):
     """Return the profile rescaled so that phi(1) = 1.
 
     The divisor is the raw family value at t = 1, so normalising twice
-    returns an identical object.
+    returns an identical object.  A value at t = 1 outside the positive
+    floats raises DomainError.
     """
-    return replace(spec, denom=_family(spec.kind).value(spec, 1.0))
+    try:
+        denom = _family(spec.kind).value(spec, 1.0)
+    except OverflowError:
+        denom = math.inf
+    if not 0.0 < denom < math.inf:
+        raise DomainError(
+            "profile %s leaves the positive floats at t=1 (phi(1) = %r)" % (format_phi(spec), denom)
+        )
+    return replace(spec, denom=denom)
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +250,13 @@ def normalize(spec):
 class GpReport:
     """Outcome of the admissibility check for a given p.
 
-    ``member`` is the closed-form decision, which every family has, so
-    ``exact`` is always True; ``grid_member`` is the grid cross-check.
+    ``member`` is the closed-form decision, which every family has;
+    ``grid_member`` is the grid cross-check.
     ``failures`` lists offending grid pairs as (t_low, t_high, condition)
     triples.
     """
 
     member: bool
-    exact: bool
     grid_member: bool
     failures: tuple = ()
 
@@ -303,7 +311,10 @@ def _powerlog_damped_nonincreasing(u, a, lshift, d, p):
     hprime0 = beta * (math.log(lshift) + 1.0) + a
     if hprime0 <= 0.0:
         return True
-    tstar = math.exp(a / abs(beta) - 1.0) - lshift
+    try:
+        tstar = math.exp(a / abs(beta) - 1.0) - lshift
+    except OverflowError:  # tstar = +inf, where h = +inf
+        return False
     if tstar <= 0.0:
         return True
     h = -lshift * (a + beta) - beta * tstar
@@ -378,7 +389,7 @@ def _family(kind):
         raise DomainError("unknown profile kind %r" % (kind,)) from None
 
 
-def check_class_gp(spec, p, grid=None):
+def check_class_gp(spec, p):
     """Decide admissibility of the profile for exponent p.
 
     Returns a GpReport.  Closed-form decisions are cross-checked against the
@@ -387,11 +398,9 @@ def check_class_gp(spec, p, grid=None):
     damped value, leaves the float range on the grid raises DomainError.
     """
     p = _positive("p", p)
-    if grid is None:
-        grid = spec.ts or DEFAULT_GRID
-    grid_ok, failures = _grid_check(spec, p, grid)
+    grid_ok, failures = _grid_check(spec, p, spec.ts or DEFAULT_GRID)
     member = _family(spec.kind).gp(spec, p)
-    return GpReport(member=member, exact=True, grid_member=grid_ok, failures=failures)
+    return GpReport(member=member, grid_member=grid_ok, failures=failures)
 
 
 def check_nontrivial(spec, p):

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-import mpmath as mp
 import numpy as np
 
 from .csvio import read_rows, source_name, write_header, write_rows
@@ -53,6 +52,8 @@ class WaveletSystem:
 
 
 def _poly_mul(a, b):
+    import mpmath as mp
+
     out = [mp.mpf(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x == 0:
@@ -64,6 +65,9 @@ def _poly_mul(a, b):
 
 @lru_cache(maxsize=None)
 def _daub_taps(order):
+    # imported here, so that only a first filter order pays for mpmath
+    import mpmath as mp
+
     with mp.workdps(60):
         if order == 1:
             inv = 1 / mp.sqrt(2)
@@ -93,8 +97,8 @@ def _daub_taps(order):
 
 def daubechies_system(moments):
     """The Daubechies filter pair with the given number of vanishing
-    moments (1 = Haar, 2..10 shipped and tested; higher orders work but lose
-    accuracy in double precision)."""
+    moments (1 = Haar; taps computed on first use; 1..10 tested, higher
+    orders work but lose accuracy in double precision)."""
     if not isinstance(moments, int) or moments < 1:
         raise DomainError("the number of vanishing moments must be a positive integer")
     h = _daub_taps(moments)

@@ -503,3 +503,46 @@ def test_cli_small_golden(case, tmp_path, monkeypatch, capsys):
         assert out_path.read_bytes() == case["out"].encode()
     else:
         assert not out_path.exists()
+
+
+def test_check_small_q_star_reports_an_infinite_sum(capsys):
+    # q* = 1/999: the sampled ell_{q*} sum of the terms is a float, its
+    # q*-th root is not
+    code = main(["check", "--source", "s=300,p=8,q=1,phi=power(1e6),d=1",
+                 "--target", "s=0.5,p=2.5,q=1e-3,phi=floorone(1e6),d=1"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    assert "outcome=holds\nmethod=profile\n" in captured.out
+    assert "cond2=satisfied value=inf (cross-level decay" in captured.out
+
+
+@pytest.mark.parametrize(
+    "phi, p, message",
+    [
+        # exp(a/|beta| - 1) with a = 50, |beta| = 2/1000 - 2/100
+        ("powerlog(1000,50)", "100", "is not admissible for p=100"),
+        # log(1001)^1000 overflows, log(1001)^-1000 underflows to 0
+        ("powerlog(1,1000,1000)", "2", "leaves the positive floats at t=1 (phi(1) = inf)"),
+        ("powerlog(1,-1000,1000)", "2", "leaves the positive floats at t=1 (phi(1) = 0.0)"),
+    ],
+    ids=["damped-critical-point", "phi1-overflows", "phi1-underflows"],
+)
+def test_powerlog_outside_float_range_exits_64(capsys, phi, p, message):
+    source = "s=0,p=%s,q=2,phi=%s,d=2" % (p, phi)
+    code = main(["check", "--source", source, "--target", source])
+    captured = capsys.readouterr()
+    assert code == 64
+    assert message in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_witness_refuses_positive_numin(tmp_path, capsys):
+    pair = ["--source", "s=0,p=2,q=2,phi=power(2),d=1",
+            "--target", "s=0.5,p=2,q=2,phi=power(2),d=1"]
+    assert main(["witness", *pair, "--depth", "3", "--numin", "5"]) == 64
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nnumin = 1\n")
+    assert main(["witness", *pair, "--config", str(cfg)]) == 64
+    assert main(["witness", *pair, "--depth", "3", "--numin", "0"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "numin must be <= 0\n" * 2

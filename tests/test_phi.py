@@ -123,7 +123,6 @@ def test_normalize_is_idempotent():
 def test_class_membership(spec, p, member):
     report = phimod.check_class_gp(spec, p)
     assert report.member is member
-    assert report.exact
 
 
 def test_closed_form_agrees_with_grid():
@@ -144,7 +143,6 @@ def test_closed_form_agrees_with_grid():
     for spec in specs:
         for p in (0.5, 1.0, 1.5, 2.0, 3.0, 6.0):
             report = phimod.check_class_gp(spec, p)
-            assert report.exact
             assert report.member == report.grid_member, (
                 "closed form and grid disagree for %s at p=%g: %s"
                 % (phimod.format_phi(spec), p, report.failures)
@@ -377,7 +375,7 @@ def test_admissible_profiles_are_nontrivial(kind, p, d, data):
         spec = phimod._make(kind, d, *(data.draw(_FIELD_DRAWS[name]) for name in fields))
     try:
         member = phimod.check_class_gp(spec, p).member
-    except (DomainError, OverflowError):  # values leave the float range
+    except DomainError:  # values leave the float range
         member = False
     if member:
         assert phimod.check_nontrivial(spec, p)

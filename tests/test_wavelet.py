@@ -1,5 +1,9 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,3 +255,16 @@ def test_kappa_dominate_validation():
     assert len(kappa_dominate(DyadicSequence(1, {}), 1.0, 1.5, 1.0)) == 0
     with pytest.raises(DomainError):
         kappa_dominate(mu, kappa=1.0, b=1.5, c1=1.0, j_max=28)
+
+
+def test_mpmath_loads_only_with_the_first_filter():
+    # check, norm, witness and sweep build no taps, so importing the cli
+    # must not import mpmath
+    script = (
+        "import sys, besovmorrey.cli\n"
+        "assert 'mpmath' not in sys.modules\n"
+        "besovmorrey.cli.daubechies_system(2)\n"
+        "assert 'mpmath' in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    subprocess.run([sys.executable, "-c", script], env=env, check=True)
