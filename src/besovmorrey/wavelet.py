@@ -65,7 +65,7 @@ def _poly_mul(a, b):
 
 @lru_cache(maxsize=None)
 def _daub_taps(order):
-    # imported here, so that only a first filter order pays for mpmath
+    # imported on first use: commands that build no filter never load mpmath
     import mpmath as mp
 
     with mp.workdps(60):
