@@ -20,7 +20,9 @@ Exit codes are part of the interface:
       UTF-8, breaks the shared ``csvio`` grammar, leaves its bounds or has a
       norm outside the float range; the one-line message starts ``<file>:``,
 * 66 a request larger than a hard cap (a sweep grid, or a witness with more
-      cells than ``witness.MAX_CELLS`` or values outside the float range).
+      cells than ``witness.MAX_CELLS`` or values outside the float range),
+* 70 an internal error: an exception no handler maps to a code above, reported
+      as one line naming its type.
 
 All output is deterministic: floats are printed via repr, JSON keys are
 sorted, and no timestamps or machine identifiers appear.
@@ -63,6 +65,7 @@ EXIT_UNDETERMINED = 2
 EXIT_CONFIG = 64
 EXIT_DATA = 65
 EXIT_TOOBIG = 66
+EXIT_INTERNAL = 70
 
 DEFAULT_WITNESS_DEPTH = 12
 MAX_SWEEP = 100_000
@@ -523,6 +526,10 @@ def main(argv=None):
         return err.code
     except BrokenPipeError:
         return EXIT_HOLDS
+    except Exception as exc:  # the exit-code contract: one stderr line, no traceback
+        words = " ".join(str(exc).split())
+        sys.stderr.write("internal error: %s%s\n" % (type(exc).__name__, words and ": " + words))
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from besovmorrey import cli
 from besovmorrey.cli import main
 from besovmorrey.dyadic import DyadicSequence, save_csv
 from besovmorrey.wavelet import SampledFunction, save_samples
@@ -546,3 +547,21 @@ def test_witness_refuses_positive_numin(tmp_path, capsys):
     assert main(["witness", *pair, "--depth", "3", "--numin", "0"]) == 0
     captured = capsys.readouterr()
     assert captured.err == "numin must be <= 0\n" * 2
+
+
+@pytest.mark.parametrize(
+    "exc, line",
+    [
+        (RuntimeError("broken\n  handler"), "RuntimeError: broken handler"),
+        (KeyError(), "KeyError"),
+    ],
+)
+def test_unexpected_exception_exits_70(monkeypatch, capsys, exc, line):
+    def broken(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_norm", broken)
+    assert cli.EXIT_INTERNAL == 70
+    assert main(["norm", "--space", "s=0,p=2,q=2,phi=power(2),d=1", "--seq", "x.csv"]) == 70
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "internal error: %s\n" % line)

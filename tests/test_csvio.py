@@ -6,7 +6,8 @@ blocks, a missing cell and a repeated one), and the outputs that ``norm``,
 ``analyze --out``, ``save_csv`` and ``save_samples`` wrote for them before the
 three formats shared one reader and one row writer.  They are compared byte
 for byte.  The regression tests below each name the defect they pin; the
-fuzz test drives all three formats through the CLI.
+fuzz test drives all three formats through the CLI, and holds the reader's
+bulk route to its line route.
 """
 
 import io
@@ -19,9 +20,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from besovmorrey import wavelet
+from besovmorrey import csvio, wavelet
 from besovmorrey.cli import main
-from besovmorrey.csvio import read_rows, write_rows
+from besovmorrey.csvio import read_rows, source_name, write_rows
 from besovmorrey.dyadic import load_csv, read_csv, save_csv
 from besovmorrey.errors import DomainError, TableFormatError
 from besovmorrey.phi import eval_phi, load_table
@@ -29,6 +30,8 @@ from besovmorrey.wavelet import SampledFunction, load_samples, read_samples, sav
 
 DATA = Path(__file__).parent / "data" / "io_small"
 SPACE1 = "s=0.5,p=2,q=2,phi=power(2),d=1"
+# the reader's keys, lead and float count for each of the three formats
+FORMATS = {"coefficients": (("d",), 1, 1), "samples": (("d", "js"), 0, 1), "knots": ((), 0, 2)}
 
 NORMS = [
     ("coeffs_d2.csv", "s=0.5,p=2,q=2,phi=power(2),d=2", "norm_d2_power.txt"),
@@ -177,6 +180,126 @@ def test_write_rows():
 
 
 # ---------------------------------------------------------------------------
+# the bulk route against the line route
+
+
+class _Unseekable:
+    """A text handle that cannot seek, so that read_rows reads it line by line."""
+
+    def __init__(self, fh):
+        self.name, self.readline, self._fh = source_name(fh), fh.readline, fh
+
+    def seekable(self):
+        return False
+
+    def __iter__(self):
+        return iter(self._fh)
+
+
+def _outcome(fh, fmt):
+    """What read_rows gives for a handle: the settings and the arrays' shapes
+    and bits, or the error text."""
+    try:
+        found, ints, values = read_rows(fh, *FORMATS[fmt])
+    except DomainError as exc:
+        return str(exc)
+    return found, ints.shape, ints.tobytes(), values.shape, values.tobytes()
+
+
+def test_bulk_route_reads_clean_files_in_one_call(monkeypatch):
+    texts = ["# d=2\nj,m_1,m_2,value\n0,1,-2,0.5\n1,0,0,-0.0\n", "0,3,1e-300\n"]
+    expected = [_outcome(_Unseekable(io.StringIO(text)), "coefficients") for text in texts]
+    monkeypatch.setattr(csvio, "_read_lines", None)  # the line reader must not run
+    assert [_outcome(io.StringIO(text), "coefficients") for text in texts] == expected
+    for name, fmt in [("samples_d2.csv", "samples"), ("coeffs_d2.csv", "coefficients")]:
+        with open(DATA / name, encoding="utf-8") as fh:
+            found, ints, values = read_rows(fh, *FORMATS[fmt])
+        assert found["d"] == 2 and len(values) > 1
+        assert not ints.flags.writeable and not values.flags.writeable
+
+
+_LATE = "# d=1\n" + "".join("%d,%d,0.5\n" % (i % 7, i) for i in range(60000))
+
+
+@pytest.mark.parametrize(
+    "fmt, text",
+    [
+        ("coefficients", "0,0,1.0 # c\n1,0,2.0\n"),
+        ("coefficients", "0,0,1.0\n1.0,0,2.0\n"),
+        ("coefficients", "0,0,1.0\n1e3,0,2.0\n"),
+        ("coefficients", "0,0,1.0\n1_0,0,2.0\n"),
+        ("coefficients", "0,0,1.0\n\u0661,\u0e52,2.0\n"),
+        ("coefficients", "0,0,1.0\n1,\uff13,2.0\n"),
+        ("coefficients", "0,0,1.0\n1,\u01fe,2.0\n"),
+        ("coefficients", "0,0,1.0\n1,0,\u0662.5\n"),
+        ("coefficients", "0,0,1.0\n1,0,1_000.5\n"),
+        ("coefficients", "0,0,1.0\n1,0,\x1c2.0\n"),
+        ("coefficients", "0,\x1f0,1.0\n"),
+        ("coefficients", "0,0,1.0\n1,0,2.0\x1c\n"),
+        ("coefficients", "# d=1\n0,0,1.0\n# d=3\n1,0,2.0\n"),
+        ("coefficients", "# d=1\n0,0,1.0\n# d=1 note\n1,0,2.0\n"),
+        ("samples", "# d=1\n0,1.0\n# js=4\n1,2.0\n"),
+        ("coefficients", "0,0,1.0\r\n\r\n1,1,2.0\r\n"),
+        ("coefficients", "0,0,1.0\n\n   \n\t\n1,1,2.0\n\n"),
+        ("coefficients", "0,0,1.0\r1,1,2.0\n"),
+        ("coefficients", "j,m_1,value\n"),
+        ("samples", "# d=2 js=1\nm_1,m_2,value\n"),
+        ("knots", "t,phi\n"),
+        ("knots", ""),
+        ("coefficients", "0,0,1.0\n1,9223372036854775808,2.0\n"),
+        ("coefficients", "0,-9223372036854775808,1.0\n1,9223372036854775807,2.0\n"),
+        ("coefficients", "0,0,nan\n0,1,-nan\n0,2,-0.0\n0,3,1e309\n0,4,5e-324\n0,5,0.1\n"),
+        ("coefficients", "0,0,1.0\n1,0,2.0,\n"),
+        ("coefficients", "0,0,1.0\n1,,2.0\n"),
+        ("knots", " 0.25 , 0.5 \n+1,1.\n4,2e0\n"),
+        ("knots", "0.25,0.5\n1,\ufeff1\n"),
+        ("samples", "# d=1 js=2\n\ufeff0,1.0\n"),
+        ("coefficients", _LATE + "x,0,1.0\n"),
+        ("coefficients", _LATE + "# d=1\n0,0,1.0\n"),
+    ],
+    ids=["inline-comment", "float-int", "exponent-int", "underscore-int", "unicode-digits",
+         "fullwidth-digit", "letter-outside-ascii", "unicode-float", "underscore-float",
+         "separator-float", "separator-int", "separator-at-line-end", "mid-body-d",
+         "mid-body-matching-d", "mid-body-js", "crlf", "blank-lines", "lone-cr",
+         "header-only", "samples-header-only", "knots-header-only", "empty", "int64-overflow",
+         "int64-extremes", "float-bits", "trailing-comma", "empty-field", "spaces-and-signs",
+         "mid-file-bom", "bom-after-line-1", "late-malformed-row", "late-comment"],
+)
+def test_bulk_and_line_routes_agree(fmt, text):
+    assert _outcome(io.StringIO(text), fmt) == _outcome(_Unseekable(io.StringIO(text)), fmt)
+
+
+def test_routes_agree_on_a_late_undecodable_byte(tmp_path):
+    # the byte sits after 60000 rows, past loadtxt's first 50000-line chunk
+    path = tmp_path / "seq.csv"
+    path.write_bytes(_LATE.encode() + b"1,0,\xff2.0\n")
+    with open(path, encoding="utf-8") as bulk, open(path, encoding="utf-8") as line:
+        outcomes = [_outcome(bulk, "coefficients"), _outcome(_Unseekable(line), "coefficients")]
+    assert outcomes == ["%s: not UTF-8 text (invalid start byte)" % path] * 2
+
+
+# ---------------------------------------------------------------------------
+# the byte-order mark
+
+
+def test_byte_order_mark_is_dropped(tmp_path, capsys):
+    # the mark made the first line the header: a row was lost, or a setting
+    # line was skipped and rows of another width accepted
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"\xef\xbb\xbf0,0,2.0\n1,0,3.0\n")
+    code, out, err = _run(_argv("norm", path, tmp_path), capsys)
+    assert (code, err) == (0, "") and "entries=2\n" in out
+    path.write_bytes(b"\xef\xbb\xbf# d=2\n0,0,2.0\n1,0,3.0\n")
+    code, out, err = _run(_argv("norm", path, tmp_path), capsys)
+    assert (code, out, err) == (65, "", "%s:2: expected 4 fields, got 3\n" % path)
+    path.write_bytes(b"\xef\xbb\xbf# d=1 js=2\n0,1.0\n1,2.0\n")
+    f = load_samples(str(path))
+    assert (f.d, f.js, f.values.tolist()) == (1, 2, [1.0, 2.0])
+    path.write_bytes(b"\xef\xbb\xbf0.25,0.5\n1,1\n4,2\n")
+    assert load_table(str(path)).ts == (0.25, 1.0, 4.0)
+
+
+# ---------------------------------------------------------------------------
 # regression tests: each of these failed before the shared reader
 
 
@@ -275,7 +398,8 @@ def test_analyze_errors_name_the_file(tmp_path, capsys):
 # fuzz: every file either parses or fails with one line and a documented code
 
 _ODD_FIELDS = st.sampled_from([
-    "", "x", " 3 ", "1_0", "nan", "inf", "1e309", "-0.0", "0.5", str(2 ** 70),
+    "", "x", " 3 ", "1_0", "\x1c1", "\u0661", "\u01fe", "nan", "inf", "1e309", "-0.0", "0.5",
+    str(2 ** 70),
     "9223372036854775807", "-9223372036854775808", "2000000000", "4611686018427387905",
 ])
 
@@ -342,6 +466,9 @@ def test_fuzz_file_formats(tmp_path, capsys, drawn):
         assert code in (0, 1, 2, 64, 65), (kind, content)
         assert "Traceback" not in err
         assert (_one_line(err) if code >= 64 else err == ""), (kind, content, err)
+    for fmt in FORMATS:
+        with open(path, encoding="utf-8") as bulk, open(path, encoding="utf-8") as line:
+            assert _outcome(bulk, fmt) == _outcome(_Unseekable(line), fmt), (fmt, content)
 
 
 # ---------------------------------------------------------------------------
