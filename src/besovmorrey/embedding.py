@@ -18,6 +18,14 @@ quantities with an honest three-way verdict: a tail that decays under a
 geometric envelope counts as convergent, partial sums beyond 1e12 count as
 divergent, anything else is undetermined.
 
+The sampled quantities, which exact verdicts report as well, come from three
+bounded caches.  ``phi_lattice`` keeps one value per level per (profile, nu
+window), up to 512 windows; ``_pair_diagnostics`` keeps alpha_j and
+phi1(2**-j)**(rho-1) (j_max + 1 values each) and the large-cube report per
+(phi1, phi2, rho, j_max, nu_min), up to 256 pairs; ``_point_diagnostics``
+keeps the ell_{q*} status and value per pair key, s2 - s1 and q*, up to
+2048 points.
+
 A holding embedding between distinct spaces of this family is never compact;
 the verdict records that alongside the decision.
 """
@@ -73,6 +81,11 @@ class ConditionReport:
 
 @dataclass(frozen=True)
 class EmbeddingVerdict:
+    """``constant``, set only when the embedding holds, is the q*-th root of
+    the sampled partial ell_{q*} sum of the cross-level sequence over the
+    window (j_max, nu_min), or its sampled sup when q* = inf.  It is not an
+    embedding constant, and it is inf when that root leaves the float range."""
+
     outcome: str  # "holds" | "fails" | "undetermined"
     rho: float
     q_star: float
@@ -236,10 +249,11 @@ def _cond2_exponents(pr1, pr2, s1, s2, rho):
 def _pair_diagnostics(phi1, phi2, rho, j_max, nu_min):
     """The part of the sampled diagnostics fixed by the pair of profiles.
 
-    Returns R(nu) for nu = 0 down to nu_min, the running maxima alpha_j and
-    phi1(2**-j)**(rho-1) for j = 0..j_max (None where unsampled), all from
-    one ratio per lattice level.  No alpha is reported when the window has
-    no level 0 or runs past the finest level.
+    Returns the running maxima alpha_j and phi1(2**-j)**(rho-1) for
+    j = 0..j_max (None where unsampled), then sup R(nu) over nu = 0 down to
+    nu_min and the three-way verdict on its boundedness, all from one ratio
+    per lattice level.  No alpha is reported when the window has no level 0
+    or runs past the finest level.
     """
     lo, hi = min(nu_min, 0), min(max(j_max, 0), _FINEST_NU)
     ratios = _lattice_ratios(phi1, phi2, rho, lo, hi)
@@ -256,15 +270,16 @@ def _pair_diagnostics(phi1, phi2, rho, j_max, nu_min):
             damps.append(None if f1 is None else f1 ** (rho - 1.0))
         except OverflowError:
             damps.append(None)
-    return rvals, alphas, tuple(damps)
+    sup_R = max((v for v in rvals if v is not None), default=0.0)
+    return alphas, tuple(damps), sup_R, _classify_sup(rvals)
 
 
-def _diag_values(query, rho, j_max, nu_min):
-    """Sampled R on large cubes and the cross-level sequence, for reports."""
-    rvals, alphas, damps = _pair_diagnostics(
-        query.source.phi, query.target.phi, rho, j_max, nu_min
-    )
-    gap = query.target.s - query.source.s
+@functools.lru_cache(maxsize=2048)
+def _point_diagnostics(phi1, phi2, rho, j_max, nu_min, gap, qs):
+    """Three-way verdict and partial quantity of the sampled cross-level
+    sequence 2**(j gap) * alpha_j * phi1(2**-j)**(rho-1) in ell_{q*}, where
+    gap = s2 - s1; the pair part comes from _pair_diagnostics."""
+    alphas, damps, _, _ = _pair_diagnostics(phi1, phi2, rho, j_max, nu_min)
     try:
         terms = [
             None if damp is None else 2.0 ** (j * gap) * alpha * damp
@@ -275,7 +290,7 @@ def _diag_values(query, rho, j_max, nu_min):
             None if damp is None else _cross_term(j * gap, alpha, damp)
             for j, (alpha, damp) in enumerate(zip(alphas, damps))
         ]
-    return rvals, alphas, terms
+    return _classify_lq(terms, qs)
 
 
 def _cross_term(w, alpha, damp):
@@ -302,17 +317,16 @@ def decide(query, j_max=DEFAULT_J_MAX, nu_min=DEFAULT_NU_MIN):
     src, tgt = query.source, query.target
     rho = query.rho
     qs = q_star(src.q, tgt.q)
+    key = (src.phi, tgt.phi, rho, j_max, nu_min)
     try:
         pr1 = asymptotic_profile(src.phi)
         pr2 = asymptotic_profile(tgt.phi)
     except NoProfileError:
-        return _decide_sampled(query, rho, qs, j_max, nu_min)
-
-    rvals, _, terms = _diag_values(query, rho, j_max, nu_min)
+        return _decide_sampled(query, rho, qs, key)
 
     lhs = pr2.a_inf - rho * pr1.a_inf
     cond0_ok = lhs < 0.0 or (lhs == 0.0 and pr2.b_inf <= rho * pr1.b_inf)
-    sup_R = max((v for v in rvals if v is not None), default=0.0)
+    _, _, sup_R, _ = _pair_diagnostics(*key)
     cond0 = ConditionReport(
         status="satisfied" if cond0_ok else "violated",
         value=sup_R,
@@ -337,7 +351,7 @@ def decide(query, j_max=DEFAULT_J_MAX, nu_min=DEFAULT_NU_MIN):
         )
 
     gamma, delta = _cond2_exponents(pr1, pr2, src.s, tgt.s, rho)
-    _, partial = _classify_lq(terms, qs)
+    _, partial = _point_diagnostics(*key, tgt.s - src.s, qs)
     holds, cond2 = _cross_level(
         gamma, delta, qs, value=partial,
         suffix=" against q*=%s" % ("inf" if qs == INF else repr(qs)),
@@ -354,10 +368,9 @@ def decide(query, j_max=DEFAULT_J_MAX, nu_min=DEFAULT_NU_MIN):
     )
 
 
-def _decide_sampled(query, rho, qs, j_max, nu_min):
-    rvals, _, terms = _diag_values(query, rho, j_max, nu_min)
-    st0, v0 = _classify_sup(rvals)
-    st2, v2 = _classify_lq(terms, qs)
+def _decide_sampled(query, rho, qs, key):
+    _, _, _, (st0, v0) = _pair_diagnostics(*key)
+    st2, v2 = _point_diagnostics(*key, query.target.s - query.source.s, qs)
     cond0 = ConditionReport(st0, v0, "sampled ratio on large cubes")
     cond2 = ConditionReport(st2, v2, "sampled cross-level partial quantities")
     if st0 == "violated" or st2 == "violated":

@@ -389,6 +389,7 @@ def _family(kind):
         raise DomainError("unknown profile kind %r" % (kind,)) from None
 
 
+@functools.lru_cache(maxsize=512)
 def check_class_gp(spec, p):
     """Decide admissibility of the profile for exponent p.
 
@@ -396,6 +397,7 @@ def check_class_gp(spec, p):
     grid; a tabulated profile is checked on its own knots, where the log-log
     interpolant makes the comparison exact.  A profile whose value, or
     damped value, leaves the float range on the grid raises DomainError.
+    Reports are kept per (spec, p), up to 512 of them.
     """
     p = _positive("p", p)
     grid_ok, failures = _grid_check(spec, p, spec.ts or DEFAULT_GRID)

@@ -23,11 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import DyadicSequence, n_norm
-from .embedding import alpha_sequence, decide, ratio_R
+from .embedding import _lattice_ratios, alpha_sequence, decide
+from .embedding import ratio_R  # noqa: F401  (bench/tracer.py traces calls through it)
 from .errors import (
     CapacityError,
     DomainError,
-    ExtrapolationError,
     WitnessSelectionError,
     WitnessTooLargeError,
 )
@@ -185,17 +185,10 @@ def select_witness_level(query, i, nu_min=-64):
     """
     if i < 0:
         raise DomainError("level index must be >= 0")
-    phi1, phi2 = query.source.phi, query.target.phi
-    rho = query.rho
-    ratios = {}
-    for nu in range(nu_min, i + 1):
-        try:
-            ratios[nu] = ratio_R(phi1, phi2, rho, nu)
-        except (ArithmeticError, ExtrapolationError):
-            pass
-    threshold = max(ratios.values(), default=math.inf) / 2.0
+    ratios = _lattice_ratios(query.source.phi, query.target.phi, query.rho, nu_min, i)
+    threshold = max((r for r in ratios if r is not None), default=math.inf) / 2.0
     for nu in range(i, nu_min - 1, -1):
-        if nu in ratios and ratios[nu] >= threshold:
+        if ratios[nu - nu_min] is not None and ratios[nu - nu_min] >= threshold:
             return nu
     raise WitnessSelectionError("no level attains half the running maximum")
 

@@ -513,8 +513,20 @@ def test_check_small_q_star_reports_an_infinite_sum(capsys):
                  "--target", "s=0.5,p=2.5,q=1e-3,phi=floorone(1e6),d=1"])
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
-    assert "outcome=holds\nmethod=profile\n" in captured.out
-    assert "cond2=satisfied value=inf (cross-level decay" in captured.out
+    # the exact verdict holds; constant is that sampled sum's root, not a bound
+    assert captured.out == (
+        "source=s=300.0,p=8.0,q=1.0,phi=power(1000000.0),d=1\n"
+        "target=s=0.5,p=2.5,q=0.001,phi=floorone(1000000.0),d=1\n"
+        "outcome=holds\n"
+        "method=profile\n"
+        "rho=1.0\n"
+        "q_star=0.001001001001001001\n"
+        "cond0=satisfied value=1.0 (large-cube ratio exponent 0.0, log order gap 0.0)\n"
+        "cond2=satisfied value=inf (cross-level decay 2^(-j*299.499999)*(1+j)^0.0"
+        " against q*=0.001001001001001001)\n"
+        "constant=inf\n"
+        "note=the embedding is not compact\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,15 @@
 """The lattice route of the sampled diagnostics against the scalar route.
 
-``decide`` reads phi(2**-nu) from one cached lattice per profile and keeps
-the pair-dependent part of its diagnostics in a cache.  These tests hold it
-to a scalar reference built here from ``eval_phi``/``ratio_R`` (bit for bit,
-field for field), check that a tabulated verdict never contradicts the exact
+``decide`` reads phi(2**-nu) from one cached lattice per profile, and keeps
+its diagnostics in two caches: the part fixed by the pair of profiles, and
+the cross-level report per (pair, s2 - s1, q*).  These tests hold it, and
+the witness level selection, to a scalar reference built here from
+``eval_phi``/``ratio_R`` (bit for bit, field for field), hold warm caches to
+cold ones, check that a tabulated verdict never contradicts the exact
 verdict of its analytic twin, and pin two ``sweep`` grids to golden files.
 """
 
+import dataclasses
 import math
 import random
 import shutil
@@ -16,11 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from besovmorrey import embedding
+from besovmorrey import phi as phi_module
 from besovmorrey.cli import main
 from besovmorrey.dyadic import SpaceParams, parse_space_params
 from besovmorrey.embedding import EmbeddingQuery, alpha_sequence, decide, ratio_R
-from besovmorrey.errors import DomainError, ExtrapolationError
+from besovmorrey.errors import DomainError, ExtrapolationError, WitnessSelectionError
 from besovmorrey.phi import eval_phi, parse_phi, phi_lattice, tabulated
+from besovmorrey.witness import select_witness_level
 
 DATA = Path(__file__).parent / "data"
 
@@ -46,9 +51,8 @@ def scalar_alphas(phi1, phi2, rho, j_max, nu_min):
     return tuple(alphas)
 
 
-def scalar_diag_values(query, rho, j_max, nu_min):
-    """The diagnostics one scalar evaluation at a time."""
-    phi1, phi2 = query.source.phi, query.target.phi
+def scalar_pair_diagnostics(phi1, phi2, rho, j_max, nu_min):
+    """The pair layer of the diagnostics one scalar evaluation at a time."""
     rvals = []
     for nu in range(0, nu_min - 1, -1):
         try:
@@ -59,16 +63,22 @@ def scalar_diag_values(query, rho, j_max, nu_min):
         alphas = scalar_alphas(phi1, phi2, rho, j_max, nu_min)
     except DomainError:
         alphas = ()
-    terms = []
-    s1, s2 = query.source.s, query.target.s
-    for j, alpha in enumerate(alphas):
+    damps = []
+    for j in range(len(alphas)):
         try:
-            f1 = eval_phi(phi1, 2.0 ** (-j)) ** (rho - 1.0)
+            damps.append(eval_phi(phi1, 2.0 ** (-j)) ** (rho - 1.0))
         except (ExtrapolationError, OverflowError):
-            terms.append(None)
-            continue
-        terms.append(2.0 ** (j * (s2 - s1)) * alpha * f1)
-    return rvals, alphas, terms
+            damps.append(None)
+    sup_R = max((v for v in rvals if v is not None), default=0.0)
+    return alphas, tuple(damps), sup_R, embedding._classify_sup(rvals)
+
+
+def scalar_point_diagnostics(phi1, phi2, rho, j_max, nu_min, gap, qs):
+    """The point layer on top of the scalar pair layer."""
+    alphas, damps, _, _ = scalar_pair_diagnostics(phi1, phi2, rho, j_max, nu_min)
+    terms = [None if damp is None else 2.0 ** (j * gap) * alpha * damp
+             for j, (alpha, damp) in enumerate(zip(alphas, damps))]
+    return embedding._classify_lq(terms, qs)
 
 
 def outcome_of(fn, *args, **kwargs):
@@ -122,6 +132,18 @@ def random_space(rng, d, tabulate):
     return SpaceParams(s=s, p=p, q=q, phi=phi, d=d)
 
 
+def random_query(rng):
+    """A query with a tabulated source two times in five, or None when a
+    drawn profile is refused."""
+    d = rng.choice([1, 2])
+    try:
+        source = random_space(rng, d, tabulate=rng.random() < 0.4)
+        target = random_space(rng, d, tabulate=rng.random() < 0.2)
+    except DomainError:
+        return None
+    return EmbeddingQuery(source=source, target=target)
+
+
 def test_phi_lattice_matches_eval_phi():
     specs = [
         parse_space_params("s=0,p=2,q=2,phi=twopower(2,4),d=2").phi,
@@ -146,23 +168,102 @@ def test_decide_matches_scalar_reference(monkeypatch):
     while min(compared.values()) < 60:
         draws += 1
         assert draws < 5000
-        d = rng.choice([1, 2])
-        try:
-            source = random_space(rng, d, tabulate=rng.random() < 0.4)
-            target = random_space(rng, d, tabulate=rng.random() < 0.2)
-        except DomainError:
+        query = random_query(rng)
+        if query is None:
             continue
-        query = EmbeddingQuery(source=source, target=target)
+        source, target = query.source, query.target
         j_max, nu_min = rng.choice(WINDOWS)
         got = outcome_of(decide, query, j_max=j_max, nu_min=nu_min)
-        with monkeypatch.context() as patch:
-            patch.setattr(embedding, "_diag_values", scalar_diag_values)
+        with monkeypatch.context() as patch:  # neither layer is cached on this route
+            patch.setattr(embedding, "_pair_diagnostics", scalar_pair_diagnostics)
+            patch.setattr(embedding, "_point_diagnostics", scalar_point_diagnostics)
             want = outcome_of(decide, query, j_max=j_max, nu_min=nu_min)
         assert got == want
         assert outcome_of(alpha_sequence, source.phi, target.phi, query.rho, j_max, nu_min) \
             == outcome_of(scalar_alphas, source.phi, target.phi, query.rho, j_max, nu_min)
         if got.startswith("EmbeddingVerdict("):
             compared["sampled" if "method='sampled'" in got else "profile"] += 1
+
+
+def clear_caches():
+    for module in (embedding, phi_module):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+def test_warm_caches_match_cold_ones():
+    """decide through caches filled by earlier calls equals decide on empty
+    caches.  Each pair is decided at every window (two of them share j_max,
+    two share nu_min) and at two target q, in a row, so that a cache key
+    missing j_max, nu_min or q* serves a wrong entry."""
+    rng = random.Random(20261018)
+    queries = []
+    while len(queries) < 30:
+        query = random_query(rng)
+        if query is not None:
+            queries.append(query)
+    # s2 - s1 = 20: 2**(j*20) overflows for j > 51 (the _cross_term path)
+    for q2 in (2.0, 1.0):
+        source = parse_space_params("s=0,p=2,q=2,phi=power(2),d=1")
+        target = parse_space_params("s=20,p=2,q=%r,phi=twopower(2,4),d=1" % q2)
+        queries.append(EmbeddingQuery(source=source, target=target))
+    cases = [
+        (EmbeddingQuery(source=query.source, target=dataclasses.replace(query.target, q=q2)),
+         window)
+        for query in queries
+        for q2 in (math.inf, 0.5)
+        for window in WINDOWS + [(64, -3)]
+    ]
+    clear_caches()
+    warm = [outcome_of(decide, query, *window) for query, window in cases]
+    seen = set()
+    for (query, window), got in zip(cases, warm):
+        clear_caches()
+        assert got == outcome_of(decide, query, *window), (query, window)
+        if got.startswith("EmbeddingVerdict("):
+            verdict = decide(query, *window)
+            seen.add("table" if query.source.phi.kind == "table" else "analytic")
+            seen.add("finite q*" if verdict.q_star < math.inf else "infinite q*")
+            seen.add(window)
+            if query.target.s - query.source.s == 20.0 and "value=inf" in got:
+                seen.add("overflow gap")
+    assert seen >= {"table", "analytic", "finite q*", "infinite q*", "overflow gap"}
+    assert seen >= set(WINDOWS)
+
+
+def scalar_witness_level(query, i, nu_min):
+    """select_witness_level from one ratio_R call per level."""
+    if i < 0:
+        raise DomainError("level index must be >= 0")
+    ratios = {}
+    for nu in range(nu_min, i + 1):
+        try:
+            ratios[nu] = ratio_R(query.source.phi, query.target.phi, query.rho, nu)
+        except (ArithmeticError, ExtrapolationError):
+            pass
+    threshold = max(ratios.values(), default=math.inf) / 2.0
+    for nu in range(i, nu_min - 1, -1):
+        if nu in ratios and ratios[nu] >= threshold:
+            return nu
+    raise WitnessSelectionError("no level attains half the running maximum")
+
+
+def test_witness_level_matches_scalar_reference():
+    rng = random.Random(20261019)
+    outcomes = set()
+    compared = 0
+    while compared < 300:
+        query = random_query(rng)
+        if query is None:
+            continue
+        i = rng.choice([-1, 0, 1, 3, 12, 64, 1080])
+        nu_min = rng.choice([-64, -8, -1, 0, 2, -1030])
+        got = outcome_of(select_witness_level, query, i, nu_min=nu_min)
+        assert got == outcome_of(scalar_witness_level, query, i, nu_min)
+        outcomes.add("level" if got.lstrip("-").isdigit() else got)
+        compared += 1
+    assert outcomes == {"level", "DomainError", "WitnessSelectionError"}
 
 
 ANALYTIC_SOURCES = ["power(%r)", "capped(%r)", "twopower(%r,%r)"]
