@@ -14,8 +14,9 @@ Exit codes are part of the interface:
       ``witness``: the embedding holds, so there is nothing to certify),
 * 2  the numeric classifier could not settle the question,
 * 64 malformed command line or config (including profile grammar errors,
-      a profile with no positive float value at t = 1, a ``witness``
-      ``--numin`` above 0, and an ``analyze`` filter too long for the grid),
+      a profile with no positive float value at t = 1, a ``--numin``
+      outside [-1074, 0] or a ``--jmax`` outside [0, 1074], and an
+      ``analyze`` filter too long for the grid),
 * 65 a data file (coefficient CSV, sample CSV, knot table) that is not
       UTF-8, breaks the shared ``csvio`` grammar, leaves its bounds or has a
       norm outside the float range; the one-line message starts ``<file>:``,
@@ -48,7 +49,7 @@ from .dyadic import (
     n_norm,
     parse_space_params,
 )
-from .embedding import DEFAULT_J_MAX, DEFAULT_NU_MIN, EmbeddingQuery, decide
+from .embedding import DEFAULT_J_MAX, DEFAULT_NU_MIN, FINEST_NU, EmbeddingQuery, decide
 from .errors import DomainError, FloatRangeError, TableFormatError
 from .wavelet import (
     analyze as wavelet_analyze,
@@ -182,6 +183,29 @@ def _run_int(args_value, cfg, key, fallback):
     return fallback
 
 
+def _level_setting(args_value, cfg, key, fallback, lo, hi):
+    """_run_int for a level of the sampled window, which must lie in [lo, hi]."""
+    value = _run_int(args_value, cfg, key, fallback)
+    if value < lo:
+        raise _CliError(EXIT_CONFIG, "%s must be >= %d" % (key, lo))
+    if value > hi:
+        raise _CliError(EXIT_CONFIG, "%s must be <= %d" % (key, hi))
+    return value
+
+
+def _numin(args, cfg):
+    """--numin or [run] numin: the coarsest cube level the diagnostics
+    sample, from -FINEST_NU (below it 2**-nu is no float) up to 0."""
+    return _level_setting(args.numin, cfg, "numin", DEFAULT_NU_MIN, -FINEST_NU, 0)
+
+
+def _window(args, cfg):
+    """(jmax, numin), the sampled window of check and sweep; jmax, the
+    finest level sampled, runs from 0 to FINEST_NU."""
+    jmax = _level_setting(args.jmax, cfg, "jmax", DEFAULT_J_MAX, 0, FINEST_NU)
+    return jmax, _numin(args, cfg)
+
+
 def _read_data(load, path, what, params):
     """load(path): an unreadable or malformed file exits 65, and data whose
     dimension is not the space's (when one is given) exits 64."""
@@ -237,8 +261,7 @@ def _verdict_summary(verdict):
 
 def _cmd_check(args):
     query, cfg = _resolve_pair(args)
-    jmax = _run_int(args.jmax, cfg, "jmax", DEFAULT_J_MAX)
-    numin = _run_int(args.numin, cfg, "numin", DEFAULT_NU_MIN)
+    jmax, numin = _window(args, cfg)
     verdict = decide(query, j_max=jmax, nu_min=numin)
     source, target = format_space_params(query.source), format_space_params(query.target)
     out = sys.stdout
@@ -294,13 +317,10 @@ def _cmd_norm(args):
 
 def _cmd_witness(args):
     query, cfg = _resolve_pair(args)
-    numin = _run_int(args.numin, cfg, "numin", DEFAULT_NU_MIN)
+    numin = _numin(args, cfg)
     depth = _run_int(args.depth, cfg, "depth", DEFAULT_WITNESS_DEPTH)
     if depth < 0:
         raise _CliError(EXIT_CONFIG, "depth must be >= 0")
-    if numin > 0:
-        # the running maxima of the scan start at a level nu_min <= 0
-        raise _CliError(EXIT_CONFIG, "numin must be <= 0")
     verdict = decide(query, nu_min=numin)
     if verdict.outcome != "fails":
         sys.stderr.write(
@@ -384,8 +404,7 @@ def _cmd_sweep(args):
         if not cfg.has_section(section):
             raise _CliError(EXIT_CONFIG, "config is missing the [%s] section" % section)
         base[section] = _section_items(cfg, section)
-    jmax = _run_int(args.jmax, cfg, "jmax", DEFAULT_J_MAX)
-    numin = _run_int(args.numin, cfg, "numin", DEFAULT_NU_MIN)
+    jmax, numin = _window(args, cfg)
 
     sweep_items = sorted(cfg.items("sweep"))
     names = [key for key, _ in sweep_items]

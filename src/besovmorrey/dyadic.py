@@ -20,6 +20,18 @@ phi(t) * t**(-d/p) is nonincreasing in the side length, so no later level can
 win.  Cubes finer than j see at most one cell and are dominated by the nu = j
 candidates since phi is nondecreasing.  Both monotonicity facts are exactly
 the admissibility of phi, which SpaceParams validates on construction.
+
+The merge runs on Z-order (Morton) keys: each coordinate, biased by 2**b to
+be nonnegative, contributes one bit to every group of d bits, axis 0 most
+significant.  The key of a parent cube is its child's key shifted right by d,
+so the parents of a Z-sorted array are Z-sorted again, the siblings of each
+parent stay contiguous, and among themselves they keep the lexicographic
+order of their coordinates; one sort per level serves every round, and each
+group sums its children in the order a lexicographic merge would.  A key
+fits in an int64 when d * (b + 1) <= 63, with b the bit length of the
+largest |coordinate|; until it does (cells far out, or d >= 32), a round
+shifts the coordinates and sorts them lexicographically instead.  Storage
+stays lexicographic either way.
 """
 
 from __future__ import annotations
@@ -432,10 +444,19 @@ def lq_norm(values, q, log2_weights=None):
 def level_quantity(seq, j, params):
     """Per-level Morrey supremum of the level-j slice of the sequence.
 
-    Each round moves every group to its parent cube by an arithmetic right
-    shift of the coordinates (the floor, also for negative ones), then sorts
-    the groups and sums the weights of those that met; phi is evaluated once
-    per round.
+    The candidates come one level nu = j, j-1, ... at a time from
+    ``_merged_weights``, which sums the weights of the cells inside each
+    cube of side 2**-nu; phi is evaluated once per level.
+
+    The merge keeps one int64 Z-order key per group, sorted once: a parent's
+    key is its child's shifted right by d, so the parents of a Z-sorted
+    array stay Z-sorted, and the siblings under each parent stay contiguous
+    and in lexicographic order.  This route runs from the first round where
+    d * (b + 1) <= 63, b the bit length of the largest |coordinate|; rounds
+    before it (coordinates near +-2**62, or in d >= 32 any nonzero one)
+    shift, lexsort and sum the coordinates instead.  Both routes sum each
+    group's children in lexicographic order, so the result is the same to
+    the bit whichever ran.
     """
     if j not in seq._levels:
         return 0.0
@@ -443,31 +464,91 @@ def level_quantity(seq, j, params):
     p = params.p
     dp = params.d / p
     phi = params.phi
-    orthants = 1 << params.d
     # scaled by the largest magnitude so |value|**p neither overflows nor
     # underflows
     magnitudes = np.abs(values)
     scale = float(magnitudes.max())
-    weights = (magnitudes / scale) ** p
-
     best = 0.0
-    nu = j
-    while True:
+    for nu, weights in zip(
+        itertools.count(j, -1), _merged_weights(coords, (magnitudes / scale) ** p)
+    ):
         heaviest = float(weights.max())
         candidate = (
             eval_phi(phi, 2.0 ** (-nu)) * 2.0 ** ((nu - j) * dp) * scale * heaviest ** (1.0 / p)
         )
         if candidate > best:
             best = candidate
-        # every cube lies in one orthant, so the groups have settled once
-        # no two of them share one; that needs at most 2**d groups
+    return best
+
+
+def _merged_weights(coords, weights):
+    """Yield the weights of the cells (rows of coords, distinct and in
+    lexicographic order), then the summed weights of the groups they form
+    in each coarser level of cubes, until the groups have settled.
+
+    Every cube lies in one coordinate orthant, so the groups have settled
+    once no two of them share one; that needs at most 2**d groups.  A group
+    moves to its parent cube by an arithmetic right shift of its
+    coordinates (the floor, also for negative ones) or, once the keys fit,
+    of its Z-order key by d bits, whose top d bits are then its orthant.
+    """
+    d = coords.shape[1]
+    orthants = 1 << d
+    yield weights
+    top = int(np.abs(coords).max()).bit_length()
+    while d * (top + 1) > 63:
         if len(weights) <= orthants and len(
             set(map(tuple, (coords < 0).tolist()))
         ) == len(weights):
-            break
+            return
         coords, weights = _group_sum(coords >> 1, weights)
-        nu -= 1
-    return best
+        yield weights
+        top = int(np.abs(coords).max()).bit_length()
+    keys = _z_keys(coords, top)
+    if (keys[1:] < keys[:-1]).any():
+        order = np.argsort(keys)
+        keys, weights = keys[order], weights[order]
+    while True:
+        if len(keys) <= orthants:
+            signs = keys >> (d * top)
+            if (signs[1:] != signs[:-1]).all():
+                return
+        keys >>= d
+        top -= 1
+        fresh = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+        if len(fresh) < len(keys) - 1:
+            starts = np.concatenate(([0], fresh))
+            keys, weights = keys[starts], np.add.reduceat(weights, starts)
+        yield weights
+
+
+def _z_keys(coords, top):
+    """Z-order (Morton) keys of the rows of coords, all within
+    +-(2**top - 1), for d * (top + 1) <= 63.
+
+    Each coordinate is biased by 2**top, which makes it a (top + 1)-bit
+    nonnegative integer whose top bit says whether it was >= 0; the bits of
+    the d coordinates are interleaved, axis 0 most significant in each group
+    of d bits.  Shifting the biased coordinate right by one is the floor
+    shift of the coordinate plus 2**(top - 1), so the key of a parent cube
+    is the key of its child shifted right by d.
+    """
+    biased = coords + (1 << top)
+    d = coords.shape[1]
+    if d == 1:
+        return biased[:, 0]
+    # spread[v] moves bit t of a width-bit chunk v to bit t*d
+    width = min(8, 63 // d)
+    chunks = np.arange(1 << width, dtype=np.int64)
+    spread = np.zeros(1 << width, dtype=np.int64)
+    for bit in range(width):
+        spread |= ((chunks >> bit) & 1) << (bit * d)
+    keys = np.zeros(len(coords), dtype=np.int64)
+    for axis in range(d):
+        column = biased[:, axis]
+        for low in range(0, top + 1, width):
+            keys |= spread[(column >> low) & ((1 << width) - 1)] << (low * d + d - 1 - axis)
+    return keys
 
 
 def n_norm(seq, params):

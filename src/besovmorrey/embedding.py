@@ -55,7 +55,7 @@ DEFAULT_J_MAX = 64
 DEFAULT_NU_MIN = -64
 
 #: Finest lattice level: 2**-nu underflows to 0 beyond it.
-_FINEST_NU = 1074
+FINEST_NU = 1074
 
 
 @dataclass(frozen=True)
@@ -255,11 +255,11 @@ def _pair_diagnostics(phi1, phi2, rho, j_max, nu_min):
     per lattice level.  No alpha is reported when the window has no level 0
     or runs past the finest level.
     """
-    lo, hi = min(nu_min, 0), min(max(j_max, 0), _FINEST_NU)
+    lo, hi = min(nu_min, 0), min(max(j_max, 0), FINEST_NU)
     ratios = _lattice_ratios(phi1, phi2, rho, lo, hi)
     rvals = tuple(ratios[nu - lo] for nu in range(0, nu_min - 1, -1))
     alphas = ()
-    if nu_min <= 0 <= j_max <= _FINEST_NU:
+    if nu_min <= 0 <= j_max <= FINEST_NU:
         try:
             alphas = _running_maxima(ratios, lo)
         except DomainError:

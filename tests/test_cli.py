@@ -562,6 +562,44 @@ def test_witness_refuses_positive_numin(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        ("check", "numin", "-1075", "numin must be >= -1074"),
+        ("check", "numin", "1", "numin must be <= 0"),
+        ("check", "jmax", "1075", "jmax must be <= 1074"),
+        ("check", "jmax", "-1", "jmax must be >= 0"),
+        ("witness", "numin", "-1075", "numin must be >= -1074"),
+        ("sweep", "numin", "-1075", "numin must be >= -1074"),
+        ("sweep", "jmax", "1075", "jmax must be <= 1074"),
+    ],
+)
+def test_sampled_window_is_bounded(tmp_path, capsys, command, flag, value, message):
+    # below level -1074 and above 1074, 2**-nu is no float: the window used
+    # to fill memory (numin) or print a silent cond2 value=0.0 (jmax)
+    cfg = tmp_path / "pair.ini"
+    cfg.write_text(README_INI + "\n[sweep]\nsource.s = 1; 2\n")
+    out = tmp_path / "out.jsonl"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if command == "check":
+        argv = argv[:3]
+    assert main([*argv, "--" + flag, value]) == 64
+    run = "[run]\n%s = %s\n" % (flag, value)
+    cfg.write_text(README_INI.replace("[run]\njmax = 32\nnumin = -32\n", run)
+                   + "\n[sweep]\nsource.s = 1; 2\n")
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", (message + "\n") * 2)
+    assert not out.exists()
+
+
+def test_sampled_window_edges_are_accepted(capsys):
+    pair = ["--source", HOLD_SRC, "--target", HOLD_TGT]
+    assert main(["check", *pair, "--jmax", "1074", "--numin", "-1074"]) == 0
+    assert main(["check", *pair, "--jmax", "0", "--numin", "0"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
     "exc, line",
     [
         (RuntimeError("broken\n  handler"), "RuntimeError: broken handler"),

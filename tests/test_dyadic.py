@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besovmorrey import phi as phimod
 from besovmorrey.dyadic import (
@@ -117,6 +119,97 @@ def test_level_quantity_oracles():
     assert level_quantity(seq, 2, params) == pytest.approx(0.125, rel=1e-14)
     assert level_quantity(seq, 3, params) == 0.0
     assert n_norm(seq, params) == pytest.approx(1.0, rel=1e-14)
+
+
+def _level_quantity_lexicographic(seq, j, params):
+    """The lexicographic cube merge that level_quantity replaced, frozen as
+    the oracle: every round shifts the coordinates, lexsorts them and sums
+    the groups that met."""
+    if j not in seq._levels:
+        return 0.0
+    coords, values = seq._levels[j]
+    p = params.p
+    dp = params.d / p
+    magnitudes = np.abs(values)
+    scale = float(magnitudes.max())
+    weights = (magnitudes / scale) ** p
+    best = 0.0
+    nu = j
+    while True:
+        candidate = (
+            phimod.eval_phi(params.phi, 2.0 ** (-nu))
+            * 2.0 ** ((nu - j) * dp)
+            * scale
+            * float(weights.max()) ** (1.0 / p)
+        )
+        best = max(best, candidate)
+        if len(weights) <= 1 << params.d and len(
+            set(map(tuple, (coords < 0).tolist()))
+        ) == len(weights):
+            return best
+        coords = coords >> 1
+        order = np.lexsort(coords.T[::-1])
+        coords, weights = coords[order], weights[order]
+        fresh = np.concatenate(([True], (coords[1:] != coords[:-1]).any(axis=1)))
+        starts = np.flatnonzero(fresh)
+        coords, weights = coords[starts], np.add.reduceat(weights, starts)
+        nu -= 1
+
+
+_LQ_PHIS = ("power(%r)", "capped(%r)", "floorone(%r)", "twopower(%r,5)")
+
+
+@st.composite
+def _clustered_cells(draw):
+    """A level-j slice of up to 40 cells in d = 1..4 around a centre drawn
+    anywhere in +-2^62, with repeated cells and values of both signs."""
+    d = draw(st.integers(1, 4))
+    reach = draw(st.sampled_from([3, 40, 1 << 20, 1 << 40]))
+    centre = [
+        draw(st.one_of(st.integers(-8, 8), st.integers(-(1 << 62), 1 << 62)))
+        for _ in range(d)
+    ]
+    offsets = draw(
+        st.lists(st.lists(st.integers(-reach, reach), min_size=d, max_size=d),
+                 min_size=1, max_size=40)
+    )
+    m = np.clip(np.array(centre) + np.array(offsets, dtype=object), -(1 << 62), 1 << 62)
+    nonzero = st.one_of(st.floats(-4.0, -0.01), st.floats(0.01, 4.0))
+    values = draw(st.lists(nonzero, min_size=len(m), max_size=len(m)))
+    return d, m.astype(np.int64), values
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    cells=_clustered_cells(),
+    j=st.integers(0, 30),
+    p=st.sampled_from([0.5, 1.0, 2.5]),
+    phi=st.sampled_from(_LQ_PHIS),
+)
+def test_level_quantity_matches_the_lexicographic_merge(cells, j, p, phi):
+    d, m, values = cells
+    seq = DyadicSequence(d, cells=(j, m, values))
+    params = parse_space_params("s=0,p=%r,q=2,phi=%s,d=%d" % (p, phi % (p + 0.5), d))
+    assert level_quantity(seq, j, params) == _level_quantity_lexicographic(seq, j, params)
+
+
+@pytest.mark.parametrize(
+    "d, top",
+    [(1, 62), (1, 63), (3, 20), (3, 21), (7, 8), (7, 9), (21, 2), (21, 3), (31, 1), (32, 1)],
+)
+def test_level_quantity_at_the_int64_key_boundary(d, top):
+    # the largest |coordinate| has bit length top: d * (top + 1) <= 63 takes
+    # the Z-order route from the first round, one bit more starts on the
+    # lexicographic route
+    rng = np.random.default_rng(d * 100 + top)
+    half = 1 << (top - 1)
+    rows = rng.integers(-half, half, size=(24, d))
+    rows[0, 0] = half
+    seq = DyadicSequence(d, cells=(3, rows, rng.uniform(-1.0, 1.0, 24)))
+    for p in (0.5, 1.0, 2.5, 4.0):
+        if d / p < 20:  # phi and t**(-d/p) stay within the float range
+            params = parse_space_params("s=0,p=%r,q=2,phi=power(%r),d=%d" % (p, p + 0.5, d))
+            assert level_quantity(seq, 3, params) == _level_quantity_lexicographic(seq, 3, params)
 
 
 def test_constant_profile_collapses_to_sup():
