@@ -195,7 +195,8 @@ def _level_setting(args_value, cfg, key, fallback, lo, hi):
 
 def _numin(args, cfg):
     """--numin or [run] numin: the coarsest cube level the diagnostics
-    sample, from -FINEST_NU (below it 2**-nu is no float) up to 0."""
+    sample, from -FINEST_NU up to 0.  They hold one lattice value per
+    level, so the lower bound also bounds their memory."""
     return _level_setting(args.numin, cfg, "numin", DEFAULT_NU_MIN, -FINEST_NU, 0)
 
 
