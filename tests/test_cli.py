@@ -574,8 +574,9 @@ def test_witness_refuses_positive_numin(tmp_path, capsys):
     ],
 )
 def test_sampled_window_is_bounded(tmp_path, capsys, command, flag, value, message):
-    # below level -1074 and above 1074, 2**-nu is no float: the window used
-    # to fill memory (numin) or print a silent cond2 value=0.0 (jmax)
+    # the window stops at level 1074, that of the smallest float 2**-1074,
+    # on both sides; past it, numin used to fill memory and jmax to print a
+    # silent cond2 value=0.0
     cfg = tmp_path / "pair.ini"
     cfg.write_text(README_INI + "\n[sweep]\nsource.s = 1; 2\n")
     out = tmp_path / "out.jsonl"
