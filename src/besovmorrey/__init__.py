@@ -47,7 +47,6 @@ from .phi import (
     twopower,
 )
 from .dyadic import (
-    DyadicCube,
     DyadicSequence,
     SpaceParams,
     b_infty_norm,
@@ -68,7 +67,6 @@ from .embedding import (
     decide_same_phi,
     decide_under_IS,
     check_condition_IS,
-    empirical_ratio_scan,
     q_star,
     spaces_equal,
 )

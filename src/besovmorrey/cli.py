@@ -21,7 +21,8 @@ Exit codes are part of the interface:
       UTF-8, breaks the shared ``csvio`` grammar, leaves its bounds or has a
       norm outside the float range; the one-line message starts ``<file>:``,
 * 66 a request larger than a hard cap (a sweep grid, or a witness with more
-      cells than ``witness.MAX_CELLS`` or values outside the float range),
+      cells than ``witness.MAX_CELLS``, a coefficient that overflows or
+      underflows to 0, or a norm outside the float range),
 * 70 an internal error: an exception no handler maps to a code above, reported
       as one line naming its type.
 
@@ -58,7 +59,7 @@ from .wavelet import (
     load_samples,
     min_vanishing_moments,
 )
-from .witness import divergence_scan
+from .witness import DEFAULT_DEPTH, divergence_scan
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -68,7 +69,6 @@ EXIT_DATA = 65
 EXIT_TOOBIG = 66
 EXIT_INTERNAL = 70
 
-DEFAULT_WITNESS_DEPTH = 12
 MAX_SWEEP = 100_000
 
 _OUTCOME_CODES = {
@@ -319,7 +319,7 @@ def _cmd_norm(args):
 def _cmd_witness(args):
     query, cfg = _resolve_pair(args)
     numin = _numin(args, cfg)
-    depth = _run_int(args.depth, cfg, "depth", DEFAULT_WITNESS_DEPTH)
+    depth = _run_int(args.depth, cfg, "depth", DEFAULT_DEPTH)
     if depth < 0:
         raise _CliError(EXIT_CONFIG, "depth must be >= 0")
     verdict = decide(query, nu_min=numin)

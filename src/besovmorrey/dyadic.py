@@ -50,43 +50,6 @@ from .phi import PhiSpec, check_class_gp, eval_phi, format_phi, normalize, parse
 INF = float("inf")
 
 
-@dataclass(frozen=True)
-class DyadicCube:
-    """The cube 2**-nu * ([0,1)**d + k), with k a tuple of integers."""
-
-    nu: int
-    k: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "k", tuple(int(c) for c in self.k))
-
-    @property
-    def d(self):
-        return len(self.k)
-
-    @property
-    def side(self):
-        return 2.0 ** (-self.nu)
-
-    def contains(self, other):
-        return cube_contains(self, other)
-
-
-def cube_contains(outer, inner):
-    """Whether the first cube contains the second.
-
-    Containment between dyadic cubes is a floor-shift comparison of the
-    integer corners; arithmetic right shift implements the floor also for
-    negative indices.
-    """
-    if outer.d != inner.d:
-        raise DomainError("cubes of different dimensions")
-    if inner.nu < outer.nu:
-        return False
-    shift = inner.nu - outer.nu
-    return all((c >> shift) == o for c, o in zip(inner.k, outer.k))
-
-
 #: Largest level: 2**-j stays a normal float up to here.
 MAX_LEVEL = 1022
 #: Bound on the magnitude of a cell coordinate, so the int64 arithmetic of

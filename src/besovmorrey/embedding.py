@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import functools
 import math
-import random
 from dataclasses import dataclass
 
-from .dyadic import INF, DyadicSequence, SpaceParams, n_norm
+from .dyadic import INF, SpaceParams
+from .dyadic import n_norm  # noqa: F401  (bench/tracer.py's BINDINGS needs it bound here)
 from .errors import (
     DomainError,
     NoProfileError,
@@ -671,46 +671,4 @@ def decide_lebesgue_targets(source, r):
         gamma,
         delta,
         "inf" if qprime == INF else repr(qprime),
-    )
-
-
-# ---------------------------------------------------------------------------
-# empirical scanning
-
-
-@dataclass(frozen=True)
-class RatioScanReport:
-    max_ratio: float
-    trials: int
-    seed: int
-    best_entries: tuple = ()
-
-
-def empirical_ratio_scan(query, trials=64, depth=6, max_entries=48, seed=0):
-    """Randomised lower bound on the embedding constant.
-
-    Draws sparse random sequences, computes the target/source quasi-norm
-    ratio and reports the largest one seen.  Useful as a sanity check
-    against a claimed bound; a diverging scan suggests a failing embedding.
-    """
-    rng = random.Random(seed)
-    d = query.source.d
-    best = 0.0
-    best_entries = ()
-    for _ in range(trials):
-        entries = {}
-        for _ in range(rng.randint(1, max_entries)):
-            j = rng.randint(0, depth)
-            m = tuple(rng.randint(-(2 ** (j + 2)), 2 ** (j + 2)) for _ in range(d))
-            entries[(j, m)] = rng.uniform(-1.0, 1.0)
-        seq = DyadicSequence(d, entries)
-        denom = n_norm(seq, query.source)
-        if denom == 0.0:
-            continue
-        ratio = n_norm(seq, query.target) / denom
-        if ratio > best:
-            best = ratio
-            best_entries = tuple(sorted(entries.items()))
-    return RatioScanReport(
-        max_ratio=best, trials=trials, seed=seed, best_entries=best_entries
     )

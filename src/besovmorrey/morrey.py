@@ -26,8 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DomainError, NoProfileError
-from .phi import asymptotic_profile, eval_phi
+from .errors import DomainError
+from .phi import eval_phi
 
 
 @dataclass(frozen=True)
@@ -96,45 +96,3 @@ def morrey_norm(f, phi, p):
             break
         nu -= 1
     return best
-
-
-@dataclass(frozen=True)
-class MorreyVerdict:
-    outcome: str  # "holds", "fails" or "undetermined"
-    notes: tuple = ()
-
-
-def decide_morrey_embedding(phi1, p1, phi2, p2):
-    """Decide whether every function of the first Morrey space lies in the
-    second, with a norm bound.
-
-    The criterion is p2 <= p1 together with boundedness of phi2/phi1 on all
-    of (0, infinity); indicators of dyadic cubes show the ratio condition is
-    not just convenient but necessary.  Profiles without power-log
-    asymptotics cannot be classified at the tails and give "undetermined".
-    """
-    if p1 <= 0 or p2 <= 0:
-        raise DomainError("exponents must be positive")
-    notes = []
-    if p2 > p1:
-        return MorreyVerdict("fails", ("local integrability drops: p2 > p1",))
-    try:
-        pr1 = asymptotic_profile(phi1)
-        pr2 = asymptotic_profile(phi2)
-    except NoProfileError:
-        return MorreyVerdict(
-            "undetermined", ("tabulated profile: tail behaviour unknown",)
-        )
-    # boundedness of phi2/phi1 near zero ...
-    near_zero = pr2.a_zero > pr1.a_zero or (
-        pr2.a_zero == pr1.a_zero and pr2.b_zero <= pr1.b_zero
-    )
-    # ... and near infinity
-    near_inf = pr2.a_inf < pr1.a_inf or (
-        pr2.a_inf == pr1.a_inf and pr2.b_inf <= pr1.b_inf
-    )
-    if not near_zero:
-        notes.append("phi2/phi1 unbounded near zero")
-    if not near_inf:
-        notes.append("phi2/phi1 unbounded near infinity")
-    return MorreyVerdict("holds" if near_zero and near_inf else "fails", tuple(notes))

@@ -40,6 +40,8 @@ from .errors import (
 _DOMINATE_BUDGET = 2_000_000
 #: Largest dense box built from sparse cells, e.g. a sample file: a 4096^2 grid.
 MAX_BOX_CELLS = 1 << 24
+#: Relative pruning threshold of function_norm_estimate.
+NORM_PRUNE = 1e-11
 
 
 @dataclass(frozen=True)
@@ -452,7 +454,7 @@ def synthesize(coeffs, system):
     return SampledFunction(d=d, js=coeffs.top_level, offset=off, values=arr)
 
 
-def function_norm_estimate(f, params, system=None, prune=1e-11):
+def function_norm_estimate(f, params, system=None):
     """Quasi-norm estimate of a sampled function via its wavelet
     coefficients.
 
@@ -472,7 +474,7 @@ def function_norm_estimate(f, params, system=None, prune=1e-11):
         )
     if f.d != params.d:
         raise DomainError("function dimension %d does not match space dimension %d" % (f.d, params.d))
-    coeffs = analyze(f, system, depth=f.js, prune=prune)
+    coeffs = analyze(f, system, depth=f.js, prune=NORM_PRUNE)
     return tilde_norm(coeffs, params)
 
 

@@ -23,11 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import DyadicSequence, n_norm
-from .embedding import _lattice_ratios, alpha_sequence, decide
+from .embedding import DEFAULT_NU_MIN, _lattice_ratios, alpha_sequence, decide
 from .embedding import ratio_R  # noqa: F401  (bench/tracer.py traces calls through it)
 from .errors import (
     CapacityError,
     DomainError,
+    FloatRangeError,
     WitnessSelectionError,
     WitnessTooLargeError,
 )
@@ -35,6 +36,9 @@ from .phi import eval_phi
 
 #: Refuse to materialise witnesses with more cells than this.
 MAX_CELLS = 1 << 22
+
+#: Largest family index a divergence scan runs to unless told otherwise.
+DEFAULT_DEPTH = 12
 
 _CEIL_DUST = 1e-9
 
@@ -73,7 +77,15 @@ def _block(d, j, span, value):
 
 
 def _constant(d, j, m, value):
-    """The value on each level-j cell of the (n, d) coordinate array m."""
+    """The value on each level-j cell of the (n, d) coordinate array m.
+
+    A value outside the positive floats is refused: an underflowed 0 would
+    leave an empty witness, and inf a witness with no norm.
+    """
+    if not 0.0 < value < math.inf:
+        raise FloatRangeError(
+            "the level-%d witness coefficient %r is not finite and positive" % (j, value)
+        )
     return DyadicSequence(d, cells=(j, m, np.full(len(m), value)))
 
 
@@ -174,7 +186,7 @@ def capacity_witness(d, j0, nu0, phi1, p1):
     return _constant(d, j0, greedy_distribution(d, j0, nu0, total).m, 1.0)
 
 
-def select_witness_level(query, i, nu_min=-64):
+def select_witness_level(query, i, nu_min=DEFAULT_NU_MIN):
     """Coarse level nu_i for the level-i witness: the largest nu <= i whose
     ratio R(nu) is within a factor two of the running maximum.
 
@@ -193,7 +205,7 @@ def select_witness_level(query, i, nu_min=-64):
     raise WitnessSelectionError("no level attains half the running maximum")
 
 
-def beta_witness(i, nu_i, query, nu_min=-64):
+def beta_witness(i, nu_i, query, nu_min=DEFAULT_NU_MIN):
     """Level-i witness with unit source norm up to a bounded factor.
 
     With rho = 1 it is a full block of equal coefficients inside Q_{nu_i,0};
@@ -209,20 +221,29 @@ def beta_witness(i, nu_i, query, nu_min=-64):
     alphas = alpha_sequence(phi1, phi2, rho, j_max=max(i, 0), nu_min=nu_min)
     alpha_i = alphas[i]
     span = i - nu_i
+    w = -i * src.s
+    try:
+        scale, whole = 2.0 ** w, 0
+    except OverflowError:
+        # the split of embedding._cross_term: the coefficient may still fit
+        whole = math.floor(w)
+        scale = 2.0 ** (w - whole)
     if rho == 1.0:
-        value = 2.0 ** (-i * src.s) * alpha_i / eval_phi(phi2, 2.0 ** (-nu_i))
-        return _block(d, i, span, value)
+        value = scale * alpha_i / eval_phi(phi2, 2.0 ** (-nu_i))
+        return _block(d, i, span, _ldexp(value, whole))
     f1_fine = eval_phi(phi1, 2.0 ** (-i))
     f1_coarse = eval_phi(phi1, 2.0 ** (-nu_i))
     dist = greedy_distribution(d, i, nu_i, _cell_count(span * d, f1_fine / f1_coarse, src.p))
-    value = (
-        2.0 ** (-i * src.s)
-        * alpha_i
-        / eval_phi(phi2, 2.0 ** (-nu_i))
-        * f1_coarse ** rho
-        / f1_fine
-    )
-    return _constant(d, i, dist.m, value)
+    value = scale * alpha_i / eval_phi(phi2, 2.0 ** (-nu_i)) * f1_coarse ** rho / f1_fine
+    return _constant(d, i, dist.m, _ldexp(value, whole))
+
+
+def _ldexp(x, n):
+    """x * 2**n, and inf where that leaves the float range."""
+    try:
+        return math.ldexp(x, n)
+    except OverflowError:
+        return math.inf
 
 
 def shift_family(mu, d):
@@ -249,7 +270,7 @@ class DivergenceScan:
     outcome: str
 
 
-def divergence_scan(query, depth=12, nu_min=-64):
+def divergence_scan(query, depth=DEFAULT_DEPTH, nu_min=DEFAULT_NU_MIN):
     """Certify a failing embedding by an explicit sequence of witnesses.
 
     Picks the witness family matching the failing condition and reports the

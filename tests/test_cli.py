@@ -1,12 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from besovmorrey import cli
+from besovmorrey import cli, witness
 from besovmorrey.cli import main
 from besovmorrey.dyadic import DyadicSequence, save_csv
 from besovmorrey.wavelet import SampledFunction, save_samples
@@ -616,3 +621,118 @@ def test_unexpected_exception_exits_70(monkeypatch, capsys, exc, line):
     assert main(["norm", "--space", "s=0,p=2,q=2,phi=power(2),d=1", "--seq", "x.csv"]) == 70
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "internal error: %s\n" % line)
+
+
+@pytest.mark.parametrize(
+    "source, target, depth, value",
+    [
+        ("s=-300,p=2,q=0.5,phi=powerlog(2000.0,0),d=1",
+         "s=0.5,p=1,q=2,phi=twopower(1000.0,2000.0),d=1", ["--depth", "12"], "inf"),
+        ("s=-300,p=1,q=inf,phi=capped(1),d=1",
+         "s=0.5,p=100,q=2,phi=capped(1000),d=1", [], "inf"),
+        ("s=300,p=1,q=0.5,phi=const(1),d=1",
+         "s=300,p=1000000.0,q=0.001,phi=const(1),d=1", ["--depth", "12"], "0.0"),
+    ],
+    ids=["rho-1-overflows", "rho-below-1-overflows", "underflows-to-empty"],
+)
+def test_witness_coefficient_outside_float_range_exits_66(capsys, source, target, depth, value):
+    # 2**(-i*s) used to raise OverflowError, and a coefficient that underflowed
+    # to 0 left an empty witness whose norm ratio was 0/0; both exited 70
+    assert main(["witness", "--source", source, "--target", target, *depth]) == 66
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "witness: the level-4 witness coefficient %s is not finite and positive; "
+        "lower --depth\n" % value
+    )
+
+
+_USUAL = {
+    "s": ["0", "0.5", "-2", "3"],
+    "p": ["2", "1", "0.5", "4"],
+    "q": ["2", "1", "0.5", "inf"],
+    "arg": ["2", "1", "4", "0.5", "1000.0"],
+}
+_ODD = {
+    "s": ["-1e308", "-300", "300", "1e308", "inf", "nan"],
+    "p": ["5e-324", "0.001", "100", "1000000.0", "0", "-1", "inf"],
+    "q": ["0.001", "1e308", "0", "-1", "nan"],
+    "arg": ["0", "-1", "5e-324", "1e308", "inf", "nan", "x"],
+}
+
+
+def _space_strategies(odd):
+    """Draws for s, p, q and the profile: usual values only, or odd ones
+    among them, malformed profiles included."""
+    value = {key: st.sampled_from(_USUAL[key] + (_ODD[key] if odd else [])) for key in _USUAL}
+    profiles = [
+        st.builds("{}({})".format, st.sampled_from(["power", "capped", "floorone", "const"]),
+                  value["arg"]),
+        st.builds("{}({},{})".format, st.sampled_from(["twopower", "powerlog", "cappedlog"]),
+                  value["arg"], value["arg"]),
+    ]
+    if odd:
+        profiles += [
+            st.builds("powerlog({},{},{})".format, value["arg"], value["arg"], value["arg"]),
+            st.sampled_from(["power()", "power(1,2,3)", "nope(1)", "table(missing.csv)", ""]),
+        ]
+    return value, st.one_of(profiles)
+
+
+_SPACES = (_space_strategies(False), _space_strategies(True))
+_TIED = st.sampled_from(["power", "capped", "floorone"])
+
+
+@st.composite
+def _block(draw):
+    """A space block without d, odd one block in three.  Half the profiles
+    are t^(d/p), capped or floored at 1, which is admissible for that p
+    wherever p is."""
+    value, profiles = _SPACES[draw(st.integers(0, 2)) == 2]
+    p = draw(value["p"])
+    phi = draw(profiles) if draw(st.booleans()) else "%s(%s)" % (draw(_TIED), p)
+    return "s=%s,p=%s,q=%s,phi=%s" % (draw(value["s"]), p, draw(value["q"]), phi)
+
+
+@st.composite
+def _command_lines(draw):
+    """A check or witness command line: two space blocks of one dimension
+    (the target's sometimes left to inherit it) and the window flags at
+    their edges."""
+    command = draw(st.sampled_from(["check", "witness"]))
+    d = draw(st.sampled_from(["1", "2", "3"] * 2 + ["40", "300"]))
+    argv = [command, "--source", draw(_block()) + ",d=" + d,
+            "--target", draw(_block()) + draw(st.sampled_from([",d=" + d, ""]))]
+    edges = {
+        "--numin": ["-1075", "-1074", "-64", "-1", "0", "1"],
+        "--jmax": ["-1", "0", "1", "64", "1074", "1075"],
+        "--depth": ["-1", "0", "1", "12", "40"],
+    }
+    for flag in ("--numin", "--jmax" if command == "check" else "--depth"):
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(edges[flag]))]
+    if command == "check" and draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(argv=_command_lines())
+def test_fuzz_check_and_witness_command_lines(argv):
+    # a witness at the 2^22-cell cap takes 1-2 s and 200-300 MB, so the cap
+    # is lowered here; the draws still reach it along the same code path
+    with mock.patch.object(witness, "MAX_CELLS", 1 << 12):
+        out, err = io.StringIO(), io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    err = err.getvalue()
+    assert code in (0, 1, 2, 64, 65, 66), (argv, err)
+    assert "Traceback" not in err
+    one_line = err.endswith("\n") and err.count("\n") == 1
+    assert one_line if code >= 64 else err == "" or one_line, (argv, err)
+    assert peak < 1 << 24, (argv, peak)

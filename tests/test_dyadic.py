@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 from besovmorrey import phi as phimod
 from besovmorrey.dyadic import (
     INF,
-    DyadicCube,
     DyadicSequence,
     SpaceParams,
     b_infty_norm,
-    cube_contains,
     format_space_params,
     level_quantity,
     load_csv,
@@ -27,20 +25,6 @@ from besovmorrey.dyadic import (
     write_csv,
 )
 from besovmorrey.errors import DomainError
-
-
-def test_cube_geometry():
-    cube = DyadicCube(nu=-1, k=(0,))
-    assert cube.side == 2.0
-    assert cube_contains(cube, DyadicCube(nu=1, k=(3,)))
-    assert not cube_contains(cube, DyadicCube(nu=1, k=(4,)))
-    # negative orthant
-    outer = DyadicCube(nu=0, k=(-1,))
-    assert cube_contains(outer, DyadicCube(nu=2, k=(-4,)))
-    assert cube_contains(outer, DyadicCube(nu=2, k=(-1,)))
-    assert not cube_contains(outer, DyadicCube(nu=2, k=(0,)))
-    # a finer cube never contains a coarser one
-    assert not cube_contains(DyadicCube(nu=2, k=(0,)), DyadicCube(nu=1, k=(0,)))
 
 
 def test_sequence_container():

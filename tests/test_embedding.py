@@ -13,7 +13,6 @@ from besovmorrey.embedding import (
     decide_lebesgue_targets,
     decide_same_phi,
     decide_under_IS,
-    empirical_ratio_scan,
     q_star,
     ratio_R,
     spaces_equal,
@@ -297,17 +296,3 @@ def test_sampled_route_for_tables():
     up = decide(EmbeddingQuery(source=mk(0.0, 2.0), target=mk(3.0, 2.0)))
     assert up.outcome == "fails"
     assert up.cond2.status == "violated"
-
-
-def test_empirical_scan():
-    q = query("s=0.5,p=2,q=2,phi=power(2)", "s=0.5,p=2,q=2,phi=power(2)")
-    first = empirical_ratio_scan(q, trials=24, seed=11)
-    second = empirical_ratio_scan(q, trials=24, seed=11)
-    assert first == second
-    assert first.max_ratio == 1.0
-    shifted = empirical_ratio_scan(
-        query("s=1.0,p=2,q=2,phi=power(2)", "s=0.5,p=2,q=2,phi=power(2)"),
-        trials=24,
-        seed=11,
-    )
-    assert shifted.max_ratio <= 1.0

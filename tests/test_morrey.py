@@ -7,7 +7,6 @@ from besovmorrey import phi as phimod
 from besovmorrey.errors import DomainError
 from besovmorrey.morrey import (
     DyadicStepFunction,
-    decide_morrey_embedding,
     morrey_norm,
 )
 
@@ -81,35 +80,6 @@ def test_empty_function_has_zero_norm():
 def test_zero_values_are_dropped():
     f = DyadicStepFunction(d=1, level=2, values={(0,): 0.0, (1,): 1.0})
     assert (1,) in f.values and (0,) not in f.values
-
-
-def test_morrey_embedding_decisions():
-    # smaller integrability never embeds into larger
-    verdict = decide_morrey_embedding(phimod.power(2), 1.0, phimod.power(2), 2.0)
-    assert verdict.outcome == "fails"
-
-    # capped profiles: the coarser cap dominates near zero and ties at infinity
-    verdict = decide_morrey_embedding(phimod.capped(2), 2.0, phimod.capped(1), 1.0)
-    assert verdict.outcome == "holds"
-    verdict = decide_morrey_embedding(phimod.capped(1), 1.0, phimod.capped(2), 1.0)
-    assert verdict.outcome == "fails"
-
-    # pure powers lose at one end or the other unless they match
-    verdict = decide_morrey_embedding(phimod.power(2), 1.0, phimod.power(2), 1.0)
-    assert verdict.outcome == "holds"
-    verdict = decide_morrey_embedding(phimod.power(1), 1.0, phimod.power(2), 1.0)
-    assert verdict.outcome == "fails"
-    assert any("zero" in note for note in verdict.notes)
-    verdict = decide_morrey_embedding(phimod.power(2), 1.0, phimod.power(1), 1.0)
-    assert verdict.outcome == "fails"
-    assert any("infinity" in note for note in verdict.notes)
-
-    table = phimod.tabulated((0.5, 2.0), (0.5, 2.0))
-    verdict = decide_morrey_embedding(table, 1.0, phimod.power(2), 1.0)
-    assert verdict.outcome == "undetermined"
-
-    with pytest.raises(DomainError):
-        decide_morrey_embedding(phimod.power(2), 0.0, phimod.power(2), 1.0)
 
 
 def test_step_function_validation():

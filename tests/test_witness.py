@@ -140,6 +140,15 @@ def test_select_witness_level_saturates():
         select_witness_level(q, -1)
 
 
+def test_beta_witness_splits_an_overflowing_scale():
+    # 2**(-i*s) = 2**1100 overflows on its own, but 1/phi(2**10) = 2**-250
+    # brings the coefficient back to 2**850
+    q = query("s=-1100,p=0.04,q=2,phi=power(0.04)", "s=0,p=0.04,q=2,phi=power(0.04)")
+    w = beta_witness(1, -10, q)
+    assert len(w) == 2 ** 11
+    assert set(w.level(1).values()) == {2.0 ** 850}
+
+
 def test_beta_witness_bounded_source():
     q = query("s=1,p=1,q=1,phi=capped(2)", "s=0,p=2,q=2,phi=capped(2)")
     for i in range(0, 9, 2):
