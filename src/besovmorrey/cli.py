@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -482,7 +483,10 @@ def _format_block(mapping):
 # parser
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The parser, built once per process.  Each subcommand names its
+    handler, which main looks up in this module when the command runs."""
     parser = _Parser(
         prog="besovmorrey",
         description="quasi-norms, embedding decisions and witnesses for "
@@ -502,20 +506,20 @@ def _build_parser():
     check.add_argument("--jmax", type=int, help="levels probed by the classifier")
     check.add_argument("--numin", type=int, help="coarsest cube level probed")
     check.add_argument("--json", action="store_true", help="emit JSONL instead of text")
-    check.set_defaults(handler=_cmd_check)
+    check.set_defaults(handler="_cmd_check")
 
     norm = sub.add_parser("norm", help="quasi-norm of a coefficient CSV")
     norm.add_argument("--space", help="inline block s=...,p=...,q=...,phi=...,d=...")
     norm.add_argument("--config", help="INI file; [source] supplies the space")
     norm.add_argument("--seq", required=True, help="coefficient CSV file")
-    norm.set_defaults(handler=_cmd_norm)
+    norm.set_defaults(handler="_cmd_norm")
 
     witness = sub.add_parser("witness", help="divergence certificate for a failing embedding")
     add_pair(witness)
     witness.add_argument("--depth", type=int, help="largest witness index")
     witness.add_argument("--numin", type=int, help="coarsest cube level probed")
     witness.add_argument("--out", help="CSV output path (default: stdout)")
-    witness.set_defaults(handler=_cmd_witness)
+    witness.set_defaults(handler="_cmd_witness")
 
     analyze = sub.add_parser("analyze", help="wavelet cascade over a sample grid")
     analyze.add_argument("--samples", required=True, help="sample CSV file")
@@ -525,22 +529,21 @@ def _build_parser():
     analyze.add_argument("--depth", type=int, help="cascade depth (default: full)")
     analyze.add_argument("--prune", type=float, default=0.0, help="relative pruning threshold")
     analyze.add_argument("--out", help="CSV output path (default: stdout)")
-    analyze.set_defaults(handler=_cmd_analyze)
+    analyze.set_defaults(handler="_cmd_analyze")
 
     sweep = sub.add_parser("sweep", help="batch embedding decisions over a parameter grid")
     sweep.add_argument("--config", required=True, help="INI file with [sweep]")
     sweep.add_argument("--jmax", type=int, help="levels probed by the classifier")
     sweep.add_argument("--numin", type=int, help="coarsest cube level probed")
     sweep.add_argument("--out", help="JSONL output path (default: stdout)")
-    sweep.set_defaults(handler=_cmd_sweep)
+    sweep.set_defaults(handler="_cmd_sweep")
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.handler(args)
+        args = _build_parser().parse_args(argv)
+        return globals()[args.handler](args)
     except _CliError as err:
         sys.stderr.write(err.message + "\n")
         return err.code

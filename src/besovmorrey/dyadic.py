@@ -32,6 +32,13 @@ fits in an int64 when d * (b + 1) <= 63, with b the bit length of the
 largest |coordinate|; until it does (cells far out, or d >= 32), a round
 shifts the coordinates and sorts them lexicographically instead.  Storage
 stays lexicographic either way.
+
+The groups depend on the coordinates alone; only the weights |value|**p
+depend on the space.  So ``n_norms`` norms a sequence in several spaces
+with one merge per level, which carries one weight array per space through
+the same permutations and sums; ``n_norm`` and ``level_quantity`` are that
+route for one space.  Nothing of a merge is cached on the sequence or kept
+after the call.
 """
 
 from __future__ import annotations
@@ -207,16 +214,36 @@ def _cells_from_items(d, entries):
 def _group_sum(m, values):
     """Sort the rows of m lexicographically and sum the values of equal
     rows.  Returns the distinct rows, in order, and their sums."""
+    m, order, starts = _group_rows(m)
+    with np.errstate(over="ignore"):  # an overflowing sum is reported by the caller
+        return m, _regroup(values, order, starts)
+
+
+def _group_rows(m):
+    """Sort the rows of m lexicographically and find the runs of equal
+    rows.  Returns the distinct rows in order, the sorting permutation
+    (None when m was sorted already) and the first row of each run (None
+    when no two rows are equal)."""
     up, same = _compare_rows(m)
+    order = None
     if not (up | same).all():
         order = np.lexsort(m.T[::-1])
-        m, values = m[order], values[order]
+        m = m[order]
         _, same = _compare_rows(m)
     if not same.any():
-        return m, values
+        return m, order, None
     starts = np.flatnonzero(np.concatenate(([True], ~same)))
-    with np.errstate(over="ignore"):  # an overflowing sum is reported by the caller
-        return m[starts], np.add.reduceat(values, starts)
+    return m[starts], order, starts
+
+
+def _regroup(values, order, starts):
+    """values permuted by order, then summed over the runs that begin at
+    starts; a step whose argument is None is skipped."""
+    if order is not None:
+        values = values[order]
+    if starts is not None:
+        values = np.add.reduceat(values, starts)
+    return values
 
 
 def _compare_rows(m):
@@ -394,7 +421,15 @@ def lq_norm(values, q, log2_weights=None):
     if q == INF:
         total = max(scaled)
     else:
-        total = sum(x ** q for x in scaled) ** (1.0 / q)
+        total = sum(x ** q for x in scaled)
+        try:
+            total **= 1.0 / q
+        except OverflowError:
+            # for small q the power leaves the floats before 2**top applies:
+            # move its whole binary orders into top
+            shift = math.log2(total) / q
+            top += math.floor(shift)
+            total = 2.0 ** (shift - math.floor(shift))
     try:
         norm = math.ldexp(total, top)
     except OverflowError:
@@ -405,11 +440,24 @@ def lq_norm(values, q, log2_weights=None):
 
 
 def level_quantity(seq, j, params):
-    """Per-level Morrey supremum of the level-j slice of the sequence.
+    """Per-level Morrey supremum of the level-j slice of the sequence:
+    ``_level_quantities`` for the one space."""
+    (quantity,) = _level_quantities(seq, j, (params,))
+    if isinstance(quantity, Exception):
+        raise quantity
+    return quantity
 
-    The candidates come one level nu = j, j-1, ... at a time from
-    ``_merged_weights``, which sums the weights of the cells inside each
-    cube of side 2**-nu; phi is evaluated once per level.
+
+def _level_quantities(seq, j, spaces):
+    """level_quantity of the level-j slice in each of the spaces, from one
+    merge of its cells.
+
+    Returns, per space, the supremum or the exception that space's own
+    level_quantity call raises; a space that raised leaves the merge, which
+    stops once every space has.  The candidates come one level nu = j,
+    j-1, ... at a time from ``_merged_weights``, which carries one weight
+    array (|value|/max)**p per space through the same groups; phi is
+    evaluated once per level and space.
 
     The merge keeps one int64 Z-order key per group, sorted once: a parent's
     key is its child's shifted right by d, so the parents of a Z-sorted
@@ -418,36 +466,51 @@ def level_quantity(seq, j, params):
     d * (b + 1) <= 63, b the bit length of the largest |coordinate|; rounds
     before it (coordinates near +-2**62, or in d >= 32 any nonzero one)
     shift, lexsort and sum the coordinates instead.  Both routes sum each
-    group's children in lexicographic order, so the result is the same to
-    the bit whichever ran.
+    group's children in lexicographic order, and each weight array is
+    permuted and summed exactly as if it were merged alone, so the result
+    is the same to the bit whichever route ran and however many spaces
+    share the merge.  Nothing of the merge is kept after the call.
     """
     if j not in seq._levels:
-        return 0.0
+        return [0.0] * len(spaces)
     coords, values = seq._levels[j]
-    p = params.p
-    dp = params.d / p
-    phi = params.phi
     # scaled by the largest magnitude so |value|**p neither overflows nor
-    # underflows
-    magnitudes = np.abs(values)
-    scale = float(magnitudes.max())
-    best = 0.0
-    for nu, weights in zip(
-        itertools.count(j, -1), _merged_weights(coords, (magnitudes / scale) ** p)
-    ):
-        heaviest = float(weights.max())
-        candidate = (
-            eval_phi(phi, 2.0 ** (-nu)) * 2.0 ** ((nu - j) * dp) * scale * heaviest ** (1.0 / p)
-        )
-        if candidate > best:
-            best = candidate
+    # underflows; freed once each space has its weights
+    ratios = np.abs(values)
+    scale = float(ratios.max())
+    ratios /= scale
+    rows = [ratios ** params.p for params in spaces]
+    del ratios
+    best = [0.0] * len(spaces)
+    for nu, rows in zip(itertools.count(j, -1), _merged_weights(coords, rows)):
+        for k, params in enumerate(spaces):
+            if rows[k] is None:
+                continue
+            p = params.p
+            try:
+                candidate = (
+                    eval_phi(params.phi, 2.0 ** (-nu))
+                    * 2.0 ** ((nu - j) * (params.d / p))
+                    * scale
+                    * float(rows[k].max()) ** (1.0 / p)
+                )
+            except Exception as exc:  # raised for this space alone
+                best[k], rows[k] = exc, None
+                continue
+            if candidate > best[k]:
+                best[k] = candidate
+        if all(row is None for row in rows):
+            break
     return best
 
 
-def _merged_weights(coords, weights):
-    """Yield the weights of the cells (rows of coords, distinct and in
-    lexicographic order), then the summed weights of the groups they form
-    in each coarser level of cubes, until the groups have settled.
+def _merged_weights(coords, rows):
+    """Merge the cells (rows of coords, distinct and in lexicographic
+    order) into the groups they form in each coarser level of cubes, until
+    the groups have settled, carrying every weight array of the list rows
+    along.  Yields rows once per level, first for the cells themselves,
+    each array then holding the summed weights of the groups; an entry the
+    caller sets to None is no longer carried.
 
     Every cube lies in one coordinate orthant, so the groups have settled
     once no two of them share one; that needs at most 2**d groups.  A group
@@ -457,20 +520,22 @@ def _merged_weights(coords, weights):
     """
     d = coords.shape[1]
     orthants = 1 << d
-    yield weights
+    yield rows
     top = int(np.abs(coords).max()).bit_length()
     while d * (top + 1) > 63:
-        if len(weights) <= orthants and len(
+        if len(coords) <= orthants and len(
             set(map(tuple, (coords < 0).tolist()))
-        ) == len(weights):
+        ) == len(coords):
             return
-        coords, weights = _group_sum(coords >> 1, weights)
-        yield weights
+        coords, order, starts = _group_rows(coords >> 1)
+        _carry(rows, order, starts)
+        yield rows
         top = int(np.abs(coords).max()).bit_length()
     keys = _z_keys(coords, top)
     if (keys[1:] < keys[:-1]).any():
         order = np.argsort(keys)
-        keys, weights = keys[order], weights[order]
+        keys = keys[order]
+        _carry(rows, order, None)
     while True:
         if len(keys) <= orthants:
             signs = keys >> (d * top)
@@ -481,8 +546,17 @@ def _merged_weights(coords, weights):
         fresh = np.flatnonzero(keys[1:] != keys[:-1]) + 1
         if len(fresh) < len(keys) - 1:
             starts = np.concatenate(([0], fresh))
-            keys, weights = keys[starts], np.add.reduceat(weights, starts)
-        yield weights
+            keys = keys[starts]
+            _carry(rows, None, starts)
+        yield rows
+
+
+def _carry(rows, order, starts):
+    """_regroup every weight array of rows in place, one at a time, so
+    only one new array is alive besides the old ones."""
+    for k in range(len(rows)):
+        if rows[k] is not None:
+            rows[k] = _regroup(rows[k], order, starts)
 
 
 def _z_keys(coords, top):
@@ -496,10 +570,9 @@ def _z_keys(coords, top):
     shift of the coordinate plus 2**(top - 1), so the key of a parent cube
     is the key of its child shifted right by d.
     """
-    biased = coords + (1 << top)
     d = coords.shape[1]
     if d == 1:
-        return biased[:, 0]
+        return coords[:, 0] + (1 << top)
     # spread[v] moves bit t of a width-bit chunk v to bit t*d
     width = min(8, 63 // d)
     chunks = np.arange(1 << width, dtype=np.int64)
@@ -508,27 +581,61 @@ def _z_keys(coords, top):
         spread |= ((chunks >> bit) & 1) << (bit * d)
     keys = np.zeros(len(coords), dtype=np.int64)
     for axis in range(d):
-        column = biased[:, axis]
+        # one biased column and two chunk arrays in flight at a time
+        column = coords[:, axis] + (1 << top)
         for low in range(0, top + 1, width):
-            keys |= spread[(column >> low) & ((1 << width) - 1)] << (low * d + d - 1 - axis)
+            part = column >> low
+            part &= (1 << width) - 1
+            part = spread[part]
+            part <<= low * d + d - 1 - axis
+            keys |= part
     return keys
 
 
 def n_norm(seq, params):
     """Quasi-norm of the sequence in the space described by params."""
-    if seq.d != params.d:
-        raise DomainError("sequence dimension %d does not match space dimension %d" % (seq.d, params.d))
+    return n_norms(seq, (params,))[0]
+
+
+def n_norms(seq, spaces):
+    """Quasi-norms of the sequence in each of the spaces, as a tuple.
+
+    Each level is merged once for every space (``_level_quantities``), and
+    nothing is cached.  The numbers are those of n_norm on each space, and
+    the exception raised is the one that calling n_norm on each space in
+    order would raise first: each space's first error is kept in level
+    order, and the one of the earliest space is raised.
+    """
+    spaces = tuple(spaces)
+    errors = [
+        None if params.d == seq.d else DomainError(
+            "sequence dimension %d does not match space dimension %d" % (seq.d, params.d)
+        )
+        for params in spaces
+    ]
     levels = seq.levels()
-    quantities = []
+    quantities = [[] for _ in spaces]
     for j in levels:
-        try:
-            quantity = level_quantity(seq, j, params)
-        except ExtrapolationError as exc:
-            raise ExtrapolationError("level %d: %s" % (j, exc)) from None
-        if not 0.0 < quantity < INF:
-            raise FloatRangeError("level %d: the Morrey supremum is outside the float range" % j)
-        quantities.append(quantity)
-    return lq_norm(quantities, params.q, [j * params.s for j in levels])
+        live = [k for k, err in enumerate(errors) if err is None]
+        if not live:
+            break
+        for k, quantity in zip(live, _level_quantities(seq, j, [spaces[k] for k in live])):
+            if isinstance(quantity, ExtrapolationError):
+                errors[k] = ExtrapolationError("level %d: %s" % (j, quantity))
+            elif isinstance(quantity, Exception):
+                errors[k] = quantity
+            elif not 0.0 < quantity < INF:
+                errors[k] = FloatRangeError(
+                    "level %d: the Morrey supremum is outside the float range" % j
+                )
+            else:
+                quantities[k].append(quantity)
+    norms = []
+    for params, err, found in zip(spaces, errors, quantities):
+        if err is not None:
+            raise err
+        norms.append(lq_norm(found, params.q, [j * params.s for j in levels]))
+    return tuple(norms)
 
 
 def n_norm_via_morrey(seq, params):

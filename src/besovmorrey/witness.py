@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicSequence, n_norm
+from .dyadic import DyadicSequence, n_norms
+from .dyadic import n_norm  # noqa: F401  (bench/tracer.py's BINDINGS needs it bound here)
 from .embedding import DEFAULT_NU_MIN, _lattice_ratios, alpha_sequence, decide
 from .embedding import ratio_R  # noqa: F401  (bench/tracer.py traces calls through it)
 from .errors import (
@@ -60,32 +61,48 @@ def simple_witness(j0, nu0, phi1):
     admissible space with profile phi2 is exactly
     2**(j0 s2) * phi2(2**-nu0) / phi1(2**-nu0).
     """
+    return _materialise(*_simple_plan(j0, nu0, phi1))
+
+
+def _simple_plan(j0, nu0, phi1):
     d = phi1.d
     _check_block(d, j0, nu0)
     value = 1.0 / eval_phi(phi1, 2.0 ** (-nu0))
-    return _block(d, j0, j0 - nu0, value)
+    _check_block_size(d, j0 - nu0)
+    return _plan(d, j0, nu0, None, value)
 
 
-def _block(d, j, span, value):
-    """Equal values on every level-j cell inside Q_{j-span, 0}."""
+def _check_block_size(d, span):
+    """Refuse a full block of 2**(span*d) cells over MAX_CELLS."""
     if span * d > 62 or (1 << (span * d)) > MAX_CELLS:
         raise WitnessTooLargeError(
             "witness block of 2^%d cells is too large; the cap is %d cells"
             % (span * d, MAX_CELLS)
         )
-    return _constant(d, j, np.indices((1 << span,) * d).reshape(d, -1).T, value)
 
 
-def _constant(d, j, m, value):
-    """The value on each level-j cell of the (n, d) coordinate array m.
+def _plan(d, j, nu, total, value):
+    """A checked witness plan: ``value`` on every level-j cell inside
+    Q_{nu, 0}, or on ``total`` of them spread by greedy_distribution.
 
-    A value outside the positive floats is refused: an underflowed 0 would
-    leave an empty witness, and inf a witness with no norm.
+    The builders check everything in their plan, so building one only
+    allocates.  A value outside the positive floats is refused: an
+    underflowed 0 would leave an empty witness, and inf a witness with no
+    norm.
     """
     if not 0.0 < value < math.inf:
         raise FloatRangeError(
             "the level-%d witness coefficient %r is not finite and positive" % (j, value)
         )
+    return d, j, nu, total, value
+
+
+def _materialise(d, j, nu, total, value):
+    """The witness a plan describes."""
+    if total is None:
+        m = np.indices((1 << (j - nu),) * d).reshape(d, -1).T
+    else:
+        m = greedy_distribution(d, j, nu, total).m
     return DyadicSequence(d, cells=(j, m, np.full(len(m), value)))
 
 
@@ -121,17 +138,10 @@ class GreedyDistribution:
         return tuple(map(tuple, self.m.tolist()))
 
 
-def greedy_distribution(d, j0, nu0, total):
-    """Spread ``total`` cells of level j0 over the coarse cube Q_{nu0, 0}.
-
-    One level at a time, every cube's load splits over its 2**d children a
-    ceiling-share ceil(load/2**d) at a time, in lexicographic child order:
-    child i takes the d bits of i as its offset, axis 0 most significant.
-    Consequences, tested exhaustively: every dyadic cube between the two
-    levels holds at most ceil(parent/2**d) of its parent's cells, hence at
-    most 2**(d(nu0-nu)) * total + 2 cells overall.  Memory grows with
-    total * d, whatever the dimension.
-    """
+def _check_distribution(d, j0, nu0, total):
+    """Refuse the placements greedy_distribution cannot make: ``total``
+    cells that do not fit the block, more than MAX_CELLS, or cells whose
+    coordinates leave the int64 range."""
     _check_block(d, j0, nu0)
     capacity_bits = (j0 - nu0) * d
     if total < 0:
@@ -151,6 +161,19 @@ def greedy_distribution(d, j0, nu0, total):
             "cells of a block %d levels deep leave the int64 range" % (j0 - nu0)
         )
 
+
+def greedy_distribution(d, j0, nu0, total):
+    """Spread ``total`` cells of level j0 over the coarse cube Q_{nu0, 0}.
+
+    One level at a time, every cube's load splits over its 2**d children a
+    ceiling-share ceil(load/2**d) at a time, in lexicographic child order:
+    child i takes the d bits of i as its offset, axis 0 most significant.
+    Consequences, tested exhaustively: every dyadic cube between the two
+    levels holds at most ceil(parent/2**d) of its parent's cells, hence at
+    most 2**(d(nu0-nu)) * total + 2 cells overall.  Memory grows with
+    total * d, whatever the dimension.
+    """
+    _check_distribution(d, j0, nu0, total)
     # no load exceeds MAX_CELLS, so a wider fan-out gives the same shares
     fan = min(2 ** d, MAX_CELLS)
     shifts = np.minimum(np.arange(d - 1, -1, -1), 63)
@@ -177,13 +200,18 @@ def capacity_witness(d, j0, nu0, phi1, p1):
     while the norm in a target space with profile phi2 grows at least like
     phi2(2**-nu0) / phi1(2**-nu0)**(p1/p2).
     """
+    return _materialise(*_capacity_plan(d, j0, nu0, phi1, p1))
+
+
+def _capacity_plan(d, j0, nu0, phi1, p1):
     _check_block(d, j0, nu0)
     if phi1.d != d:
         raise DomainError("profile dimension %d does not match d=%d" % (phi1.d, d))
     if p1 <= 0:
         raise DomainError("p1 must be positive")
     total = _cell_count((j0 - nu0) * d, eval_phi(phi1, 2.0 ** (-nu0)), -p1)
-    return _constant(d, j0, greedy_distribution(d, j0, nu0, total).m, 1.0)
+    _check_distribution(d, j0, nu0, total)
+    return _plan(d, j0, nu0, total, 1.0)
 
 
 def select_witness_level(query, i, nu_min=DEFAULT_NU_MIN):
@@ -213,6 +241,10 @@ def beta_witness(i, nu_i, query, nu_min=DEFAULT_NU_MIN):
     distribution.  Its target quasi-norm is at least
     2**(i(s2-s1)) * alpha_i * phi1(2**-i)**(rho-1) up to a bounded factor.
     """
+    return _materialise(*_beta_plan(i, nu_i, query, nu_min))
+
+
+def _beta_plan(i, nu_i, query, nu_min):
     src, tgt = query.source, query.target
     d = src.d
     _check_block(d, i, nu_i)
@@ -230,12 +262,14 @@ def beta_witness(i, nu_i, query, nu_min=DEFAULT_NU_MIN):
         scale = 2.0 ** (w - whole)
     if rho == 1.0:
         value = scale * alpha_i / eval_phi(phi2, 2.0 ** (-nu_i))
-        return _block(d, i, span, _ldexp(value, whole))
+        _check_block_size(d, span)
+        return _plan(d, i, nu_i, None, _ldexp(value, whole))
     f1_fine = eval_phi(phi1, 2.0 ** (-i))
     f1_coarse = eval_phi(phi1, 2.0 ** (-nu_i))
-    dist = greedy_distribution(d, i, nu_i, _cell_count(span * d, f1_fine / f1_coarse, src.p))
+    total = _cell_count(span * d, f1_fine / f1_coarse, src.p)
+    _check_distribution(d, i, nu_i, total)
     value = scale * alpha_i / eval_phi(phi2, 2.0 ** (-nu_i)) * f1_coarse ** rho / f1_fine
-    return _constant(d, i, dist.m, _ldexp(value, whole))
+    return _plan(d, i, nu_i, total, _ldexp(value, whole))
 
 
 def _ldexp(x, n):
@@ -277,6 +311,15 @@ def divergence_scan(query, depth=DEFAULT_DEPTH, nu_min=DEFAULT_NU_MIN):
     target/source quasi-norm ratios along the family index; for a genuine
     failure the ratios grow without bound.  Raises WitnessSelectionError
     when the verdict is not a failure.
+
+    Before any witness is built, the plan of each index runs in order:
+    every check its builder makes, with the cell count in closed form.  The
+    first witness over MAX_CELLS is refused there with the error its
+    builder raises.  A plan that fails in any other way ends this
+    look-ahead, and the scan meets that error at its index.  So the refusal
+    comes early only where a smaller witness's norm would have left the
+    float range first.  Each witness is normed in both spaces with one
+    merge per level.
     """
     if depth < 0:
         raise DomainError("depth must be >= 0")
@@ -290,15 +333,23 @@ def divergence_scan(query, depth=DEFAULT_DEPTH, nu_min=DEFAULT_NU_MIN):
         family = "beta"
     else:
         family = "simple" if query.rho == 1.0 else "capacity"
-    build = {
-        "simple": lambda i: simple_witness(0, -i, src.phi),
-        "capacity": lambda i: capacity_witness(src.d, 0, -i, src.phi, src.p),
-        "beta": lambda i: beta_witness(
-            i, select_witness_level(query, i, nu_min=nu_min), query, nu_min=nu_min
-        ),
+    build, plan, args = {
+        "simple": (simple_witness, _simple_plan, lambda i: (0, -i, src.phi)),
+        "capacity": (capacity_witness, _capacity_plan, lambda i: (src.d, 0, -i, src.phi, src.p)),
+        "beta": (beta_witness, _beta_plan, lambda i: (
+            i, select_witness_level(query, i, nu_min=nu_min), query, nu_min
+        )),
     }[family]
     indices = tuple(range(depth + 1))
-    ratios = tuple(n_norm(w, tgt) / n_norm(w, src) for w in map(build, indices))
+    for i in indices:
+        try:
+            plan(*args(i))
+        except WitnessTooLargeError:
+            raise
+        except (ArithmeticError, DomainError, WitnessSelectionError):
+            break  # the scan meets this error, or an earlier one, itself
+    norms = (n_norms(build(*args(i)), (tgt, src)) for i in indices)
+    ratios = tuple(target / source for target, source in norms)
     return DivergenceScan(
         family=family, indices=indices, ratios=ratios, outcome=verdict.outcome
     )

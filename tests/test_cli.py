@@ -318,6 +318,15 @@ def test_norm_weights_levels_without_overflow(tmp_path, capsys):
     assert "norm=1e+200\n" in capsys.readouterr().out
 
 
+def test_norm_with_a_small_q_leaves_the_float_range_with_exit_65(tmp_path, capsys):
+    # the ell_q sum's 1/q-th power overflowed before its scale applied: exit 70
+    code, path = _norm(tmp_path, "s=3,p=2,q=0.001,phi=floorone(2),d=1",
+                       "0,0,1.5\n3,0,7e300\n60,0,0.25\n")
+    captured = capsys.readouterr()
+    assert code == 65 and captured.out == ""
+    assert captured.err == "%s: the norm, about 2^2050, is outside the float range\n" % path
+
+
 @pytest.mark.parametrize(
     "space, rows, message",
     [
@@ -623,6 +632,58 @@ def test_unexpected_exception_exits_70(monkeypatch, capsys, exc, line):
     assert (captured.out, captured.err) == ("", "internal error: %s\n" % line)
 
 
+def test_one_parser_serves_every_call(tmp_path):
+    # the parser is built once per process; a second run of the same calls,
+    # an argparse error and --version among them, prints the same
+    seq = tmp_path / "seq.csv"
+    seq.write_text("# d=1\n0,0,1.0\n2,1,-0.5\n")
+    calls = [
+        ["check", "--source", HOLD_SRC, "--target", HOLD_TGT],
+        ["witness", "--source", HOLD_TGT, "--target", HOLD_SRC, "--depth", "3"],
+        ["norm", "--space", HOLD_SRC, "--seq", str(seq)],
+        ["norm", "--space", HOLD_SRC],
+        ["--version"],
+    ]
+
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+        return code, out.getvalue(), err.getvalue()
+
+    first = [run(argv) for argv in calls]
+    assert [code for code, _, _ in first] == [0, 0, 0, 64, ("exit", 0)]
+    assert "the following arguments are required: --seq" in first[3][2]
+    assert [run(argv) for argv in calls + calls[:1]] == first + first[:1]
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_witness_over_the_cap_is_refused_before_any_is_built(capsys):
+    # the scan used to build and norm every smaller witness first: 2.2 s and
+    # a peak of several hundred MB before index 12 was refused
+    tracemalloc.start()
+    try:
+        code = main([
+            "witness",
+            "--source", "s=0,p=2,q=2,phi=capped(2),d=2",
+            "--target", "s=0,p=2,q=2,phi=power(2),d=2",
+            "--depth", "40",
+        ])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 66 and captured.out == ""
+    assert captured.err == (
+        "witness: witness block of 2^24 cells is too large; the cap is 4194304 cells; "
+        "lower --depth\n"
+    )
+    assert peak < 1 << 24
+
+
 @pytest.mark.parametrize(
     "source, target, depth, value",
     [
@@ -735,4 +796,66 @@ def test_fuzz_check_and_witness_command_lines(argv):
     assert "Traceback" not in err
     one_line = err.endswith("\n") and err.count("\n") == 1
     assert one_line if code >= 64 else err == "" or one_line, (argv, err)
+    assert peak < 1 << 24, (argv, peak)
+
+
+# coefficient files for the norm fuzz: per dimension, cells near the +-2^62
+# coordinate bound, and levels 0 and 1022, with values far from 1
+_NORM_FILES = {
+    "far": lambda d: [
+        (j, [sign * ((1 << 62) - k) for k in range(d)], value)
+        for j, sign, value in [(0, 1, 1.5), (3, -1, -2e-300), (3, 1, 7e300), (60, -1, 0.25)]
+    ],
+    "deep": lambda d: [
+        (j, [k - 1 for k in range(d)], value)
+        for j, value in [(0, 1.0), (0, -3e-300), (1022, 2e300), (1022, 5e-324)]
+    ],
+    "mixed": lambda d: [
+        (j, [sign * (1 << 62)] + [k for k in range(1, d)], value)
+        for j, sign, value in [(0, -1, 1.0), (1022, 1, -1e-5), (511, -1, 1e10)]
+    ],
+}
+
+
+@pytest.fixture(scope="module")
+def norm_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("norm_fuzz")
+    paths = {}
+    for d in (1, 2, 3):
+        for name, rows in _NORM_FILES.items():
+            path = root / ("%s_d%d.csv" % (name, d))
+            with path.open("w") as fh:
+                fh.write("# d=%d\n" % d)
+                for j, m, value in rows(d):
+                    fh.write("%d,%s,%r\n" % (j, ",".join(map(str, m)), value))
+            paths[name, d] = str(path)
+    return paths
+
+
+@st.composite
+def _norm_command_lines(draw, files):
+    """A norm command line over one of the fuzz files: a space block of the
+    file's dimension, of another one or of none."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    path = files[draw(st.sampled_from(sorted(_NORM_FILES))), d]
+    dim = draw(st.sampled_from([",d=%d" % d] * 4 + [",d=%d" % (d % 3 + 1), ""]))
+    return ["norm", "--space", draw(_block()) + dim, "--seq", path]
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_fuzz_norm_command_lines(norm_files, data):
+    argv = data.draw(_norm_command_lines(norm_files))
+    out, err = io.StringIO(), io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = err.getvalue()
+    assert code in (0, 64, 65), (argv, err)
+    assert "Traceback" not in err
+    assert err == "" if code == 0 else err.endswith("\n") and err.count("\n") == 1, (argv, err)
     assert peak < 1 << 24, (argv, peak)

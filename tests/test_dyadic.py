@@ -1,6 +1,8 @@
 import io
+import itertools
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from besovmorrey.dyadic import (
     lq_norm,
     n_norm,
     n_norm_via_morrey,
+    n_norms,
     parse_space_params,
     read_csv,
     save_csv,
@@ -194,6 +197,87 @@ def test_level_quantity_at_the_int64_key_boundary(d, top):
         if d / p < 20:  # phi and t**(-d/p) stay within the float range
             params = parse_space_params("s=0,p=%r,q=2,phi=power(%r),d=%d" % (p, p + 0.5, d))
             assert level_quantity(seq, 3, params) == _level_quantity_lexicographic(seq, 3, params)
+
+
+@st.composite
+def _two_level_cells(draw):
+    """_clustered_cells at level j, and at a second level the same cells
+    shifted right by 0 to 3 bits (so some meet) with the values reversed."""
+    d, m, values = draw(_clustered_cells())
+    j, other = draw(st.lists(st.integers(0, 30), min_size=2, max_size=2, unique=True))
+    second = m >> draw(st.integers(0, 3))
+    return d, (np.repeat([j, other], len(m)), np.concatenate((m, second)), values + values[::-1])
+
+
+@st.composite
+def _space_list(draw, d):
+    spaces = []
+    for _ in range(draw(st.integers(1, 3))):
+        p = draw(st.sampled_from([0.5, 1.0, 2.5]))
+        phi = draw(st.sampled_from(_LQ_PHIS)) % (p + 0.5)
+        s, q = draw(st.sampled_from(["-1", "0", "0.5"])), draw(st.sampled_from(["0.5", "2", "inf"]))
+        spaces.append(parse_space_params("s=%s,p=%r,q=%s,phi=%s,d=%d" % (s, p, q, phi, d)))
+    return spaces
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(drawn=_two_level_cells(), data=st.data())
+def test_n_norms_match_one_space_at_a_time(drawn, data):
+    # one merge per level serves every space: each gets the bits n_norm
+    # gives on a fresh copy, in either order, on both merge routes
+    d, cells = drawn
+    spaces = data.draw(_space_list(d))
+    seq = DyadicSequence(d, cells=cells)
+    alone = tuple(n_norm(DyadicSequence(d, cells=seq.cells()), params) for params in spaces)
+    assert n_norms(seq, spaces) == alone
+    assert n_norms(seq, spaces[::-1]) == alone[::-1]
+    for j, params in itertools.product(seq.levels(), spaces):
+        assert level_quantity(seq, j, params) == _level_quantity_lexicographic(seq, j, params)
+
+
+_SQRT_TABLE = Path(__file__).parent / "data" / "sweep_small" / "sqrt_table.csv"
+# the knots of sqrt_table span 2^-40 .. 2^48, so level 45 fails in its first
+# round; the cells 0 and 2^56 meet only at nu = -12, past the knots 2^-50 ..
+# 2^10 of the short table written below; the level-600 supremum under
+# power(1) (2^-600 * 1e-200) underflows
+_ERROR_SEQ = DyadicSequence(
+    1, {(45, (0,)): 1.0, (45, (1,)): 0.5, (45, (1 << 56,)): 0.25, (600, (3,)): 1e-200}
+)
+_ERROR_SPACES = {
+    "table": "s=0.5,p=2,q=2,phi=table(%s),d=1" % _SQRT_TABLE,
+    "short_table": "s=0.5,p=2,q=2,phi=table({short}),d=1",
+    "underflow": "s=-3,p=1,q=1,phi=power(1),d=1",
+    "overflow": "s=4,p=2,q=2,phi=power(2),d=1",  # 2^2400 * 1e-290 in lq_norm
+    "fine": "s=0,p=2,q=2,phi=power(2),d=1",
+    "other_d": "s=0,p=2,q=2,phi=power(2),d=2",
+}
+
+
+def _outcome(norm):
+    try:
+        return norm()
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+def test_n_norms_raise_what_the_calls_in_order_raise_first(tmp_path):
+    # a space that fails in the first round of a level leaves the merge, and
+    # the others go on to the rounds where they fail themselves
+    short = tmp_path / "short_table.csv"
+    short.write_text("t,value\n" + "".join(
+        "%r,%r\n" % (2.0 ** k, 2.0 ** (k / 2)) for k in range(-50, 11)
+    ))
+    parsed = {
+        name: parse_space_params(text.format(short=short))
+        for name, text in _ERROR_SPACES.items()
+    }
+    for k in (1, 2, 3):
+        for names in itertools.permutations(sorted(parsed), k):
+            spaces = [parsed[name] for name in names]
+            first = _outcome(lambda: tuple(n_norm(_ERROR_SEQ, params) for params in spaces))
+            assert _outcome(lambda: n_norms(_ERROR_SEQ, spaces)) == first, names
+            # every space but "fine" fails on its own
+            assert isinstance(first[0], type) == (names != ("fine",)), names
 
 
 def test_constant_profile_collapses_to_sup():
