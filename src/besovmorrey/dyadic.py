@@ -34,17 +34,19 @@ shifts the coordinates and sorts them lexicographically instead.  Storage
 stays lexicographic either way.
 
 The groups depend on the coordinates alone; only the weights |value|**p
-depend on the space.  So ``n_norms`` norms a sequence in several spaces
-with one merge per level, which carries one weight array per space through
-the same permutations and sums; ``n_norm`` and ``level_quantity`` are that
-route for one space.  Nothing of a merge is cached on the sequence or kept
-after the call.
+depend on the space, and only through p.  So ``_merge`` returns plain
+numbers, the largest group weight of each round for each p, and each space
+turns them into its supremum.  ``n_norms`` calls ``n_norm`` on each space
+in order over one memo for the call, which merges each level once for every
+distinct p; nothing of a merge is cached on the sequence or kept after it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -396,9 +398,10 @@ def lq_norm(values, q, log2_weights=None):
 
     With ``log2_weights`` (one per value) it is the norm of the terms
     2**w * x.  Each term is split into a mantissa and a power of two, and
-    the sum runs over the terms divided by the largest such power, so no
-    weight, term or power of a term overflows or underflows on the way.  A
-    norm outside the range of positive floats raises DomainError.
+    the sum runs over the terms divided by the largest such power, or by
+    the largest term where that sum leaves the normal floats (q above about
+    1022), so no weight, term or power of a term overflows or underflows on
+    the way.  A norm outside the range of positive floats raises DomainError.
     """
     if q <= 0:
         raise DomainError("q must be positive")
@@ -422,14 +425,18 @@ def lq_norm(values, q, log2_weights=None):
         total = max(scaled)
     else:
         total = sum(x ** q for x in scaled)
-        try:
-            total **= 1.0 / q
-        except OverflowError:
-            # for small q the power leaves the floats before 2**top applies:
-            # move its whole binary orders into top
-            shift = math.log2(total) / q
-            top += math.floor(shift)
-            total = 2.0 ** (shift - math.floor(shift))
+        if total < sys.float_info.min:
+            largest = max(scaled)
+            total = largest * sum((x / largest) ** q for x in scaled) ** (1.0 / q)
+        else:
+            try:
+                total **= 1.0 / q
+            except OverflowError:
+                # for small q the power leaves the floats before 2**top
+                # applies: move its whole binary orders into top
+                shift = math.log2(total) / q
+                top += math.floor(shift)
+                total = 2.0 ** (shift - math.floor(shift))
     try:
         norm = math.ldexp(total, top)
     except OverflowError:
@@ -439,25 +446,35 @@ def lq_norm(values, q, log2_weights=None):
     return norm
 
 
-def level_quantity(seq, j, params):
-    """Per-level Morrey supremum of the level-j slice of the sequence:
-    ``_level_quantities`` for the one space."""
-    (quantity,) = _level_quantities(seq, j, (params,))
-    if isinstance(quantity, Exception):
-        raise quantity
-    return quantity
+def level_quantity(seq, j, params, *, _merges=None):
+    """Per-level Morrey supremum of the level-j slice of the sequence: the
+    largest candidate of the rounds nu = j, j-1, ... of its merge
+    (``_merge``), with phi evaluated once per round.  ``_merges`` is the
+    memo of an ``n_norms`` call."""
+    if j not in seq._levels:
+        return 0.0
+    scale, maxima = _merges(j) if _merges else _merge(*seq._levels[j], (params.p,))
+    p = params.p
+    best = 0.0
+    for nu, top in zip(itertools.count(j, -1), maxima[p]):
+        candidate = (
+            eval_phi(params.phi, 2.0 ** (-nu))
+            * 2.0 ** ((nu - j) * (params.d / p))
+            * scale
+            * top ** (1.0 / p)
+        )
+        if candidate > best:
+            best = candidate
+    return best
 
 
-def _level_quantities(seq, j, spaces):
-    """level_quantity of the level-j slice in each of the spaces, from one
-    merge of its cells.
+def _merge(coords, values, ps):
+    """Merge one level's cells into their groups in each coarser level of
+    cubes, for each exponent p of ps at once.
 
-    Returns, per space, the supremum or the exception that space's own
-    level_quantity call raises; a space that raised leaves the merge, which
-    stops once every space has.  The candidates come one level nu = j,
-    j-1, ... at a time from ``_merged_weights``, which carries one weight
-    array (|value|/max)**p per space through the same groups; phi is
-    evaluated once per level and space.
+    Returns the largest |value| and, per p, the largest group weight
+    sum (|value|/largest)**p of each round nu = j, j-1, ...; the weights
+    of all exponents go through the same permutations and sums.
 
     The merge keeps one int64 Z-order key per group, sorted once: a parent's
     key is its child's shifted right by d, so the parents of a Z-sorted
@@ -468,40 +485,18 @@ def _level_quantities(seq, j, spaces):
     shift, lexsort and sum the coordinates instead.  Both routes sum each
     group's children in lexicographic order, and each weight array is
     permuted and summed exactly as if it were merged alone, so the result
-    is the same to the bit whichever route ran and however many spaces
-    share the merge.  Nothing of the merge is kept after the call.
+    is the same to the bit whichever route ran and however many exponents
+    share the merge.
     """
-    if j not in seq._levels:
-        return [0.0] * len(spaces)
-    coords, values = seq._levels[j]
     # scaled by the largest magnitude so |value|**p neither overflows nor
-    # underflows; freed once each space has its weights
+    # underflows; freed once each exponent has its weights
     ratios = np.abs(values)
     scale = float(ratios.max())
     ratios /= scale
-    rows = [ratios ** params.p for params in spaces]
+    rows = [ratios ** p for p in ps]
     del ratios
-    best = [0.0] * len(spaces)
-    for nu, rows in zip(itertools.count(j, -1), _merged_weights(coords, rows)):
-        for k, params in enumerate(spaces):
-            if rows[k] is None:
-                continue
-            p = params.p
-            try:
-                candidate = (
-                    eval_phi(params.phi, 2.0 ** (-nu))
-                    * 2.0 ** ((nu - j) * (params.d / p))
-                    * scale
-                    * float(rows[k].max()) ** (1.0 / p)
-                )
-            except Exception as exc:  # raised for this space alone
-                best[k], rows[k] = exc, None
-                continue
-            if candidate > best[k]:
-                best[k] = candidate
-        if all(row is None for row in rows):
-            break
-    return best
+    rounds = [[float(row.max()) for row in weights] for weights in _merged_weights(coords, rows)]
+    return scale, dict(zip(ps, zip(*rounds)))
 
 
 def _merged_weights(coords, rows):
@@ -509,8 +504,7 @@ def _merged_weights(coords, rows):
     order) into the groups they form in each coarser level of cubes, until
     the groups have settled, carrying every weight array of the list rows
     along.  Yields rows once per level, first for the cells themselves,
-    each array then holding the summed weights of the groups; an entry the
-    caller sets to None is no longer carried.
+    each array then holding the summed weights of the groups.
 
     Every cube lies in one coordinate orthant, so the groups have settled
     once no two of them share one; that needs at most 2**d groups.  A group
@@ -555,8 +549,7 @@ def _carry(rows, order, starts):
     """_regroup every weight array of rows in place, one at a time, so
     only one new array is alive besides the old ones."""
     for k in range(len(rows)):
-        if rows[k] is not None:
-            rows[k] = _regroup(rows[k], order, starts)
+        rows[k] = _regroup(rows[k], order, starts)
 
 
 def _z_keys(coords, top):
@@ -592,50 +585,36 @@ def _z_keys(coords, top):
     return keys
 
 
-def n_norm(seq, params):
-    """Quasi-norm of the sequence in the space described by params."""
-    return n_norms(seq, (params,))[0]
+def n_norm(seq, params, *, _merges=None):
+    """Quasi-norm of the sequence in the space described by params, from
+    one ``level_quantity`` per level.  ``_merges`` is the memo an
+    ``n_norms`` call shares among its spaces."""
+    if seq.d != params.d:
+        raise DomainError(
+            "sequence dimension %d does not match space dimension %d" % (seq.d, params.d)
+        )
+    levels = seq.levels()
+    quantities = []
+    for j in levels:
+        try:
+            quantity = level_quantity(seq, j, params, _merges=_merges)
+        except ExtrapolationError as exc:
+            raise ExtrapolationError("level %d: %s" % (j, exc))
+        if not 0.0 < quantity < INF:
+            raise FloatRangeError("level %d: the Morrey supremum is outside the float range" % j)
+        quantities.append(quantity)
+    return lq_norm(quantities, params.q, [j * params.s for j in levels])
 
 
 def n_norms(seq, spaces):
-    """Quasi-norms of the sequence in each of the spaces, as a tuple.
-
-    Each level is merged once for every space (``_level_quantities``), and
-    nothing is cached.  The numbers are those of n_norm on each space, and
-    the exception raised is the one that calling n_norm on each space in
-    order would raise first: each space's first error is kept in level
-    order, and the one of the earliest space is raised.
-    """
+    """Quasi-norms of the sequence in each of the spaces, as a tuple: n_norm
+    on each space in order, so the numbers and the first error raised are
+    theirs.  The calls share one memo, which merges each level once for
+    every distinct p on first use; nothing is kept after the call."""
     spaces = tuple(spaces)
-    errors = [
-        None if params.d == seq.d else DomainError(
-            "sequence dimension %d does not match space dimension %d" % (seq.d, params.d)
-        )
-        for params in spaces
-    ]
-    levels = seq.levels()
-    quantities = [[] for _ in spaces]
-    for j in levels:
-        live = [k for k, err in enumerate(errors) if err is None]
-        if not live:
-            break
-        for k, quantity in zip(live, _level_quantities(seq, j, [spaces[k] for k in live])):
-            if isinstance(quantity, ExtrapolationError):
-                errors[k] = ExtrapolationError("level %d: %s" % (j, quantity))
-            elif isinstance(quantity, Exception):
-                errors[k] = quantity
-            elif not 0.0 < quantity < INF:
-                errors[k] = FloatRangeError(
-                    "level %d: the Morrey supremum is outside the float range" % j
-                )
-            else:
-                quantities[k].append(quantity)
-    norms = []
-    for params, err, found in zip(spaces, errors, quantities):
-        if err is not None:
-            raise err
-        norms.append(lq_norm(found, params.q, [j * params.s for j in levels]))
-    return tuple(norms)
+    ps = tuple(dict.fromkeys(params.p for params in spaces))
+    merges = functools.cache(lambda j: _merge(*seq._levels[j], ps))
+    return tuple(n_norm(seq, params, _merges=merges) for params in spaces)
 
 
 def n_norm_via_morrey(seq, params):

@@ -327,6 +327,15 @@ def test_norm_with_a_small_q_leaves_the_float_range_with_exit_65(tmp_path, capsy
     assert captured.err == "%s: the norm, about 2^2050, is outside the float range\n" % path
 
 
+@pytest.mark.parametrize("q", ["1100", "2000", "1e20"])
+def test_norm_with_a_large_q_prints_the_norm(tmp_path, capsys, q):
+    # the ell_q sum of terms scaled into [0.5, 1) underflowed: exit 65
+    code, _ = _norm(tmp_path, "s=0,p=2,q=%s,phi=power(2),d=1" % q, "0,0,1.0\n1,0,0.5\n")
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert captured.out.endswith("entries=2\nnorm=1.0\n")
+
+
 @pytest.mark.parametrize(
     "space, rows, message",
     [
@@ -722,11 +731,17 @@ _ODD = {
 }
 
 
+_SQRT_TABLE = Path(__file__).parent / "data" / "sweep_small" / "sqrt_table.csv"
+
+
 def _space_strategies(odd):
     """Draws for s, p, q and the profile: usual values only, or odd ones
-    among them, malformed profiles included."""
+    among them, malformed profiles included.  The knot table t^(1/2) on
+    [2^-40, 2^48] makes exit 2 and the per-level extrapolation error
+    reachable."""
     value = {key: st.sampled_from(_USUAL[key] + (_ODD[key] if odd else [])) for key in _USUAL}
     profiles = [
+        st.just("table(%s)" % _SQRT_TABLE),
         st.builds("{}({})".format, st.sampled_from(["power", "capped", "floorone", "const"]),
                   value["arg"]),
         st.builds("{}({},{})".format, st.sampled_from(["twopower", "powerlog", "cappedlog"]),

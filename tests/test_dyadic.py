@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from besovmorrey import dyadic
 from besovmorrey import phi as phimod
 from besovmorrey.dyadic import (
     INF,
@@ -280,6 +281,29 @@ def test_n_norms_raise_what_the_calls_in_order_raise_first(tmp_path):
             assert isinstance(first[0], type) == (names != ("fine",)), names
 
 
+def test_n_norms_merge_each_level_once(monkeypatch):
+    # the spaces share one merge per level, for both distinct exponents
+    merges = []
+    merge = dyadic._merge
+
+    def counted(coords, values, ps):
+        merges.append((len(values), ps))
+        return merge(coords, values, ps)
+
+    monkeypatch.setattr(dyadic, "_merge", counted)
+    seq = DyadicSequence(1, {(2, (0,)): 1.0, (2, (3,)): 2.0, (5, (7,)): 0.5})
+    spaces = [
+        parse_space_params("s=%s,p=%s,q=2,phi=power(%s),d=1" % (s, p, p))
+        for s, p in [("0", "2"), ("0.5", "1"), ("1", "2")]
+    ]
+    norms = n_norms(seq, spaces)
+    assert merges == [(2, (2.0, 1.0)), (1, (2.0, 1.0))]
+    # alone, n_norm merges each level once for its own exponent
+    del merges[:]
+    assert norms == tuple(n_norm(seq, params) for params in spaces)
+    assert merges == [(n, (params.p,)) for params in spaces for n in (2, 1)]
+
+
 def test_constant_profile_collapses_to_sup():
     # with a constant weight the quantity is the plain level supremum for
     # every integrability exponent
@@ -447,6 +471,17 @@ def test_lq_norm_scales_by_the_largest_term():
         lq_norm([1e-300], 2.0, [-100])
     with pytest.raises(DomainError, match="not finite"):
         lq_norm([math.inf], 2.0)
+
+
+@pytest.mark.parametrize("q", [1100.0, 2000.0, 1e20])
+def test_lq_norm_with_a_large_q_sums_relative_to_the_largest_term(q):
+    # each term scaled into [0.5, 1) has a q-th power below the floats, so
+    # the ell_q sum underflowed to 0 and the norm near 1 was refused
+    assert lq_norm([1.0, 0.5], q) == 1.0
+    assert lq_norm([2.0 ** -600, 3.0], q, [600, 0]) == 3.0
+    seq = DyadicSequence(1, {(0, (0,)): 1.0, (1, (0,)): 0.5})
+    params = parse_space_params("s=0,p=2,q=%r,phi=power(2),d=1" % q)
+    assert n_norm(seq, params) == 1.0
 
 
 def test_n_norm_at_extreme_levels_and_values():

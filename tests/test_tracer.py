@@ -30,3 +30,19 @@ def test_tracer_installs_on_the_package():
     finally:
         tracer.uninstall()
     assert cli.n_norm is original and dyadic.n_norm is original
+
+
+def test_tracer_counts_the_norms_of_a_witness_scan(capsys):
+    # n_norms reaches n_norm and level_quantity through the module's
+    # bindings, so the trace counts every norm of every witness
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["witness", "--source", "s=0,p=2,q=2,phi=capped(2),d=1",
+                         "--target", "s=0,p=2,q=2,phi=power(2),d=1", "--depth", "3"])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    calls = dict(zip(tracer.names, (row[0] for row in tracer.agg)))
+    assert calls["dyadic.n_norm"] > 0 and calls["dyadic.level_quantity"] > 0
