@@ -10,6 +10,11 @@ of weight profiles, with rho = min(1, p1/p2) and the interpolation index
   the sequence 2**(j(s2-s1)) * alpha_j * phi1(2**-j)**(rho-1) must lie in
   ell_{q*}.
 
+Together the two conditions are necessary and sufficient, so every verdict
+follows from the two condition reports by one rule: the embedding fails if
+either condition is violated, holds if both are satisfied, and is
+undetermined otherwise.
+
 Profiles with power-log asymptotics at both ends admit an exact decision:
 each condition collapses to sign tests on the exponents, since both reduce
 to membership of a sequence 2**(-j gamma) * (1+j)**delta in ell_{q*}.
@@ -81,7 +86,10 @@ class ConditionReport:
 
 @dataclass(frozen=True)
 class EmbeddingVerdict:
-    """``constant``, set only when the embedding holds, is the q*-th root of
+    """The outcome follows from the two condition reports: "fails" if either
+    is violated, "holds" if both are satisfied, "undetermined" otherwise.
+
+    ``constant``, set only when the embedding holds, is the q*-th root of
     the sampled partial ell_{q*} sum of the cross-level sequence over the
     window (j_max, nu_min), or its sampled sup when q* = inf.  It is not an
     embedding constant, and it is inf when that root leaves the float range."""
@@ -159,12 +167,15 @@ def _tail_in_lqstar(gamma, delta, qs):
     return delta * qs < -1.0
 
 
-def _cross_level(gamma, delta, qs, cond0_ok=True, value=0.0, suffix=""):
-    """Whether the cross-level sequence 2**(-j gamma) * (1+j)**delta lies in
-    ell_{q*} (and the large-cube condition holds), with its report."""
-    ok = cond0_ok and _tail_in_lqstar(gamma, delta, qs)
-    return ok, ConditionReport(
-        "satisfied" if ok else "violated",
+def _status(ok):
+    return "satisfied" if ok else "violated"
+
+
+def _cross_level(gamma, delta, qs, value=0.0, suffix=""):
+    """The report on whether the cross-level sequence
+    2**(-j gamma) * (1+j)**delta lies in ell_{q*}."""
+    return ConditionReport(
+        _status(_tail_in_lqstar(gamma, delta, qs)),
         value,
         "cross-level decay 2^(-j*%r)*(1+j)^%r%s" % (gamma, delta, suffix),
     )
@@ -172,6 +183,28 @@ def _cross_level(gamma, delta, qs, cond0_ok=True, value=0.0, suffix=""):
 
 #: The cross-level report when the large-cube condition already fails.
 _DIVERGES = ConditionReport("violated", detail="running maxima diverge")
+
+
+def _verdict(query, method, cond0, cond2, constant=None, notes=()):
+    """The one constructor of EmbeddingVerdict: the outcome by the rule on
+    the two condition reports, rho and q* from the query, and the constant
+    kept only for a holding verdict."""
+    if "violated" in (cond0.status, cond2.status):
+        outcome = "fails"
+    elif cond0.status == cond2.status == "satisfied":
+        outcome = "holds"
+    else:
+        outcome = "undetermined"
+    return EmbeddingVerdict(
+        outcome=outcome,
+        rho=query.rho,
+        q_star=q_star(query.source.q, query.target.q),
+        cond0=cond0,
+        cond2=cond2,
+        method=method,
+        constant=constant if outcome == "holds" else None,
+        notes=notes,
+    )
 
 
 def _geometric_tail(values):
@@ -322,88 +355,40 @@ def decide(query, j_max=DEFAULT_J_MAX, nu_min=DEFAULT_NU_MIN):
         pr1 = asymptotic_profile(src.phi)
         pr2 = asymptotic_profile(tgt.phi)
     except NoProfileError:
-        return _decide_sampled(query, rho, qs, key)
+        _, _, _, (st0, v0) = _pair_diagnostics(*key)
+        st2, v2 = _point_diagnostics(*key, tgt.s - src.s, qs)
+        cond0 = ConditionReport(st0, v0, "sampled ratio on large cubes")
+        cond2 = ConditionReport(st2, v2, "sampled cross-level partial quantities")
+        notes = ("sampled verdicts depend on the scan window",)
+        return _verdict(query, "sampled", cond0, cond2, constant=v2, notes=notes)
 
     lhs = pr2.a_inf - rho * pr1.a_inf
     cond0_ok = lhs < 0.0 or (lhs == 0.0 and pr2.b_inf <= rho * pr1.b_inf)
     _, _, sup_R, _ = _pair_diagnostics(*key)
     cond0 = ConditionReport(
-        status="satisfied" if cond0_ok else "violated",
-        value=sup_R,
-        detail="large-cube ratio exponent %r, log order gap %r"
-        % (lhs, pr2.b_inf - rho * pr1.b_inf),
+        _status(cond0_ok),
+        sup_R,
+        "large-cube ratio exponent %r, log order gap %r" % (lhs, pr2.b_inf - rho * pr1.b_inf),
     )
-
     if not cond0_ok:
         cond2 = ConditionReport(
-            status="violated",
-            value=math.inf,
-            detail="running maxima diverge with the large-cube ratio",
+            "violated", math.inf, "running maxima diverge with the large-cube ratio"
         )
-        return EmbeddingVerdict(
-            outcome="fails",
-            rho=rho,
-            q_star=qs,
-            cond0=cond0,
-            cond2=cond2,
-            method="profile",
-            notes=("ratio of profiles unbounded on large cubes",),
+        return _verdict(
+            query, "profile", cond0, cond2, notes=("ratio of profiles unbounded on large cubes",)
         )
 
     gamma, delta = _cond2_exponents(pr1, pr2, src.s, tgt.s, rho)
     _, partial = _point_diagnostics(*key, tgt.s - src.s, qs)
-    holds, cond2 = _cross_level(
-        gamma, delta, qs, value=partial,
-        suffix=" against q*=%s" % ("inf" if qs == INF else repr(qs)),
+    cond2 = _cross_level(
+        gamma, delta, qs, partial, " against q*=%s" % ("inf" if qs == INF else repr(qs))
     )
-    return EmbeddingVerdict(
-        outcome="holds" if holds else "fails",
-        rho=rho,
-        q_star=qs,
-        cond0=cond0,
-        cond2=cond2,
-        method="profile",
-        constant=partial if holds else None,
-        notes=("the embedding is not compact",) if holds else (),
-    )
-
-
-def _decide_sampled(query, rho, qs, key):
-    _, _, _, (st0, v0) = _pair_diagnostics(*key)
-    st2, v2 = _point_diagnostics(*key, query.target.s - query.source.s, qs)
-    cond0 = ConditionReport(st0, v0, "sampled ratio on large cubes")
-    cond2 = ConditionReport(st2, v2, "sampled cross-level partial quantities")
-    if st0 == "violated" or st2 == "violated":
-        outcome = "fails"
-    elif st0 == "satisfied" and st2 == "satisfied":
-        outcome = "holds"
-    else:
-        outcome = "undetermined"
-    return EmbeddingVerdict(
-        outcome=outcome,
-        rho=rho,
-        q_star=qs,
-        cond0=cond0,
-        cond2=cond2,
-        method="sampled",
-        constant=v2 if outcome == "holds" else None,
-        notes=("sampled verdicts depend on the scan window",),
-    )
+    notes = ("the embedding is not compact",) if cond2.status == "satisfied" else ()
+    return _verdict(query, "profile", cond0, cond2, constant=partial, notes=notes)
 
 
 # ---------------------------------------------------------------------------
 # specialised decision rules
-
-
-def _specialised_verdict(query, outcome, method, cond0, cond2):
-    return EmbeddingVerdict(
-        outcome=outcome,
-        rho=query.rho,
-        q_star=q_star(query.source.q, query.target.q),
-        cond0=cond0,
-        cond2=cond2,
-        method=method,
-    )
 
 
 def decide_same_phi(query):
@@ -415,28 +400,21 @@ def decide_same_phi(query):
     src, tgt = query.source, query.target
     if src.phi != tgt.phi:
         raise NotApplicableError("the spaces do not share a profile")
-    qs = q_star(src.q, tgt.q)
     if src.p >= tgt.p:
         ok = src.s > tgt.s or (src.s == tgt.s and src.q <= tgt.q)
         cond0 = ConditionReport("satisfied", 1.0, "identical profiles, rho = 1")
-        cond2 = ConditionReport(
-            "satisfied" if ok else "violated",
-            detail="needs s1 > s2, or s1 = s2 with q1 <= q2",
-        )
-        return _specialised_verdict(query, "holds" if ok else "fails", "same-phi", cond0, cond2)
+        cond2 = ConditionReport(_status(ok), detail="needs s1 > s2, or s1 = s2 with q1 <= q2")
+        return _verdict(query, "same-phi", cond0, cond2)
     prof = asymptotic_profile(src.phi)
-    rho = query.rho
     bounded = prof.a_inf == 0.0 and prof.b_inf <= 0.0
     cond0 = ConditionReport(
-        "satisfied" if bounded else "violated",
-        detail="losing local integrability needs a bounded profile",
+        _status(bounded), detail="losing local integrability needs a bounded profile"
     )
     if not bounded:
-        return _specialised_verdict(query, "fails", "same-phi", cond0, _DIVERGES)
-    gamma = src.s - tgt.s + prof.a_zero * (rho - 1.0)
-    delta = prof.b_zero * (rho - 1.0)
-    ok, cond2 = _cross_level(gamma, delta, qs)
-    return _specialised_verdict(query, "holds" if ok else "fails", "same-phi", cond0, cond2)
+        return _verdict(query, "same-phi", cond0, _DIVERGES)
+    gamma = src.s - tgt.s + prof.a_zero * (query.rho - 1.0)
+    delta = prof.b_zero * (query.rho - 1.0)
+    return _verdict(query, "same-phi", cond0, _cross_level(gamma, delta, q_star(src.q, tgt.q)))
 
 
 def decide_into_besov(source, s2, p2, q2):
@@ -450,22 +428,17 @@ def decide_into_besov(source, s2, p2, q2):
     src = source
     target = SpaceParams(s=s2, p=p2, q=q2, phi=power(p2, d=src.d), d=src.d)
     query = EmbeddingQuery(source=src, target=target)
-    qs = q_star(src.q, q2)
-    rho = query.rho
     prof = asymptotic_profile(src.phi)
-    dp1 = src.d / src.p
-    natural = prof.a_inf == dp1 and prof.b_inf == 0.0
+    natural = prof.a_inf == src.d / src.p and prof.b_inf == 0.0
     ok0 = src.p <= p2 and natural
     cond0 = ConditionReport(
-        "satisfied" if ok0 else "violated",
-        detail="needs p1 <= p2 and the pure power t^(d/p1) on large cubes",
+        _status(ok0), detail="needs p1 <= p2 and the pure power t^(d/p1) on large cubes"
     )
     if not ok0:
-        return _specialised_verdict(query, "fails", "into-besov", cond0, _DIVERGES)
-    gamma = src.s - s2 + prof.a_zero * (rho - 1.0)
-    delta = prof.b_zero * (rho - 1.0)
-    ok, cond2 = _cross_level(gamma, delta, qs)
-    return _specialised_verdict(query, "holds" if ok else "fails", "into-besov", cond0, cond2)
+        return _verdict(query, "into-besov", cond0, _DIVERGES)
+    gamma = src.s - s2 + prof.a_zero * (query.rho - 1.0)
+    delta = prof.b_zero * (query.rho - 1.0)
+    return _verdict(query, "into-besov", cond0, _cross_level(gamma, delta, q_star(src.q, q2)))
 
 
 def decide_from_besov(s1, p1, q1, target):
@@ -484,26 +457,18 @@ def decide_from_besov(s1, p1, q1, target):
     dp1 = tgt.d / p1
     if p1 <= tgt.p:
         cond0 = ConditionReport("satisfied", detail="automatic for p1 <= p2")
-        gamma = s1 - tgt.s - dp1 + prof.a_zero
-        delta = prof.b_zero
-        ok, cond2 = _cross_level(gamma, delta, qs)
-        return _specialised_verdict(query, "holds" if ok else "fails", "from-besov", cond0, cond2)
+        cond2 = _cross_level(s1 - tgt.s - dp1 + prof.a_zero, prof.b_zero, qs)
+        return _verdict(query, "from-besov", cond0, cond2)
     ok0 = prof.a_inf < dp1 or (prof.a_inf == dp1 and prof.b_inf <= 0.0)
-    cond0 = ConditionReport(
-        "satisfied" if ok0 else "violated",
-        detail="target profile against t^(d/p1) on large cubes",
-    )
+    cond0 = ConditionReport(_status(ok0), detail="target profile against t^(d/p1) on large cubes")
     if not ok0:
-        return _specialised_verdict(query, "fails", "from-besov", cond0, _DIVERGES)
+        return _verdict(query, "from-besov", cond0, _DIVERGES)
     head = dp1 - prof.a_zero
     if head > 0.0 or (head == 0.0 and prof.b_zero > 0.0):
-        gamma = s1 - tgt.s - head
-        delta = prof.b_zero
+        cond2 = _cross_level(s1 - tgt.s - head, prof.b_zero, qs)
     else:
-        gamma = s1 - tgt.s
-        delta = 0.0
-    ok, cond2 = _cross_level(gamma, delta, qs)
-    return _specialised_verdict(query, "holds" if ok else "fails", "from-besov", cond0, cond2)
+        cond2 = _cross_level(s1 - tgt.s, 0.0, qs)
+    return _verdict(query, "from-besov", cond0, cond2)
 
 
 def spaces_equal(first, second):
@@ -570,52 +535,28 @@ def decide_under_IS(query):
 
     lhs = pr2.a_inf - rho * pr1.a_inf
     cond0_ok = lhs < 0.0 or (lhs == 0.0 and pr2.b_inf <= rho * pr1.b_inf)
-    cond0 = ConditionReport(
-        "satisfied" if cond0_ok else "violated", detail="large-cube ratio"
-    )
+    cond0 = ConditionReport(_status(cond0_ok), detail="large-cube ratio")
 
     if is1.has_I:
-        tail_ok = _tail_in_lqstar(src.s - tgt.s, 0.0, qs)
-        if cond0_ok:
-            cond2 = ConditionReport(
-                "satisfied" if tail_ok else "violated",
-                detail="plain cross-level decay 2^(j(s2-s1))",
-            )
-        else:
-            cond2 = _DIVERGES
-        ok = cond0_ok and tail_ok
-        return _specialised_verdict(
-            query, "holds" if ok else "fails", "IS:source-bounded-below", cond0, cond2
+        cond2 = ConditionReport(
+            _status(_tail_in_lqstar(src.s - tgt.s, 0.0, qs)),
+            detail="plain cross-level decay 2^(j(s2-s1))",
+        )
+        return _verdict(
+            query, "IS:source-bounded-below", cond0, cond2 if cond0_ok else _DIVERGES
         )
     if is2.has_I:
-        gamma = src.s - tgt.s - pr1.a_zero
-        delta = -pr1.b_zero
-        ok, cond2 = _cross_level(gamma, delta, qs, cond0_ok)
-        return _specialised_verdict(
-            query,
-            "holds" if ok else "fails",
-            "IS:target-bounded-below",
-            cond0,
-            cond2 if cond0_ok else _DIVERGES,
+        cond2 = _cross_level(src.s - tgt.s - pr1.a_zero, -pr1.b_zero, qs)
+        return _verdict(
+            query, "IS:target-bounded-below", cond0, cond2 if cond0_ok else _DIVERGES
         )
     if is2.has_S:
-        gamma, delta = _cond2_exponents(pr1, pr2, src.s, tgt.s, rho)
-        ok, cond2 = _cross_level(gamma, delta, qs)
-        return _specialised_verdict(
-            query,
-            "holds" if ok else "fails",
-            "IS:target-bounded-above",
-            ConditionReport("satisfied", detail="automatic against a bounded target profile"),
-            cond2,
-        )
+        cond0 = ConditionReport("satisfied", detail="automatic against a bounded target profile")
+        cond2 = _cross_level(*_cond2_exponents(pr1, pr2, src.s, tgt.s, rho), qs)
+        return _verdict(query, "IS:target-bounded-above", cond0, cond2)
     if is1.has_S:
-        return _specialised_verdict(
-            query,
-            "fails",
-            "IS:source-bounded-above",
-            ConditionReport("violated", detail="target profile unbounded above"),
-            _DIVERGES,
-        )
+        cond0 = ConditionReport("violated", detail="target profile unbounded above")
+        return _verdict(query, "IS:source-bounded-above", cond0, _DIVERGES)
     raise NotApplicableError("neither profile is extremal on either side")
 
 

@@ -13,10 +13,6 @@ class TableFormatError(DomainError):
     """A profile table file is missing or its content cannot be parsed."""
 
 
-class NoProfileError(DomainError):
-    """Asked for power-log asymptotics of a profile that has none."""
-
-
 class FloatRangeError(DomainError):
     """A computed norm or supremum leaves the positive finite floats."""
 
@@ -35,6 +31,12 @@ class WitnessSelectionError(RuntimeError):
 
 class NotApplicableError(DomainError):
     """A specialised decision rule was invoked outside its hypotheses."""
+
+
+class NoProfileError(NotApplicableError):
+    """Asked for power-log asymptotics of a profile that has none.  The
+    specialised decision rules need them, so a tabulated profile is outside
+    their hypotheses."""
 
 
 class ResolutionError(DomainError):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -874,3 +875,104 @@ def test_fuzz_norm_command_lines(norm_files, data):
     assert "Traceback" not in err
     assert err == "" if code == 0 else err.endswith("\n") and err.count("\n") == 1, (argv, err)
     assert peak < 1 << 24, (argv, peak)
+
+
+def _outcome_by_rule(cond0, cond2):
+    """The outcome the two condition statuses give."""
+    if "violated" in (cond0, cond2):
+        return "fails"
+    return "holds" if cond0 == cond2 == "satisfied" else "undetermined"
+
+
+def _ini_lines(block):
+    """An inline space block as INI key = value lines."""
+    return ["%s = %s" % tuple(item.split("=", 1)) for item in re.split(r",(?=\w+=)", block)]
+
+
+def _sweep_values(value, profiles):
+    """Per sweep field, one to three alternatives from the pools, and "x"
+    for a field that does not exist."""
+    pools = dict(value, phi=profiles, d=st.sampled_from(["1", "2", "3", "0", "1.5"]),
+                 x=value["s"])
+    return {field: st.lists(pool, min_size=1, max_size=3) for field, pool in pools.items()}
+
+
+_SWEEP_VALUES = [_sweep_values(*spaces) for spaces in _SPACES]
+_SWEEP_KEYS = st.lists(
+    st.tuples(st.sampled_from(["source", "target"] * 8 + ["other"]),
+              st.sampled_from(["s", "p", "q", "phi", "phi", "d"] * 4 + ["x"])),
+    min_size=1, max_size=3, unique=True,
+)
+_RARELY = st.sampled_from([False] * 15 + [True])
+# the window edges: in range three draws in four, "x" only from the config
+_WINDOW_EDGES = {
+    key: st.sampled_from(inside * 3 + outside)
+    for key, inside, outside in [
+        ("numin", ["-1074", "-64", "-1", "0"], ["-1075", "1"]),
+        ("jmax", ["0", "1", "64", "1074"], ["-1", "1075"]),
+    ]
+}
+
+
+@st.composite
+def _sweep_configs(draw):
+    """A sweep config: [source] and [target] from two space blocks (the
+    target's d sometimes left to inherit), a [sweep] of one to three keys
+    with one to three alternatives each (an odd key or an empty one now
+    and then), and a window from [run] or the flags at their edges."""
+    d = draw(st.sampled_from(["1", "2", "3"]))
+    lines = ["[source]"] + _ini_lines(draw(_block())) + ["d = " + d]
+    lines += ["[target]"] + _ini_lines(draw(_block()))
+    if draw(st.booleans()):
+        lines.append("d = " + d)
+    lines.append("[sweep]")
+    for side, field in draw(_SWEEP_KEYS):
+        values = draw(_SWEEP_VALUES[draw(st.integers(0, 3)) == 3][field])
+        if draw(_RARELY):
+            values = []
+        lines.append("%s.%s = %s" % (side, field, "; ".join(values)))
+    lines.append("[run]")
+    argv = ["sweep"]
+    for key in ("jmax", "numin"):
+        where = draw(st.sampled_from(["run", "flag", None]))
+        edge = draw(_WINDOW_EDGES[key])
+        if where == "run":
+            lines.append("%s = %s" % (key, "x" if draw(_RARELY) else edge))
+        elif where == "flag":
+            argv += ["--" + key, edge]
+    return "\n".join(lines) + "\n", argv
+
+
+@pytest.fixture(scope="module")
+def sweep_config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("sweep_fuzz") / "grid.ini"
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(config=_sweep_configs())
+def test_fuzz_sweep_command_lines(sweep_config_path, config):
+    # the grid cap is lowered so that small grids reach it; every decided
+    # point must follow the outcome rule from its two condition statuses
+    text, argv = config
+    # a fresh file each time: rewriting one in place can be slow on some file systems
+    sweep_config_path.unlink(missing_ok=True)
+    sweep_config_path.write_text(text, encoding="utf-8")
+    with mock.patch.object(cli, "MAX_SWEEP", 12):
+        out, err = io.StringIO(), io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv + ["--config", str(sweep_config_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    err = err.getvalue()
+    assert code in (0, 64, 65, 66), (text, argv, err)
+    assert "Traceback" not in err
+    assert err == "" if code == 0 else err.endswith("\n") and err.count("\n") == 1, (text, err)
+    assert peak < 1 << 24, (text, argv, peak)
+    for line in out.getvalue().splitlines()[1:]:
+        record = json.loads(line)
+        if record["outcome"] != "error":
+            rule = _outcome_by_rule(record["cond0_status"], record["cond2_status"])
+            assert record["outcome"] == rule, (text, record)

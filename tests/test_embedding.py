@@ -296,3 +296,30 @@ def test_sampled_route_for_tables():
     up = decide(EmbeddingQuery(source=mk(0.0, 2.0), target=mk(3.0, 2.0)))
     assert up.outcome == "fails"
     assert up.cond2.status == "violated"
+
+
+_KNOTS = tabulated([2.0 ** k for k in range(-8, 9)], [2.0 ** (k / 2) for k in range(-8, 9)])
+_TABLE = SpaceParams(s=0.5, p=1.0, q=2.0, phi=_KNOTS, d=1)
+_WIDER_TABLE = SpaceParams(s=0.0, p=2.0, q=2.0, phi=_KNOTS, d=1)
+_POWER = sp("s=0,p=2,q=2,phi=power(2)")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: decide_same_phi(EmbeddingQuery(source=_TABLE, target=_WIDER_TABLE)),
+        lambda: decide_into_besov(_TABLE, 0.0, 2.0, 2.0),
+        lambda: decide_from_besov(1.0, 2.0, 2.0, _TABLE),
+        lambda: decide_under_IS(EmbeddingQuery(source=_TABLE, target=_POWER)),
+        lambda: decide_under_IS(EmbeddingQuery(source=_POWER, target=_TABLE)),
+        lambda: spaces_equal(_TABLE, _TABLE),
+        lambda: decide_lebesgue_targets(_TABLE, INF),
+    ],
+    ids=["same-phi", "into-besov", "from-besov", "under-IS-source", "under-IS-target",
+         "spaces-equal", "lebesgue-targets"],
+)
+def test_specialised_deciders_refuse_a_table_profile(call):
+    # a knot table has no power-log asymptotics, which every specialised
+    # rule needs: the documented `except NotApplicableError` guard catches it
+    with pytest.raises(NotApplicableError, match="no power-log asymptotics"):
+        call()

@@ -7,6 +7,7 @@ the tier-1 suite, not only a traced benchmark run.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 from besovmorrey import cli, dyadic
@@ -46,3 +47,24 @@ def test_tracer_counts_the_norms_of_a_witness_scan(capsys):
     assert code == 0
     calls = dict(zip(tracer.names, (row[0] for row in tracer.agg)))
     assert calls["dyadic.n_norm"] > 0 and calls["dyadic.level_quantity"] > 0
+
+
+def test_tracer_counts_one_decide_per_sweep_point(tmp_path, monkeypatch, capsys):
+    # tests/data/sweep_small has 72 grid points, 18 of them error records; a
+    # table source is decided inside decide too, so the trace sees every point
+    monkeypatch.chdir(Path(__file__).parent / "data" / "sweep_small")
+    out = tmp_path / "out.jsonl"
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["sweep", "--config", "grid.ini", "--out", str(out)])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    decided = [r for r in records if r["outcome"] != "error"]
+    assert (len(records), len(decided)) == (72, 54)
+    assert any(r["method"] == "sampled" for r in decided)
+    calls = dict(zip(tracer.names, (row[0] for row in tracer.agg)))
+    assert calls["embedding.decide"] == 54
