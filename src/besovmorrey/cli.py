@@ -15,11 +15,12 @@ Exit codes are part of the interface:
 * 2  the numeric classifier could not settle the question,
 * 64 malformed command line or config (including profile grammar errors,
       a profile with no positive float value at t = 1, a ``--numin``
-      outside [-1074, 0] or a ``--jmax`` outside [0, 1074], and an
-      ``analyze`` filter too long for the grid),
+      outside [-1074, 0] or a ``--jmax`` outside [0, 1074], an ``analyze``
+      filter order above 30 or a filter too long for the grid),
 * 65 a data file (coefficient CSV, sample CSV, knot table) that is not
       UTF-8, breaks the shared ``csvio`` grammar, leaves its bounds or has a
-      norm outside the float range; the one-line message starts ``<file>:``,
+      norm or wavelet coefficient outside the float range; the one-line
+      message starts ``<file>:``,
 * 66 a request larger than a hard cap (a sweep grid, or a witness with more
       cells than ``witness.MAX_CELLS``, a coefficient that overflows or
       underflows to 0, or a norm outside the float range),
@@ -365,6 +366,7 @@ def _cmd_analyze(args):
         system = daubechies_system(moments)
         depth = args.depth if args.depth is not None else f.js
         coeffs = wavelet_analyze(f, system, depth=depth, prune=args.prune)
+        details = sorted(coeffs.detail_sequences().items())
         if params is not None:
             estimate = function_norm_estimate(f, params, system=system)
     except FloatRangeError as exc:
@@ -385,7 +387,7 @@ def _cmd_analyze(args):
         level = np.full(len(nonzero[0]), coeffs.base_level)
         rows = np.column_stack([level] + [i + o for i, o in zip(nonzero, scale_off)])
         write_rows(handle, rows, scale_arr[nonzero], prefix="F" * f.d + ",")
-        for gender, seq in sorted(coeffs.detail_sequences().items()):
+        for gender, seq in details:
             j, m, values = seq.cells()
             write_rows(handle, np.column_stack((j, m)), values, prefix=gender + ",")
     if params is not None:

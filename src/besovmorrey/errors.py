@@ -14,7 +14,7 @@ class TableFormatError(DomainError):
 
 
 class FloatRangeError(DomainError):
-    """A computed norm or supremum leaves the positive finite floats."""
+    """A computed norm, supremum or wavelet coefficient leaves the finite floats."""
 
 
 class CapacityError(DomainError):

@@ -1,12 +1,15 @@
 """Daubechies filter banks, discrete wavelet analysis and norm estimates.
 
 The compactly supported Daubechies family with ``L`` vanishing moments has a
-lowpass filter of 2L taps.  The taps are produced here by spectral
-factorisation at 60-digit working precision: the halfband polynomial is
-assembled from binomial coefficients, its roots inside the unit circle are
-kept, and the product with (1+z)**L is normalised to sum sqrt(2).  The
-orthonormality and moment identities are re-derived in the test suite rather
-than trusted.
+lowpass filter of 2L taps.  The taps of orders 1..10 are shipped as float
+constants.  Orders 11..MAX_MOMENTS (30) are produced on first use by
+spectral factorisation at 60-digit working precision with mpmath (Daubechies
+1988): the halfband polynomial is assembled from binomial coefficients, its
+roots inside the unit circle are kept, and the product with (1+z)**L is
+normalised to sum sqrt(2).  The same factorisation is the test oracle for the
+shipped taps, bit for bit.  Higher orders are refused: order 30 already takes
+seconds.  The orthonormality and moment identities are re-derived in the test
+suite rather than trusted.
 
 Functions enter the transform as arrays of fine-scale scaling coefficients on
 an integer box (for a smooth function these are about 2**(-js d/2) times the
@@ -33,6 +36,7 @@ from .csvio import read_rows, source_name, write_header, write_rows
 from .dyadic import MAX_COORD, MAX_LEVEL, DyadicSequence, tilde_norm
 from .errors import (
     DomainError,
+    FloatRangeError,
     InsufficientMomentsError,
     ResolutionError,
 )
@@ -53,27 +57,55 @@ class WaveletSystem:
     g: tuple
 
 
-def _poly_mul(a, b):
-    import mpmath as mp
+#: Largest filter order: order 30 takes seconds to factorise, and higher ones longer.
+MAX_MOMENTS = 30
 
-    out = [mp.mpf(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+# Lowpass taps of orders 1-10, the repr of what _daub_taps returns
+# (test_shipped_taps_match_the_factorisation holds them to it bit for bit).
+_SHIPPED_TAPS = (
+    (0.7071067811865476, 0.7071067811865476),
+    (0.48296291314453416, 0.8365163037378079, 0.2241438680420134, -0.12940952255126037),
+    (0.33267055295008263, 0.8068915093110925, 0.45987750211849154, -0.13501102001025458,
+     -0.08544127388202666, 0.03522629188570953),
+    (0.2303778133088965, 0.7148465705529157, 0.6308807679298589, -0.027983769416859854,
+     -0.18703481171909309, 0.030841381835560764, 0.0328830116668852, -0.010597401785069032),
+    (0.16010239797419293, 0.6038292697971896, 0.7243085284377729, 0.13842814590132074,
+     -0.24229488706638203, -0.032244869584638375, 0.07757149384004572, -0.006241490212798274,
+     -0.012580751999081999, 0.0033357252854737712),
+    (0.11154074335010947, 0.49462389039845306, 0.7511339080210954, 0.31525035170919763,
+     -0.22626469396543983, -0.12976686756726194, 0.09750160558732304, 0.027522865530305727,
+     -0.03158203931748603, 0.0005538422011614961, 0.004777257510945511,
+     -0.0010773010853084796),
+    (0.07785205408500918, 0.3965393194819173, 0.7291320908462351, 0.4697822874051931,
+     -0.14390600392856498, -0.22403618499387498, 0.07130921926683026, 0.08061260915108308,
+     -0.03802993693501441, -0.01657454163066688, 0.01255099855609984, 0.0004295779729213665,
+     -0.0018016407040474908, 0.00035371379997452024),
+    (0.05441584224310401, 0.31287159091429995, 0.6756307362972898, 0.5853546836542067,
+     -0.015829105256349306, -0.2840155429615469, 0.0004724845739132828, 0.12874742662047847,
+     -0.017369301001807547, -0.044088253930794755, 0.013981027917398282, 0.008746094047405777,
+     -0.004870352993451574, -0.00039174037337694705, 0.0006754494064505693,
+     -0.00011747678412476953),
+    (0.038077947363878345, 0.24383467461259034, 0.6048231236901112, 0.6572880780513005,
+     0.13319738582500756, -0.2932737832791749, -0.09684078322297646, 0.14854074933810638,
+     0.03072568147933338, -0.06763282906132997, 0.00025094711483145197, 0.022361662123679096,
+     -0.004723204757751397, -0.00428150368246343, 0.0018476468830562265,
+     0.00023038576352319597, -0.0002519631889427101, 3.93473203162716e-05),
+    (0.026670057900555554, 0.1881768000776915, 0.5272011889317256, 0.6884590394536035,
+     0.2811723436605775, -0.24984642432731538, -0.19594627437737705, 0.12736934033579325,
+     0.09305736460357235, -0.07139414716639708, -0.029457536821875813, 0.033212674059341,
+     0.0036065535669561697, -0.010733175483330575, 0.001395351747052901, 0.001992405295185056,
+     -0.0006858566949597116, -0.00011646685512928545, 9.358867032006959e-05,
+     -1.3264202894521244e-05),
+)
 
 
 @lru_cache(maxsize=None)
 def _daub_taps(order):
-    # imported on first use: commands that build no filter never load mpmath
+    """Lowpass taps of the given order by spectral factorisation at 60
+    digits; the only code that loads mpmath."""
     import mpmath as mp
 
     with mp.workdps(60):
-        if order == 1:
-            inv = 1 / mp.sqrt(2)
-            return (float(inv), float(inv))
         # halfband polynomial in z: sum_k C(L-1+k,k) 4^-k (-1)^k z^(L-1-k) (z-1)^(2k)
         half = [mp.mpf(0)] * (2 * order - 1)
         for k in range(order):
@@ -84,26 +116,27 @@ def _daub_taps(order):
         inside = [r for r in roots if abs(r) < 1]
         if len(inside) != order - 1:
             raise DomainError("spectral factorisation failed for order %d" % order)
+        # (1+z)^L times the factors (z - r), lowest power first
         poly = [mp.mpf(1)]
-        for _ in range(order):
-            poly = _poly_mul(poly, [mp.mpf(1), mp.mpf(1)])
-        for r in inside:
-            poly = _poly_mul(poly, [-r, mp.mpc(1)])
-        total = sum(poly)
-        scale = mp.sqrt(2) / total
-        taps = [float(mp.re(c * scale)) for c in poly]
+        for c0, c1 in [(mp.mpf(1), mp.mpf(1))] * order + [(-r, mp.mpc(1)) for r in inside]:
+            poly = [a * c0 + b * c1 for a, b in zip(poly + [0], [0] + poly)]
+        scale = mp.sqrt(2) / sum(poly)
         # published convention puts the heavy taps first
-        taps.reverse()
-        return tuple(taps)
+        return tuple(float(mp.re(c * scale)) for c in reversed(poly))
 
 
 def daubechies_system(moments):
     """The Daubechies filter pair with the given number of vanishing
-    moments (1 = Haar; taps computed on first use; 1..10 tested, higher
-    orders work but lose accuracy in double precision)."""
+    moments (1 = Haar).  Orders 1..10 are shipped as constants; orders
+    11..MAX_MOMENTS are factorised with mpmath on first use and cached;
+    higher orders raise DomainError."""
     if not isinstance(moments, int) or moments < 1:
         raise DomainError("the number of vanishing moments must be a positive integer")
-    h = _daub_taps(moments)
+    if moments > MAX_MOMENTS:
+        raise DomainError(
+            "filter order %d is above the cap of %d vanishing moments" % (moments, MAX_MOMENTS)
+        )
+    h = _SHIPPED_TAPS[moments - 1] if moments <= len(_SHIPPED_TAPS) else _daub_taps(moments)
     n = len(h)
     g = tuple((-1) ** k * h[n - 1 - k] for k in range(n))
     return WaveletSystem(moments=moments, h=h, g=g)
@@ -203,7 +236,8 @@ class WaveletCoefficients:
         return dict(zip(map(tuple, cells.tolist()), arr[idx].tolist()))
 
     def detail_sequences(self):
-        """Detail coefficients as sequences, rescaled by 2**(j d / 2)."""
+        """Detail coefficients as sequences, rescaled by 2**(j d / 2);
+        FloatRangeError when a rescaled one overflows."""
         out = {}
         for gender in sorted(self.details):
             js, ms, values = [], [], []
@@ -211,7 +245,14 @@ class WaveletCoefficients:
                 idx = np.nonzero(arr)
                 js.append(np.full(len(idx[0]), j))
                 ms.append(np.stack(idx, axis=1) + np.asarray(offset, dtype=np.int64))
-                values.append(2.0 ** (j * self.d / 2.0) * arr[idx])
+                try:
+                    with np.errstate(over="raise"):
+                        values.append(2.0 ** (j * self.d / 2.0) * arr[idx])
+                except FloatingPointError:
+                    raise FloatRangeError(
+                        "a level-%d detail coefficient times 2^(j d/2) is outside the float "
+                        "range" % j
+                    )
             if not js:
                 out[gender] = DyadicSequence(self.d)
                 continue
@@ -391,7 +432,8 @@ def analyze(f, system, depth=None, prune=0.0):
 
     ``prune`` zeroes coefficients smaller than ``prune`` times the largest
     coefficient magnitude; the default keeps everything.  Raises
-    ResolutionError when the requested depth exceeds the sampling level.
+    ResolutionError when the requested depth exceeds the sampling level,
+    and FloatRangeError when a coefficient overflows.
     """
     if depth is None:
         depth = f.js
@@ -407,14 +449,21 @@ def analyze(f, system, depth=None, prune=0.0):
     off, arr = f.offset, f.values
     details = {gender: {} for gender in detail_genders(d)}
     level = f.js
-    for _ in range(depth):
-        bands = _analysis_step(off, arr, system)
-        level -= 1
-        for gender, (o, a) in bands.items():
-            if gender == lowpass_label:
-                off, arr = o, a
-            else:
-                details[gender][level] = (o, a)
+    try:
+        # the samples are finite, so only the cascade's sums can leave the floats
+        with np.errstate(over="raise", invalid="raise"):
+            for _ in range(depth):
+                bands = _analysis_step(off, arr, system)
+                level -= 1
+                for gender, (o, a) in bands.items():
+                    if gender == lowpass_label:
+                        off, arr = o, a
+                    else:
+                        details[gender][level] = (o, a)
+    except FloatingPointError:
+        raise FloatRangeError(
+            "a level-%d wavelet coefficient is outside the float range" % (level - 1)
+        )
     if prune > 0.0:
         peak = float(np.max(np.abs(arr))) if arr.size else 0.0
         for per_level in details.values():

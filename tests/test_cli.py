@@ -2,7 +2,9 @@ import contextlib
 import io
 import json
 import math
+import itertools
 import re
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from besovmorrey import cli, witness
 from besovmorrey.cli import main
 from besovmorrey.dyadic import DyadicSequence, save_csv
-from besovmorrey.wavelet import SampledFunction, save_samples
+from besovmorrey.wavelet import SampledFunction, daubechies_system, save_samples
 from besovmorrey.witness import greedy_distribution
 
 HOLD_SRC = "s=1,p=2,q=2,phi=power(2),d=1"
@@ -496,6 +498,44 @@ def test_analyze_rejects_bad_sample_files(tmp_path, capsys, text, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, order",
+    [(["--moments", "1000000"], 1000000), (["--space", "s=300,p=2,q=2,phi=power(2),d=1"], 302)],
+)
+def test_analyze_refuses_filter_orders_above_the_cap(tmp_path, capsys, flags, order):
+    # order 30 factorises in seconds and higher ones take longer, so they
+    # are refused before any factorisation starts
+    samples = tmp_path / "samples.csv"
+    save_samples(SampledFunction(d=1, js=2, offset=(0,), values=[1.0, 2.0, 0.5, -1.0]), samples)
+    start = time.perf_counter()
+    code = main(["analyze", "--samples", str(samples), *flags])
+    assert time.perf_counter() - start < 1.0
+    assert code == 64
+    assert capsys.readouterr().err == (
+        "filter order %d is above the cap of 30 vanishing moments\n" % order
+    )
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([1e308] * 8, "a level-1 wavelet coefficient is outside the float range"),
+        ([1e308, -1e308] * 4,
+         "a level-2 detail coefficient times 2^(j d/2) is outside the float range"),
+    ],
+    ids=["cascade", "rescaled-detail"],
+)
+def test_analyze_coefficients_outside_float_range_exit_65(tmp_path, capsys, values, message):
+    # numpy used to warn and print inf, nan and norm_estimate=0.0 with exit 0
+    samples = tmp_path / "samples.csv"
+    save_samples(SampledFunction(d=1, js=3, offset=(0,), values=values), samples)
+    out = tmp_path / "coeffs.csv"
+    code = main(["analyze", "--samples", str(samples), "--moments", "1", "--out", str(out)])
+    assert code == 65
+    assert capsys.readouterr().err == "%s: %s\n" % (samples, message)
+    assert not out.exists()
+
+
 def test_witness_on_a_table_skips_unsampled_levels(capsys):
     # the knots of t^(1/2) span [2^-40, 2^48]; the scan window reaches 2^64
     table = Path(__file__).parent / "data" / "sweep_small" / "sqrt_table.csv"
@@ -862,6 +902,84 @@ def _norm_command_lines(draw, files):
 @given(data=st.data())
 def test_fuzz_norm_command_lines(norm_files, data):
     argv = data.draw(_norm_command_lines(norm_files))
+    out, err = io.StringIO(), io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = err.getvalue()
+    assert code in (0, 64, 65), (argv, err)
+    assert "Traceback" not in err
+    assert err == "" if code == 0 else err.endswith("\n") and err.count("\n") == 1, (argv, err)
+    assert peak < 1 << 24, (argv, peak)
+
+
+# sample files for the analyze fuzz: per dimension and sampling level, boxes
+# of cells cycling through plain values, values at the float edges, only
+# subnormals, and only the largest float; the second cell is missing from
+# each, so it reads as zero
+_SAMPLE_FILLS = {
+    "plain": [1.0, -2.5, 0.5, 0.0],
+    "edges": [1.0, -2.5, 5e-324, 1e308, 0.0, -1e308],
+    "tiny": [5e-324, -5e-324, 0.0],
+    "huge": [1e308],
+}
+
+
+@pytest.fixture(scope="module")
+def sample_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("analyze_fuzz")
+    paths = {}
+    for (name, fill), d, js in itertools.product(_SAMPLE_FILLS.items(), (1, 2, 3), range(5)):
+        cells = list(itertools.product(range(2 ** js), repeat=d))
+        rows = [(m, fill[i % len(fill)]) for i, m in enumerate(cells) if i != 1]
+        path = root / ("%s_d%d_js%d.csv" % (name, d, js))
+        with path.open("w") as fh:
+            fh.write("# d=%d js=%d\n" % (d, js))
+            fh.writelines("%s,%r\n" % (",".join(map(str, m)), value) for m, value in rows)
+        paths[name, d, js] = str(path)
+    # order 11 is the first factorised one; its 60-digit arithmetic runs
+    # once per process and takes seconds under tracemalloc, so it runs here
+    # rather than in the first command line that asks for it
+    daubechies_system(11)
+    return paths
+
+
+@st.composite
+def _analyze_command_lines(draw, files, out):
+    """An analyze command line over one of the fuzz files: a space block of
+    the file's dimension, of another one or of none; --moments, --depth and
+    --prune at their edges, the refused ones drawn less often; and --out to
+    a fresh file or not given.  One draw in ten has neither a space nor
+    --moments."""
+    d, js = draw(st.sampled_from([1, 2, 3])), draw(st.integers(0, 4))
+    argv = ["analyze", "--samples", files[draw(st.sampled_from(sorted(_SAMPLE_FILLS))), d, js]]
+    given = draw(st.sampled_from([("--space",), ("--moments",), ("--space", "--moments")] * 3
+                                 + [()]))
+    if "--space" in given:
+        dim = draw(st.sampled_from([",d=%d" % d] * 4 + [",d=%d" % (d % 3 + 1), ""]))
+        argv += ["--space", draw(_block()) + dim]
+    edges = {
+        "--moments": ["1", "2", "10", "11"] * 3 + ["-1", "0", "31", "1000000"],
+        "--depth": ["0", "1", str(js)] * 2 + ["-1", str(js + 1)],
+        "--prune": ["0", "1e-11", "1", "-1", "5e-324", "inf", "nan"],
+    }
+    for flag, values in edges.items():
+        if flag in given or flag != "--moments" and draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(values))]
+    if draw(st.booleans()):
+        out.unlink(missing_ok=True)
+        argv += ["--out", str(out)]
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_fuzz_analyze_command_lines(sample_files, tmp_path_factory, data):
+    argv = data.draw(_analyze_command_lines(sample_files, tmp_path_factory.getbasetemp() / "out.csv"))
     out, err = io.StringIO(), io.StringIO()
     tracemalloc.start()
     try:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from besovmorrey.dyadic import DyadicSequence, parse_space_params, tilde_norm
+from besovmorrey import wavelet
 from besovmorrey.errors import DomainError, InsufficientMomentsError, ResolutionError
 from besovmorrey.wavelet import (
     SampledFunction,
@@ -258,13 +259,35 @@ def test_kappa_dominate_validation():
 
 
 def test_mpmath_loads_only_with_the_first_filter():
-    # check, norm, witness and sweep build no taps, so importing the cli
-    # must not import mpmath
+    # orders 1-10 are shipped, so importing the cli, building those taps and
+    # a whole analyze at each of those orders leave mpmath unloaded; order 11
+    # is the first one factorised
     script = (
-        "import sys, besovmorrey.cli\n"
+        "import contextlib, io, sys, besovmorrey.cli\n"
+        "for order in range(1, 11):\n"
+        "    besovmorrey.cli.daubechies_system(order)\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = besovmorrey.cli.main(\n"
+        "            ['analyze', '--samples', sys.argv[1], '--moments', str(order)])\n"
+        "    assert code == 0, code\n"
         "assert 'mpmath' not in sys.modules\n"
-        "besovmorrey.cli.daubechies_system(2)\n"
+        "besovmorrey.cli.daubechies_system(11)\n"
         "assert 'mpmath' in sys.modules\n"
     )
+    samples = Path(__file__).parent / "data" / "io_small" / "samples_d1.csv"
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
-    subprocess.run([sys.executable, "-c", script], env=env, check=True)
+    subprocess.run([sys.executable, "-c", script, str(samples)], env=env, check=True)
+
+
+def test_shipped_taps_match_the_factorisation():
+    assert len(wavelet._SHIPPED_TAPS) == 10
+    for order, shipped in enumerate(wavelet._SHIPPED_TAPS, start=1):
+        expected = wavelet._daub_taps(order)
+        assert list(map(float.hex, shipped)) == list(map(float.hex, expected)), (
+            "order %d should ship (%s)" % (order, ", ".join(map(repr, expected)))
+        )
+
+
+def test_orders_above_the_cap_are_refused():
+    with pytest.raises(DomainError, match="filter order 31 is above the cap of 30"):
+        daubechies_system(wavelet.MAX_MOMENTS + 1)
