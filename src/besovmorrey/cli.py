@@ -366,9 +366,9 @@ def _cmd_analyze(args):
         system = daubechies_system(moments)
         depth = args.depth if args.depth is not None else f.js
         coeffs = wavelet_analyze(f, system, depth=depth, prune=args.prune)
-        details = sorted(coeffs.detail_sequences().items())
         if params is not None:
             estimate = function_norm_estimate(f, params, system=system)
+        details = sorted(coeffs.detail_sequences().items())
     except FloatRangeError as exc:
         raise _CliError(EXIT_DATA, "%s: %s" % (args.samples, exc))
     except DomainError as exc:
