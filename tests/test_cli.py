@@ -1,8 +1,8 @@
 import contextlib
 import io
+import itertools
 import json
 import math
-import itertools
 import re
 import time
 import tracemalloc
@@ -526,7 +526,8 @@ def test_analyze_refuses_filter_orders_above_the_cap(tmp_path, capsys, flags, or
     ids=["cascade", "rescaled-detail"],
 )
 def test_analyze_coefficients_outside_float_range_exit_65(tmp_path, capsys, values, message):
-    # numpy used to warn and print inf, nan and norm_estimate=0.0 with exit 0
+    # an overflow must reach neither the output, as inf or nan, nor the norm
+    # estimate, as 0.0
     samples = tmp_path / "samples.csv"
     save_samples(SampledFunction(d=1, js=3, offset=(0,), values=values), samples)
     out = tmp_path / "coeffs.csv"
@@ -979,7 +980,8 @@ def _analyze_command_lines(draw, files, out):
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(data=st.data())
 def test_fuzz_analyze_command_lines(sample_files, tmp_path_factory, data):
-    argv = data.draw(_analyze_command_lines(sample_files, tmp_path_factory.getbasetemp() / "out.csv"))
+    out_path = tmp_path_factory.getbasetemp() / "out.csv"
+    argv = data.draw(_analyze_command_lines(sample_files, out_path))
     out, err = io.StringIO(), io.StringIO()
     tracemalloc.start()
     try:

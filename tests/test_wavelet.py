@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from besovmorrey.dyadic import DyadicSequence, parse_space_params, tilde_norm
 from besovmorrey import wavelet
+from besovmorrey.dyadic import DyadicSequence, parse_space_params, tilde_norm
 from besovmorrey.errors import DomainError, InsufficientMomentsError, ResolutionError
 from besovmorrey.wavelet import (
     SampledFunction,
