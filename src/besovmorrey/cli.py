@@ -53,13 +53,15 @@ from .dyadic import (
     parse_space_params,
 )
 from .embedding import DEFAULT_J_MAX, DEFAULT_NU_MIN, FINEST_NU, EmbeddingQuery, decide
-from .errors import DomainError, FloatRangeError, TableFormatError
+from .errors import DomainError, FloatRangeError, InsufficientMomentsError, TableFormatError
 from .wavelet import (
     analyze as wavelet_analyze,
+    cascade_depth,
     daubechies_system,
     function_norm_estimate,
     load_samples,
     min_vanishing_moments,
+    write_bands,
 )
 from .witness import DEFAULT_DEPTH, divergence_scan
 
@@ -364,11 +366,18 @@ def _cmd_analyze(args):
         if moments is None:
             moments = min_vanishing_moments(params.s, params.p, params.d)
         system = daubechies_system(moments)
-        depth = args.depth if args.depth is not None else f.js
-        coeffs = wavelet_analyze(f, system, depth=depth, prune=args.prune)
+        depth = cascade_depth(f, args.depth)
         if params is not None:
-            estimate = function_norm_estimate(f, params, system=system)
-        details = sorted(coeffs.detail_sequences().items())
+            # the estimate runs its own cascade before the output one, so the
+            # two are never held together; a cascade error is still reported
+            # before the estimate refuses too few moments
+            try:
+                estimate = function_norm_estimate(f, params, system=system)
+            except InsufficientMomentsError:
+                wavelet_analyze(f, system, depth=depth)
+                raise
+        coeffs = wavelet_analyze(f, system, depth=depth, prune=args.prune)
+        bands = coeffs.bands()
     except FloatRangeError as exc:
         raise _CliError(EXIT_DATA, "%s: %s" % (args.samples, exc))
     except DomainError as exc:
@@ -382,14 +391,7 @@ def _cmd_analyze(args):
         ]
         coords = ["m_%d" % (r + 1) for r in range(f.d)]
         write_header(handle, comments, ["gender", "j", *coords, "value"])
-        scale_off, scale_arr = coeffs.scaling
-        nonzero = np.nonzero(scale_arr)
-        level = np.full(len(nonzero[0]), coeffs.base_level)
-        rows = np.column_stack([level] + [i + o for i, o in zip(nonzero, scale_off)])
-        write_rows(handle, rows, scale_arr[nonzero], prefix="F" * f.d + ",")
-        for gender, seq in details:
-            j, m, values = seq.cells()
-            write_rows(handle, np.column_stack((j, m)), values, prefix=gender + ",")
+        write_bands(handle, bands)
     if params is not None:
         sys.stdout.write("norm_estimate=%r\n" % estimate)
     return EXIT_HOLDS

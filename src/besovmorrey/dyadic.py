@@ -111,8 +111,9 @@ class DyadicSequence:
         if j.ndim == 0:
             self._add_level(int(j), m, values)
             return
-        order = np.argsort(j, kind="stable")
-        j, m, values = j[order], m[order], values[order]
+        if (j[1:] < j[:-1]).any():  # a stable sort of sorted levels changes nothing
+            order = np.argsort(j, kind="stable")
+            j, m, values = j[order], m[order], values[order]
         bounds = (np.flatnonzero(j[1:] != j[:-1]) + 1).tolist()
         for lo, hi in zip([0] + bounds, bounds + [n]):
             self._add_level(int(j[lo]), m[lo:hi], values[lo:hi])

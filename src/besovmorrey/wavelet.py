@@ -19,8 +19,9 @@ tricks distort the coefficients; synthesis is the exact adjoint and the
 round trip is the identity up to floating point.
 
 Detail coefficients are stored raw (orthonormal basis inner products) and
-rescaled by 2**(j d / 2) when materialised as coefficient sequences, which is
-the normalisation the sequence-space quasi-norms expect.
+rescaled by 2**(j d / 2) when materialised as coefficient sequences or
+written out, which is the normalisation the sequence-space quasi-norms
+expect.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ _DOMINATE_BUDGET = 2_000_000
 MAX_BOX_CELLS = 1 << 24
 #: Relative pruning threshold of function_norm_estimate.
 NORM_PRUNE = 1e-11
+#: Rows write_bands formats at a time, which bounds its Python objects.
+WRITE_SLICE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -235,32 +238,65 @@ class WaveletCoefficients:
         cells = np.stack(idx, axis=1) + np.asarray(offset, dtype=np.int64)
         return dict(zip(map(tuple, cells.tolist()), arr[idx].tolist()))
 
-    def detail_sequences(self):
-        """Detail coefficients as sequences, rescaled by 2**(j d / 2);
-        FloatRangeError when a rescaled one overflows."""
-        out = {}
+    def bands(self):
+        """Every band as (gender, j, offset, array, scale): the scaling block
+        first, as gender F..F at base_level with scale 1, then the detail
+        bands by gender and ascending level with scale 2**(j d / 2), the
+        normalisation of the coefficient sequences.  Raises FloatRangeError
+        when a rescaled detail coefficient overflows, naming the finest such
+        level of the first such gender."""
+        bands = [("F" * self.d, self.base_level, *self.scaling, 1.0)]
         for gender in sorted(self.details):
-            js, ms, values = [], [], []
-            for j, (offset, arr) in self.details[gender].items():
-                idx = np.nonzero(arr)
-                js.append(np.full(len(idx[0]), j))
-                ms.append(np.stack(idx, axis=1) + np.asarray(offset, dtype=np.int64))
-                try:
-                    with np.errstate(over="raise"):
-                        values.append(2.0 ** (j * self.d / 2.0) * arr[idx])
-                except FloatingPointError:
+            per_level = self.details[gender]
+            rows = [
+                (gender, j, *per_level[j], 2.0 ** (j * self.d / 2.0)) for j in sorted(per_level)
+            ]
+            for _, j, _, arr, scale in reversed(rows):
+                if math.isinf(scale * float(np.max(np.abs(arr), initial=0.0))):
                     raise FloatRangeError(
                         "a level-%d detail coefficient times 2^(j d/2) is outside the float "
                         "range" % j
                     )
-            if not js:
-                out[gender] = DyadicSequence(self.d)
-                continue
-            out[gender] = DyadicSequence(
-                self.d,
-                cells=(np.concatenate(js), np.concatenate(ms), np.concatenate(values)),
-            )
+            bands += rows
+        return bands
+
+    def detail_sequences(self):
+        """Detail coefficients as sequences, rescaled by 2**(j d / 2);
+        FloatRangeError when a rescaled one overflows.  The norm estimate is
+        the only caller in the command line, which writes ``analyze --out``
+        from bands() instead."""
+        bands, out = self.bands()[1:], {}
+        for gender in sorted(self.details):
+            # one array per gender, filled band by band: no band is held twice
+            rows = [band for band in bands if band[0] == gender]
+            sizes = [np.count_nonzero(arr) for _, _, _, arr, _ in rows]
+            m, values = np.empty((sum(sizes), self.d), dtype=np.int64), np.empty(sum(sizes))
+            at = 0
+            for (_, _, offset, arr, scale), n in zip(rows, sizes):
+                idx = np.nonzero(arr)
+                for r in range(self.d):
+                    m[at:at + n, r] = idx[r] + offset[r]
+                values[at:at + n] = scale * arr[idx]
+                at += n
+            # the levels ascend, so the constructor skips its sort by level
+            levels = np.repeat([j for _, j, _, _, _ in rows], sizes)
+            out[gender] = DyadicSequence(self.d, cells=(levels, m, values))
         return out
+
+
+def write_bands(handle, bands):
+    """Write the rows ``gender, j, m_1..m_d, value`` of the bands as
+    WaveletCoefficients.bands gives them, rescaled, straight from the dense
+    arrays: zeros are skipped, and cells follow in (gender, j, m) order, a
+    band and at most WRITE_SLICE rows at a time.  coefficients_from_entries
+    reads such rows back."""
+    for gender, j, offset, arr, scale in bands:
+        idx = np.nonzero(arr)
+        cells = np.column_stack([np.full(len(idx[0]), j)] + [i + o for i, o in zip(idx, offset)])
+        values = scale * arr[idx]
+        for lo in range(0, len(values), WRITE_SLICE):
+            hi = lo + WRITE_SLICE
+            write_rows(handle, cells[lo:hi], values[lo:hi], prefix=gender + ",")
 
 
 def coefficients_from_entries(d, top_level, scaling_entries, detail_entries):
@@ -426,6 +462,17 @@ def _synthesis_step(bands, system):
     return total
 
 
+def cascade_depth(f, depth=None):
+    """The number of cascade levels: ``depth``, by default f.js, the way
+    to level zero; ResolutionError when it is negative or the samples do
+    not reach it."""
+    if depth is None:
+        return f.js
+    if depth < 0 or depth > f.js:
+        raise ResolutionError("depth %d not available from sampling level %d" % (depth, f.js))
+    return depth
+
+
 def analyze(f, system, depth=None, prune=0.0):
     """Cascade the sampled function down ``depth`` levels (default: all the
     way to level zero).
@@ -435,12 +482,7 @@ def analyze(f, system, depth=None, prune=0.0):
     ResolutionError when the requested depth exceeds the sampling level,
     and FloatRangeError when a coefficient overflows.
     """
-    if depth is None:
-        depth = f.js
-    if depth < 0 or depth > f.js:
-        raise ResolutionError(
-            "depth %d not available from sampling level %d" % (depth, f.js)
-        )
+    depth = cascade_depth(f, depth)
     # each level's bands together hold about prod(n + taps) cells
     if math.prod(n + len(system.h) for n in f.values.shape) > 2 * MAX_BOX_CELLS:
         raise DomainError("the cascade exceeds %d cells; use fewer moments" % (2 * MAX_BOX_CELLS))

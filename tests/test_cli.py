@@ -537,6 +537,49 @@ def test_analyze_coefficients_outside_float_range_exit_65(tmp_path, capsys, valu
     assert not out.exists()
 
 
+_PLAIN = [1.0, -2.0, 0.5, 3.0, 0.0, 1.0, 2.0, -1.0]
+# the cascade overflows going to level 1; rescaled detail levels 2 (js=3) or
+# 4 and 3 (js=5) overflow
+_CASCADE, _RESCALED, _TWO_LEVELS = [1e308] * 8, [1e308, -1e308] * 4, [1e308, 0.0, -1e308, 0.0] * 2
+_NEEDS_TWO = ["--space", "s=0.5,p=2,q=2,phi=power(2),d=1"]
+_NEEDS_ONE = ["--space", "s=-0.5,p=4,q=2,phi=power(4),d=1"]
+_DEPTH = "depth 4 not available from sampling level 3"
+_INSUFFICIENT = "the space needs at least 2 vanishing moments, the system has 1"
+_CASCADE_65 = "{}: a level-1 wavelet coefficient is outside the float range"
+_RESCALED_65 = "{}: a level-2 detail coefficient times 2^(j d/2) is outside the float range"
+_FINEST_65 = _RESCALED_65.replace("level-2", "level-4")
+
+
+@pytest.mark.parametrize(
+    "values, js, flags, code, message",
+    [
+        (_PLAIN, 3, [*_NEEDS_TWO, "--moments", "1", "--depth", "4"], 64, _DEPTH),
+        (_CASCADE, 3, [*_NEEDS_TWO, "--depth", "4"], 64, _DEPTH),
+        (_CASCADE, 3, _NEEDS_TWO, 65, _CASCADE_65),
+        (_CASCADE, 3, [*_NEEDS_TWO, "--moments", "1"], 65, _CASCADE_65),
+        (_CASCADE, 3, [*_NEEDS_TWO, "--depth", "1"], 65, _CASCADE_65),
+        (_RESCALED, 3, _NEEDS_TWO, 65, _RESCALED_65),
+        (_RESCALED, 3, [*_NEEDS_TWO, "--moments", "1"], 64, _INSUFFICIENT),
+        (_RESCALED, 3, [*_NEEDS_TWO, "--depth", "1"], 65, _RESCALED_65),
+        (_TWO_LEVELS, 5, ["--moments", "1"], 65, _FINEST_65),
+        (_TWO_LEVELS, 5, [*_NEEDS_ONE, "--moments", "1"], 65, _FINEST_65),
+    ],
+    ids=["depth-over-moments", "depth-over-cascade", "cascade-with-space",
+         "cascade-over-moments", "estimate-cascade-below-depth", "rescaled-with-space",
+         "moments-over-rescaled", "estimate-rescaled-below-depth", "finest-rescaled-level",
+         "finest-rescaled-level-with-space"],
+)
+def test_analyze_error_precedence(tmp_path, capsys, values, js, flags, code, message):
+    # the --depth refusal, then the cascade, then the estimate, then the
+    # rescaled details; the first refusal is the one reported, with no --out
+    samples = tmp_path / "samples.csv"
+    save_samples(SampledFunction(d=1, js=js, offset=(0,), values=values), samples)
+    out = tmp_path / "coeffs.csv"
+    got = main(["analyze", "--samples", str(samples), *flags, "--out", str(out)])
+    assert (got, capsys.readouterr().err) == (code, message.format(samples) + "\n")
+    assert not out.exists()
+
+
 def test_witness_on_a_table_skips_unsampled_levels(capsys):
     # the knots of t^(1/2) span [2^-40, 2^48]; the scan window reaches 2^64
     table = Path(__file__).parent / "data" / "sweep_small" / "sqrt_table.csv"
@@ -995,6 +1038,26 @@ def test_fuzz_analyze_command_lines(sample_files, tmp_path_factory, data):
     assert "Traceback" not in err
     assert err == "" if code == 0 else err.endswith("\n") and err.count("\n") == 1, (argv, err)
     assert peak < 1 << 24, (argv, peak)
+
+
+@pytest.mark.parametrize("space", [[], ["--space", "s=0.5,p=2,q=2,phi=power(2),d=3"]],
+                         ids=["no-space", "space"])
+def test_analyze_memory_corner(sample_files, tmp_path, capsys, space):
+    # the fuzz gate's largest draw: 208837 rows from a d=3, js=4 box at
+    # order 11; the rows stream from the dense bands, so the peak is set by
+    # the cascade and the norm estimate, at under half of the gate's 2^24
+    out = tmp_path / "coeffs.csv"
+    argv = ["analyze", "--samples", sample_files["plain", 3, 4], "--moments", "11", *space,
+            "--out", str(out)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, capsys.readouterr().err) == (0, "")
+    assert peak < 1 << 23, peak
+    assert len(out.read_text().splitlines()) == 5 + 208837
 
 
 def _outcome_by_rule(cond0, cond2):

@@ -460,6 +460,9 @@ def test_fuzz_file_formats(tmp_path, capsys, drawn):
     assert wavelet.MAX_BOX_CELLS == 1 << 24  # some draws ask for a 2^31-cell box
     content, d = drawn
     path = tmp_path / "data.csv"
+    # rewriting a just-written file in place stalls on its write-back; a new
+    # file does not
+    path.unlink(missing_ok=True)
     path.write_bytes(content)
     for kind in ("norm", "analyze", "table"):
         code, _, err = _run(_argv(kind, path, tmp_path, d=d), capsys)

@@ -458,6 +458,29 @@ def test_array_cells_are_copied():
     assert seq == DyadicSequence(1, {(0, (0,)): 1.0, (0, (1,)): 2.0})
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_cells_sorted_by_level_build_the_shuffled_sequence(d):
+    # rows already in ascending level order skip the constructor's sort by
+    # level; the sequence is the one any order of the same rows gives, bit
+    # for bit
+    rng = np.random.default_rng(d)
+    j = np.sort(rng.integers(0, 4, size=300))
+    m = rng.integers(-3, 3, size=(300, d))
+    values = rng.choice([0.0, 1.0, -2.5, 0.5], size=300)  # sums of these are exact
+    seq = DyadicSequence(d, cells=(j, m, values))
+    perm = rng.permutation(300)
+    shuffled = DyadicSequence(d, cells=(j[perm], m[perm], values[perm]))
+    assert seq == shuffled
+    for a, b in zip(seq.cells(), shuffled.cells()):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    # repeated cells and zero values both occur, and the caller's arrays are copied
+    assert len(set(zip(j.tolist(), map(tuple, m.tolist())))) < 300
+    assert (values == 0.0).any()
+    m[:] = 7
+    values[:] = 0.0
+    assert seq == shuffled
+
+
 def test_lq_norm_scales_by_the_largest_term():
     # (1e200)**2 and (1e-200)**2 leave the float range; the norm does not
     assert lq_norm([1e200, 2.0], 2.0) == 1e200

@@ -10,7 +10,10 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+
 from besovmorrey import cli, dyadic
+from besovmorrey.wavelet import SampledFunction, save_samples
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -68,3 +71,23 @@ def test_tracer_counts_one_decide_per_sweep_point(tmp_path, monkeypatch, capsys)
     assert any(r["method"] == "sampled" for r in decided)
     calls = dict(zip(tracer.names, (row[0] for row in tracer.agg)))
     assert calls["embedding.decide"] == 54
+
+
+def test_tracer_sees_every_wavelet_layer_of_an_analyze_run(tmp_path, capsys):
+    # the analyze workload's per-layer rows: the estimate's cascade, its
+    # sequences and their norm, besides the output cascade
+    samples = tmp_path / "samples.csv"
+    save_samples(SampledFunction(d=2, js=3, offset=(0, 0),
+                                 values=np.arange(64.0).reshape(8, 8) % 5), samples)
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["analyze", "--samples", str(samples), "--space",
+                         "s=0.5,p=2,q=2,phi=power(2),d=2", "--out", str(tmp_path / "c.csv")])
+    finally:
+        tracer.uninstall()
+    assert code == 0 and capsys.readouterr().out.startswith("norm_estimate=")
+    calls = dict(zip(tracer.names, (row[0] for row in tracer.agg)))
+    for name in ("wavelet.analyze", "wavelet.function_norm_estimate",
+                 "wavelet.detail_sequences", "dyadic.tilde_norm"):
+        assert calls[name] >= 1, name

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from besovmorrey import wavelet
+from besovmorrey.csvio import write_rows
 from besovmorrey.dyadic import DyadicSequence, parse_space_params, tilde_norm
 from besovmorrey.errors import DomainError, InsufficientMomentsError, ResolutionError
 from besovmorrey.wavelet import (
@@ -25,6 +26,7 @@ from besovmorrey.wavelet import (
     read_samples,
     save_samples,
     synthesize,
+    write_bands,
 )
 
 
@@ -138,6 +140,23 @@ def test_round_trip_two_dimensional_details():
         got = dict(seqs[gender].entries())
         for key, val in entries.items():
             assert got[key] == pytest.approx(val, abs=1e-10)
+
+
+def test_written_bands_are_the_detail_sequences(monkeypatch):
+    # analyze --out writes straight from the dense bands, in slices; the rows
+    # are the ones the sequences give, byte for byte
+    monkeypatch.setattr(wavelet, "WRITE_SLICE", 7)
+    rng = np.random.default_rng(3)
+    values = rng.uniform(-1, 1, size=(16, 16)) * (rng.random((16, 16)) < 0.7)
+    coeffs = analyze(SampledFunction(d=2, js=4, offset=(-3, 5), values=values),
+                     daubechies_system(2), depth=3, prune=1e-3)
+    got = io.StringIO()
+    write_bands(got, coeffs.bands()[1:])
+    want = io.StringIO()
+    for gender, seq in sorted(coeffs.detail_sequences().items()):
+        j, m, vals = seq.cells()
+        write_rows(want, np.column_stack((j, m)), vals, prefix=gender + ",")
+    assert got.getvalue() == want.getvalue() and len(want.getvalue().splitlines()) > 100
 
 
 def test_coefficients_validation():
