@@ -29,6 +29,8 @@ import numpy as np
 from .errors import DomainError
 
 _SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
+#: Values write_dense scales, and lines it joins, per write: bounds its Python objects.
+WRITE_SLICE = 1 << 12
 
 
 def source_name(fh):
@@ -172,3 +174,31 @@ def write_rows(fh, ints, values, prefix=""):
     by commas."""
     line = prefix.replace("%", "%%") + "%d," * ints.shape[1] + "%r\n"
     fh.writelines(line % row for row in zip(*ints.T.tolist(), values.tolist()))
+
+
+def write_dense(fh, offset, arr, prefix="", scale=1.0, skip_zeros=False):
+    """Write one line per cell of the dense array ``arr``, whose index
+    ``idx`` is the cell ``offset + idx``, in row-major order: ``prefix``,
+    the cell's coordinates and its value times ``scale`` as repr, separated
+    by commas.  With ``skip_zeros``, a cell whose scaled value is zero (or
+    -0.0) has no line.  The array is walked line by line along its last
+    axis: the other coordinates are formatted once per line and the last
+    one once per array (per slice when a line is longer than WRITE_SLICE),
+    so a row formats only its value.  At most WRITE_SLICE values are scaled
+    at a time, and at most WRITE_SLICE lines joined per write."""
+    *lead, n = arr.shape
+    last = offset[-1]
+    tails = ["%d," % (last + k) for k in range(n)] if n <= WRITE_SLICE else None
+    buf = []
+    for idx in itertools.product(*map(range, lead)):
+        head = prefix + "".join("%d," % (o + i) for o, i in zip(offset, idx))
+        row = arr[idx]
+        for lo in range(0, n, WRITE_SLICE):
+            hi = min(lo + WRITE_SLICE, n)
+            if len(buf) + hi - lo > WRITE_SLICE:
+                fh.write("".join(buf))
+                buf = []
+            cols = tails or ("%d," % k for k in range(last + lo, last + hi))
+            values = (scale * row[lo:hi]).tolist()
+            buf += [f"{head}{c}{v!r}\n" for c, v in zip(cols, values) if v or not skip_zeros]
+    fh.write("".join(buf))

@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .csvio import read_rows, source_name, write_header, write_rows
+from .csvio import read_rows, source_name, write_dense, write_header
 from .dyadic import MAX_COORD, MAX_LEVEL, DyadicSequence, tilde_norm
 from .errors import (
     DomainError,
@@ -47,8 +47,6 @@ _DOMINATE_BUDGET = 2_000_000
 MAX_BOX_CELLS = 1 << 24
 #: Relative pruning threshold of function_norm_estimate.
 NORM_PRUNE = 1e-11
-#: Rows write_bands formats at a time, which bounds its Python objects.
-WRITE_SLICE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -287,16 +285,14 @@ class WaveletCoefficients:
 def write_bands(handle, bands):
     """Write the rows ``gender, j, m_1..m_d, value`` of the bands as
     WaveletCoefficients.bands gives them, rescaled, straight from the dense
-    arrays: zeros are skipped, and cells follow in (gender, j, m) order, a
-    band and at most WRITE_SLICE rows at a time.  coefficients_from_entries
-    reads such rows back."""
+    arrays with csvio.write_dense: cells follow in (gender, j, m) order, one
+    band line at a time, with ``gender,j,m_1,..,m_{d-1},`` formatted once
+    per line and at most csvio.WRITE_SLICE lines joined per write.  Zeros
+    are skipped; every scale is at least 1, so a scaled value is zero
+    exactly when the raw one is.  coefficients_from_entries reads such rows
+    back."""
     for gender, j, offset, arr, scale in bands:
-        idx = np.nonzero(arr)
-        cells = np.column_stack([np.full(len(idx[0]), j)] + [i + o for i, o in zip(idx, offset)])
-        values = scale * arr[idx]
-        for lo in range(0, len(values), WRITE_SLICE):
-            hi = lo + WRITE_SLICE
-            write_rows(handle, cells[lo:hi], values[lo:hi], prefix=gender + ",")
+        write_dense(handle, offset, arr, prefix="%s,%d," % (gender, j), scale=scale, skip_zeros=True)
 
 
 def coefficients_from_entries(d, top_level, scaling_entries, detail_entries):
@@ -348,7 +344,8 @@ def _dense_from_cells(d, m, values):
 
 def save_samples(f, path, header_lines=()):
     """Write a sampled function as CSV: comment metadata, a column row, then
-    one dense row per grid cell."""
+    one dense row per grid cell, zeros included (they span the box hull
+    read_samples rebuilds), in bounded memory."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         write_samples(f, handle, header_lines=header_lines)
 
@@ -356,8 +353,7 @@ def save_samples(f, path, header_lines=()):
 def write_samples(f, handle, header_lines=()):
     coords = ["m_%d" % (r + 1) for r in range(f.d)]
     write_header(handle, [*header_lines, "d=%d js=%d" % (f.d, f.js)], [*coords, "value"])
-    cells = np.indices(f.values.shape).reshape(f.d, -1).T + np.asarray(f.offset)
-    write_rows(handle, cells, f.values.ravel())
+    write_dense(handle, f.offset, f.values)
 
 
 def load_samples(path):

@@ -3,17 +3,19 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from besovmorrey import wavelet
+from besovmorrey import csvio, wavelet
 from besovmorrey.csvio import write_rows
 from besovmorrey.dyadic import DyadicSequence, parse_space_params, tilde_norm
 from besovmorrey.errors import DomainError, InsufficientMomentsError, ResolutionError
 from besovmorrey.wavelet import (
     SampledFunction,
+    WaveletCoefficients,
     analyze,
     coefficients_from_entries,
     daubechies_system,
@@ -27,6 +29,7 @@ from besovmorrey.wavelet import (
     save_samples,
     synthesize,
     write_bands,
+    write_samples,
 )
 
 
@@ -142,21 +145,81 @@ def test_round_trip_two_dimensional_details():
             assert got[key] == pytest.approx(val, abs=1e-10)
 
 
+def _hand_made_coefficients(d, shape, seed):
+    # every block has exact zeros and -0.0 among its values and a negative offset
+    rng = np.random.default_rng(seed)
+
+    def block():
+        arr = rng.uniform(-1, 1, size=shape) * (rng.random(shape) < 0.7)
+        arr[rng.random(shape) < 0.1] = -0.0
+        return tuple(rng.integers(-9, 0, size=d).tolist()), arr
+
+    details = {gender: {j: block() for j in range(3)} for gender in detail_genders(d)}
+    return WaveletCoefficients(d=d, base_level=0, top_level=3, scaling=block(), details=details)
+
+
+def _analyzed_coefficients(d, shape, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(-1, 1, size=shape) * (rng.random(shape) < 0.7)
+    f = SampledFunction(d=d, js=4, offset=(-3,) * d, values=values)
+    return analyze(f, daubechies_system(2), prune=1e-3)
+
+
 def test_written_bands_are_the_detail_sequences(monkeypatch):
-    # analyze --out writes straight from the dense bands, in slices; the rows
-    # are the ones the sequences give, byte for byte
-    monkeypatch.setattr(wavelet, "WRITE_SLICE", 7)
-    rng = np.random.default_rng(3)
-    values = rng.uniform(-1, 1, size=(16, 16)) * (rng.random((16, 16)) < 0.7)
-    coeffs = analyze(SampledFunction(d=2, js=4, offset=(-3, 5), values=values),
-                     daubechies_system(2), depth=3, prune=1e-3)
-    got = io.StringIO()
-    write_bands(got, coeffs.bands()[1:])
-    want = io.StringIO()
-    for gender, seq in sorted(coeffs.detail_sequences().items()):
-        j, m, vals = seq.cells()
-        write_rows(want, np.column_stack((j, m)), vals, prefix=gender + ",")
-    assert got.getvalue() == want.getvalue() and len(want.getvalue().splitlines()) > 100
+    # analyze --out writes straight from the dense bands, line by line; the
+    # rows are the ones the scaling values and the sequences give through
+    # write_rows, byte for byte, with every zero and -0.0 left out.  With
+    # 7-wide slices: a d=1 band longer than three slices, and lines wider
+    # than a slice in d=2 and d=3.
+    monkeypatch.setattr(csvio, "WRITE_SLICE", 7)
+    cases = [
+        _analyzed_coefficients(2, (16, 16), 2),
+        _hand_made_coefficients(1, (23,), 1),
+        _hand_made_coefficients(2, (5, 9), 2),
+        _hand_made_coefficients(3, (3, 4, 9), 3),
+    ]
+    for coeffs in cases:
+        d = coeffs.d
+        got = io.StringIO()
+        write_bands(got, coeffs.bands())
+        want = io.StringIO()
+        scaling = coeffs.scaling_values()
+        cells = np.array([(0, *cell) for cell in scaling], dtype=np.int64).reshape(-1, d + 1)
+        write_rows(want, cells, np.array(list(scaling.values())), prefix="F" * d + ",")
+        for gender, seq in sorted(coeffs.detail_sequences().items()):
+            j, m, vals = seq.cells()
+            write_rows(want, np.column_stack((j, m)), vals, prefix=gender + ",")
+        assert got.getvalue() == want.getvalue() and len(want.getvalue().splitlines()) > 50
+    arrays = [a for coeffs in cases[1:] for per in coeffs.details.values() for _, a in per.values()]
+    assert all(np.signbit(a[a == 0]).any() for a in arrays)
+
+
+#: Largest tracemalloc peak of a dense write to os.devnull; measured at
+#: 0.74 MB for the 2^19 band, 0.69 MB for the 512x512 band and 0.64 MB for
+#: the 512x512 samples, whatever the size of the band.
+WRITE_PEAK_BOUND = 1 << 20
+
+
+def _write_peak(write):
+    with open(os.devnull, "w") as handle:
+        tracemalloc.start()
+        try:
+            write(handle)
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+    return peak
+
+
+def test_dense_writers_memory_does_not_grow_with_the_band():
+    # the writers format a slice of lines at a time; writing every row of a
+    # band at once took about 21 MB for the 1-D band and 17 MB for the 2-D one
+    rng = np.random.default_rng(0)
+    line, square = rng.uniform(-1, 1, size=1 << 19), rng.uniform(-1, 1, size=(512, 512))
+    f = SampledFunction(d=2, js=9, offset=(-3, 4), values=square)
+    assert _write_peak(lambda h: write_bands(h, [("M", 18, (-5,), line, 2.0 ** 9)])) < WRITE_PEAK_BOUND
+    assert _write_peak(lambda h: write_bands(h, [("MF", 8, (-5, 7), square, 2.0 ** 8)])) < WRITE_PEAK_BOUND
+    assert _write_peak(lambda h: write_samples(f, h)) < WRITE_PEAK_BOUND
 
 
 def test_coefficients_validation():
