@@ -292,7 +292,8 @@ def write_bands(handle, bands):
     exactly when the raw one is.  coefficients_from_entries reads such rows
     back."""
     for gender, j, offset, arr, scale in bands:
-        write_dense(handle, offset, arr, prefix="%s,%d," % (gender, j), scale=scale, skip_zeros=True)
+        prefix = "%s,%d," % (gender, j)
+        write_dense(handle, offset, arr, prefix=prefix, scale=scale, skip_zeros=True)
 
 
 def coefficients_from_entries(d, top_level, scaling_entries, detail_entries):

@@ -190,8 +190,8 @@ def test_written_bands_are_the_detail_sequences(monkeypatch):
             j, m, vals = seq.cells()
             write_rows(want, np.column_stack((j, m)), vals, prefix=gender + ",")
         assert got.getvalue() == want.getvalue() and len(want.getvalue().splitlines()) > 50
-    arrays = [a for coeffs in cases[1:] for per in coeffs.details.values() for _, a in per.values()]
-    assert all(np.signbit(a[a == 0]).any() for a in arrays)
+    details = [per.values() for coeffs in cases[1:] for per in coeffs.details.values()]
+    assert all(np.signbit(a[a == 0]).any() for bands in details for _, a in bands)
 
 
 #: Largest tracemalloc peak of a dense write to os.devnull; measured at
@@ -217,8 +217,8 @@ def test_dense_writers_memory_does_not_grow_with_the_band():
     rng = np.random.default_rng(0)
     line, square = rng.uniform(-1, 1, size=1 << 19), rng.uniform(-1, 1, size=(512, 512))
     f = SampledFunction(d=2, js=9, offset=(-3, 4), values=square)
-    assert _write_peak(lambda h: write_bands(h, [("M", 18, (-5,), line, 2.0 ** 9)])) < WRITE_PEAK_BOUND
-    assert _write_peak(lambda h: write_bands(h, [("MF", 8, (-5, 7), square, 2.0 ** 8)])) < WRITE_PEAK_BOUND
+    for band in [("M", 18, (-5,), line, 2.0 ** 9), ("MF", 8, (-5, 7), square, 2.0 ** 8)]:
+        assert _write_peak(lambda h: write_bands(h, [band])) < WRITE_PEAK_BOUND
     assert _write_peak(lambda h: write_samples(f, h)) < WRITE_PEAK_BOUND
 
 
