@@ -23,13 +23,16 @@ quantities with an honest three-way verdict: a tail that decays under a
 geometric envelope counts as convergent, partial sums beyond 1e12 count as
 divergent, anything else is undetermined.
 
-The sampled quantities, which exact verdicts report as well, come from three
-bounded caches.  ``phi_lattice`` keeps one value per level per (profile, nu
-window), up to 512 windows; ``_pair_diagnostics`` keeps alpha_j and
-phi1(2**-j)**(rho-1) (j_max + 1 values each) and the large-cube report per
-(phi1, phi2, rho, j_max, nu_min), up to 256 pairs; ``_point_diagnostics``
-keeps the ell_{q*} status and value per pair key, s2 - s1 and q*, up to
-2048 points.
+``decide`` answers from a memo of verdicts, keyed by everything a verdict
+depends on: the two profiles, rho, q*, the smoothness gap s1 - s2 (with
+the sign of a zero gap) and the sampled window (j_max, nu_min).  It keeps
+the VERDICT_MEMO_SIZE = 4096 verdicts used last, so a distinct question is
+decided once per process while it stays among them.  A miss reads two
+more bounded caches: ``_pair_diagnostics`` keeps, per (phi1, phi2, rho,
+j_max, nu_min) and up to 256 pairs, alpha_j and phi1(2**-j)**(rho-1)
+(j_max + 1 values each) and the large-cube report that every verdict of
+the pair shares; ``phi_lattice`` keeps one value per level per (profile,
+nu window), up to 512 windows.
 
 A holding embedding between distinct spaces of this family is never compact;
 the verdict records that alongside the decision.
@@ -59,6 +62,9 @@ DIVERGENCE_CAP = 1e12
 DEFAULT_J_MAX = 64
 DEFAULT_NU_MIN = -64
 
+#: Verdicts decide's memo keeps, the least recently used leaving first.
+VERDICT_MEMO_SIZE = 4096
+
 #: Finest lattice level: 2**-nu underflows to 0 beyond it.
 FINEST_NU = 1074
 
@@ -77,14 +83,14 @@ class EmbeddingQuery:
         return min(1.0, self.source.p / self.target.p)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConditionReport:
     status: str  # "satisfied" | "violated" | "undetermined"
     value: float = 0.0
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EmbeddingVerdict:
     """The outcome follows from the two condition reports: "fails" if either
     is violated, "holds" if both are satisfied, "undetermined" otherwise.
@@ -184,11 +190,16 @@ def _cross_level(gamma, delta, qs, value=0.0, suffix=""):
 #: The cross-level report when the large-cube condition already fails.
 _DIVERGES = ConditionReport("violated", detail="running maxima diverge")
 
+#: decide's cross-level report when the large-cube ratio is unbounded.
+_UNBOUNDED = ConditionReport(
+    "violated", math.inf, "running maxima diverge with the large-cube ratio"
+)
 
-def _verdict(query, method, cond0, cond2, constant=None, notes=()):
+
+def _verdict(rho, qs, method, cond0, cond2, constant=None, notes=()):
     """The one constructor of EmbeddingVerdict: the outcome by the rule on
-    the two condition reports, rho and q* from the query, and the constant
-    kept only for a holding verdict."""
+    the two condition reports, and the constant kept only for a holding
+    verdict."""
     if "violated" in (cond0.status, cond2.status):
         outcome = "fails"
     elif cond0.status == cond2.status == "satisfied":
@@ -197,8 +208,8 @@ def _verdict(query, method, cond0, cond2, constant=None, notes=()):
         outcome = "undetermined"
     return EmbeddingVerdict(
         outcome=outcome,
-        rho=query.rho,
-        q_star=q_star(query.source.q, query.target.q),
+        rho=rho,
+        q_star=qs,
         cond0=cond0,
         cond2=cond2,
         method=method,
@@ -260,8 +271,9 @@ def _qs_root(total, qs):
         return math.inf
 
 
-def _cond2_exponents(pr1, pr2, s1, s2, rho):
-    """Exponent pair (gamma, delta) of the cross-level sequence.
+def _cond2_exponents(pr1, pr2, gap, rho):
+    """Exponent pair (gamma, delta) of the cross-level sequence, where
+    gap = s1 - s2.
 
     The running maximum alpha_j either keeps growing with j (when the
     small-cube side of R grows) or saturates; the two regimes give the same
@@ -270,17 +282,16 @@ def _cond2_exponents(pr1, pr2, s1, s2, rho):
     grow = rho * pr1.a_zero - pr2.a_zero
     grow_log = pr2.b_zero - rho * pr1.b_zero
     if grow > 0.0 or (grow == 0.0 and grow_log > 0.0):
-        gamma = s1 - s2 - pr1.a_zero + pr2.a_zero
+        gamma = gap - pr1.a_zero + pr2.a_zero
         delta = pr2.b_zero - pr1.b_zero
     else:
-        gamma = s1 - s2 + pr1.a_zero * (rho - 1.0)
+        gamma = gap + pr1.a_zero * (rho - 1.0)
         delta = pr1.b_zero * (rho - 1.0)
     return gamma, delta
 
 
-@functools.lru_cache(maxsize=256)
-def _pair_diagnostics(phi1, phi2, rho, j_max, nu_min):
-    """The part of the sampled diagnostics fixed by the pair of profiles.
+def _pair_samples(phi1, phi2, rho, j_max, nu_min):
+    """The sampled quantities fixed by the pair of profiles.
 
     Returns the running maxima alpha_j and phi1(2**-j)**(rho-1) for
     j = 0..j_max (None where unsampled), then sup R(nu) over nu = 0 down to
@@ -307,12 +318,36 @@ def _pair_diagnostics(phi1, phi2, rho, j_max, nu_min):
     return alphas, tuple(damps), sup_R, _classify_sup(rvals)
 
 
-@functools.lru_cache(maxsize=2048)
-def _point_diagnostics(phi1, phi2, rho, j_max, nu_min, gap, qs):
+@functools.lru_cache(maxsize=256)
+def _pair_diagnostics(phi1, phi2, rho, j_max, nu_min):
+    """The part of a verdict fixed by the pair of profiles, shared by every
+    verdict of the pair.
+
+    Returns alpha_j and phi1(2**-j)**(rho-1) from _pair_samples, the two
+    power-log profiles (None when either profile is tabulated) and the
+    large-cube report: exact from the exponents with the sampled sup R as
+    its value, or sampled.
+    """
+    alphas, damps, sup_R, (st0, v0) = _pair_samples(phi1, phi2, rho, j_max, nu_min)
+    try:
+        pr1 = asymptotic_profile(phi1)
+        pr2 = asymptotic_profile(phi2)
+    except NoProfileError:
+        return alphas, damps, None, ConditionReport(st0, v0, "sampled ratio on large cubes")
+    lhs = pr2.a_inf - rho * pr1.a_inf
+    ok = lhs < 0.0 or (lhs == 0.0 and pr2.b_inf <= rho * pr1.b_inf)
+    cond0 = ConditionReport(
+        _status(ok),
+        sup_R,
+        "large-cube ratio exponent %r, log order gap %r" % (lhs, pr2.b_inf - rho * pr1.b_inf),
+    )
+    return alphas, damps, (pr1, pr2), cond0
+
+
+def _sampled_cross_level(alphas, damps, gap, qs):
     """Three-way verdict and partial quantity of the sampled cross-level
     sequence 2**(j gap) * alpha_j * phi1(2**-j)**(rho-1) in ell_{q*}, where
-    gap = s2 - s1; the pair part comes from _pair_diagnostics."""
-    alphas, damps, _, _ = _pair_diagnostics(phi1, phi2, rho, j_max, nu_min)
+    gap = s2 - s1."""
     try:
         terms = [
             None if damp is None else 2.0 ** (j * gap) * alpha * damp
@@ -345,46 +380,38 @@ def decide(query, j_max=DEFAULT_J_MAX, nu_min=DEFAULT_NU_MIN):
 
     Exact when both profiles have power-log asymptotics; otherwise sampled
     with a three-way verdict.  The depth arguments only affect the sampled
-    diagnostics, never an exact decision.
+    diagnostics, never an exact decision.  Equal questions get the same
+    verdict object, from the memo.
     """
     src, tgt = query.source, query.target
-    rho = query.rho
-    qs = q_star(src.q, tgt.q)
-    key = (src.phi, tgt.phi, rho, j_max, nu_min)
-    try:
-        pr1 = asymptotic_profile(src.phi)
-        pr2 = asymptotic_profile(tgt.phi)
-    except NoProfileError:
-        _, _, _, (st0, v0) = _pair_diagnostics(*key)
-        st2, v2 = _point_diagnostics(*key, tgt.s - src.s, qs)
-        cond0 = ConditionReport(st0, v0, "sampled ratio on large cubes")
+    gap = src.s - tgt.s
+    return _decided(src.phi, tgt.phi, query.rho, q_star(src.q, tgt.q), gap,
+                    math.copysign(1.0, gap) < 0.0, j_max, nu_min)
+
+
+@functools.lru_cache(maxsize=VERDICT_MEMO_SIZE)
+def _decided(phi1, phi2, rho, qs, gap, gap_negative, j_max, nu_min):
+    """decide's memo: the verdict from the profiles, rho, q*, the
+    smoothness gap s1 - s2 and the window.  gap_negative only keys the
+    memo: -0.0 == 0.0 as a key, yet the sign of a zero gap can show in the
+    exponents a detail prints."""
+    alphas, damps, profiles, cond0 = _pair_diagnostics(phi1, phi2, rho, j_max, nu_min)
+    if profiles is None:
+        st2, v2 = _sampled_cross_level(alphas, damps, -gap, qs)
         cond2 = ConditionReport(st2, v2, "sampled cross-level partial quantities")
         notes = ("sampled verdicts depend on the scan window",)
-        return _verdict(query, "sampled", cond0, cond2, constant=v2, notes=notes)
+        return _verdict(rho, qs, "sampled", cond0, cond2, constant=v2, notes=notes)
+    if cond0.status == "violated":
+        notes = ("ratio of profiles unbounded on large cubes",)
+        return _verdict(rho, qs, "profile", cond0, _UNBOUNDED, notes=notes)
 
-    lhs = pr2.a_inf - rho * pr1.a_inf
-    cond0_ok = lhs < 0.0 or (lhs == 0.0 and pr2.b_inf <= rho * pr1.b_inf)
-    _, _, sup_R, _ = _pair_diagnostics(*key)
-    cond0 = ConditionReport(
-        _status(cond0_ok),
-        sup_R,
-        "large-cube ratio exponent %r, log order gap %r" % (lhs, pr2.b_inf - rho * pr1.b_inf),
-    )
-    if not cond0_ok:
-        cond2 = ConditionReport(
-            "violated", math.inf, "running maxima diverge with the large-cube ratio"
-        )
-        return _verdict(
-            query, "profile", cond0, cond2, notes=("ratio of profiles unbounded on large cubes",)
-        )
-
-    gamma, delta = _cond2_exponents(pr1, pr2, src.s, tgt.s, rho)
-    _, partial = _point_diagnostics(*key, tgt.s - src.s, qs)
+    gamma, delta = _cond2_exponents(*profiles, gap, rho)
+    _, partial = _sampled_cross_level(alphas, damps, -gap, qs)
     cond2 = _cross_level(
         gamma, delta, qs, partial, " against q*=%s" % ("inf" if qs == INF else repr(qs))
     )
     notes = ("the embedding is not compact",) if cond2.status == "satisfied" else ()
-    return _verdict(query, "profile", cond0, cond2, constant=partial, notes=notes)
+    return _verdict(rho, qs, "profile", cond0, cond2, constant=partial, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -400,21 +427,22 @@ def decide_same_phi(query):
     src, tgt = query.source, query.target
     if src.phi != tgt.phi:
         raise NotApplicableError("the spaces do not share a profile")
+    rho, qs = query.rho, q_star(src.q, tgt.q)
     if src.p >= tgt.p:
         ok = src.s > tgt.s or (src.s == tgt.s and src.q <= tgt.q)
         cond0 = ConditionReport("satisfied", 1.0, "identical profiles, rho = 1")
         cond2 = ConditionReport(_status(ok), detail="needs s1 > s2, or s1 = s2 with q1 <= q2")
-        return _verdict(query, "same-phi", cond0, cond2)
+        return _verdict(rho, qs, "same-phi", cond0, cond2)
     prof = asymptotic_profile(src.phi)
     bounded = prof.a_inf == 0.0 and prof.b_inf <= 0.0
     cond0 = ConditionReport(
         _status(bounded), detail="losing local integrability needs a bounded profile"
     )
     if not bounded:
-        return _verdict(query, "same-phi", cond0, _DIVERGES)
-    gamma = src.s - tgt.s + prof.a_zero * (query.rho - 1.0)
-    delta = prof.b_zero * (query.rho - 1.0)
-    return _verdict(query, "same-phi", cond0, _cross_level(gamma, delta, q_star(src.q, tgt.q)))
+        return _verdict(rho, qs, "same-phi", cond0, _DIVERGES)
+    gamma = src.s - tgt.s + prof.a_zero * (rho - 1.0)
+    delta = prof.b_zero * (rho - 1.0)
+    return _verdict(rho, qs, "same-phi", cond0, _cross_level(gamma, delta, qs))
 
 
 def decide_into_besov(source, s2, p2, q2):
@@ -428,6 +456,7 @@ def decide_into_besov(source, s2, p2, q2):
     src = source
     target = SpaceParams(s=s2, p=p2, q=q2, phi=power(p2, d=src.d), d=src.d)
     query = EmbeddingQuery(source=src, target=target)
+    rho, qs = query.rho, q_star(src.q, q2)
     prof = asymptotic_profile(src.phi)
     natural = prof.a_inf == src.d / src.p and prof.b_inf == 0.0
     ok0 = src.p <= p2 and natural
@@ -435,10 +464,10 @@ def decide_into_besov(source, s2, p2, q2):
         _status(ok0), detail="needs p1 <= p2 and the pure power t^(d/p1) on large cubes"
     )
     if not ok0:
-        return _verdict(query, "into-besov", cond0, _DIVERGES)
-    gamma = src.s - s2 + prof.a_zero * (query.rho - 1.0)
-    delta = prof.b_zero * (query.rho - 1.0)
-    return _verdict(query, "into-besov", cond0, _cross_level(gamma, delta, q_star(src.q, q2)))
+        return _verdict(rho, qs, "into-besov", cond0, _DIVERGES)
+    gamma = src.s - s2 + prof.a_zero * (rho - 1.0)
+    delta = prof.b_zero * (rho - 1.0)
+    return _verdict(rho, qs, "into-besov", cond0, _cross_level(gamma, delta, qs))
 
 
 def decide_from_besov(s1, p1, q1, target):
@@ -452,23 +481,23 @@ def decide_from_besov(s1, p1, q1, target):
     tgt = target
     source = SpaceParams(s=s1, p=p1, q=q1, phi=power(p1, d=tgt.d), d=tgt.d)
     query = EmbeddingQuery(source=source, target=tgt)
-    qs = q_star(q1, tgt.q)
+    rho, qs = query.rho, q_star(q1, tgt.q)
     prof = asymptotic_profile(tgt.phi)
     dp1 = tgt.d / p1
     if p1 <= tgt.p:
         cond0 = ConditionReport("satisfied", detail="automatic for p1 <= p2")
         cond2 = _cross_level(s1 - tgt.s - dp1 + prof.a_zero, prof.b_zero, qs)
-        return _verdict(query, "from-besov", cond0, cond2)
+        return _verdict(rho, qs, "from-besov", cond0, cond2)
     ok0 = prof.a_inf < dp1 or (prof.a_inf == dp1 and prof.b_inf <= 0.0)
     cond0 = ConditionReport(_status(ok0), detail="target profile against t^(d/p1) on large cubes")
     if not ok0:
-        return _verdict(query, "from-besov", cond0, _DIVERGES)
+        return _verdict(rho, qs, "from-besov", cond0, _DIVERGES)
     head = dp1 - prof.a_zero
     if head > 0.0 or (head == 0.0 and prof.b_zero > 0.0):
         cond2 = _cross_level(s1 - tgt.s - head, prof.b_zero, qs)
     else:
         cond2 = _cross_level(s1 - tgt.s, 0.0, qs)
-    return _verdict(query, "from-besov", cond0, cond2)
+    return _verdict(rho, qs, "from-besov", cond0, cond2)
 
 
 def spaces_equal(first, second):
@@ -543,20 +572,20 @@ def decide_under_IS(query):
             detail="plain cross-level decay 2^(j(s2-s1))",
         )
         return _verdict(
-            query, "IS:source-bounded-below", cond0, cond2 if cond0_ok else _DIVERGES
+            rho, qs, "IS:source-bounded-below", cond0, cond2 if cond0_ok else _DIVERGES
         )
     if is2.has_I:
         cond2 = _cross_level(src.s - tgt.s - pr1.a_zero, -pr1.b_zero, qs)
         return _verdict(
-            query, "IS:target-bounded-below", cond0, cond2 if cond0_ok else _DIVERGES
+            rho, qs, "IS:target-bounded-below", cond0, cond2 if cond0_ok else _DIVERGES
         )
     if is2.has_S:
         cond0 = ConditionReport("satisfied", detail="automatic against a bounded target profile")
-        cond2 = _cross_level(*_cond2_exponents(pr1, pr2, src.s, tgt.s, rho), qs)
-        return _verdict(query, "IS:target-bounded-above", cond0, cond2)
+        cond2 = _cross_level(*_cond2_exponents(pr1, pr2, src.s - tgt.s, rho), qs)
+        return _verdict(rho, qs, "IS:target-bounded-above", cond0, cond2)
     if is1.has_S:
         cond0 = ConditionReport("violated", detail="target profile unbounded above")
-        return _verdict(query, "IS:source-bounded-above", cond0, _DIVERGES)
+        return _verdict(rho, qs, "IS:source-bounded-above", cond0, _DIVERGES)
     raise NotApplicableError("neither profile is extremal on either side")
 
 

@@ -97,12 +97,18 @@ def _log_shift(x):
     return x
 
 
+def _log_order(x):
+    """A log exponent as a float, with -0.0 read as 0.0: equal profiles
+    then print alike, whichever of them a cache keeps."""
+    return float(x) + 0.0
+
+
 #: Argument check per PhiSpec field.
 _FIELD_CHECKS = {
     "u": functools.partial(_positive, "u"),
     "v": functools.partial(_positive, "v"),
     "c": functools.partial(_positive, "c"),
-    "a": float,
+    "a": _log_order,
     "lshift": _log_shift,
 }
 
@@ -224,12 +230,15 @@ def phi_lattice(spec, nu_lo, nu_hi):
     return tuple(values)
 
 
+@functools.lru_cache(maxsize=512)
 def normalize(spec):
     """Return the profile rescaled so that phi(1) = 1.
 
     The divisor is the raw family value at t = 1, so normalising twice
-    returns an identical object.  A value at t = 1 outside the positive
-    floats raises DomainError.
+    returns an equal object.  A value at t = 1 outside the positive floats
+    raises DomainError.  Equal profiles normalise to one object, kept for
+    up to 512 profiles, so the caches keyed by a profile compare it by
+    identity and hold one copy of a table that many space blocks name.
     """
     try:
         denom = _family(spec.kind).value(spec, 1.0)

@@ -226,6 +226,27 @@ def test_sweep_guards(tmp_path, capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_sweep_bad_table_keeps_the_records_before_it(tmp_path, monkeypatch, capsys, to_file):
+    # a bad data file ends the sweep at the first point that names it: the
+    # header and every earlier record are written, then one stderr line, 65
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.csv").write_text("t,value\n1,abc\n", encoding="utf-8")
+    cfg = _sweep_config(tmp_path, ["source.phi = power(2); table(bad.csv)",
+                                   "target.s = 0; 0.5"])
+    out_path = tmp_path / "grid.jsonl"
+    argv = ["sweep", "--config", str(cfg)] + (["--out", str(out_path)] if to_file else [])
+    assert main(argv) == 65
+    captured = capsys.readouterr()
+    text = out_path.read_text(encoding="utf-8") if to_file else captured.out
+    lines = [json.loads(line) for line in text.splitlines()]
+    assert text.endswith("\n") and len(lines) == 3
+    assert (lines[0]["command"], lines[0]["count"]) == ("sweep", 4)
+    assert [(r["index"], r["source.phi"], r["target.s"], r["outcome"]) for r in lines[1:]] \
+        == [(0, "power(2)", "0", "holds"), (1, "power(2)", "0.5", "holds")]
+    assert captured.err == "source space: bad.csv:2: malformed row '1,abc'\n"
+
+
 def test_cli_surface(capsys):
     assert main([]) == 64
     assert main(["frobnicate"]) == 64
@@ -1156,6 +1177,7 @@ def test_fuzz_sweep_command_lines(sweep_config_path, config):
     assert peak < 1 << 24, (text, argv, peak)
     for line in out.getvalue().splitlines()[1:]:
         record = json.loads(line)
+        assert line == json.dumps(record, sort_keys=True), line  # a spliced record
         if record["outcome"] != "error":
             rule = _outcome_by_rule(record["cond0_status"], record["cond2_status"])
             assert record["outcome"] == rule, (text, record)

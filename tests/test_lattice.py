@@ -18,11 +18,11 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besovmorrey import embedding
+from besovmorrey import cli, embedding
 from besovmorrey import phi as phi_module
 from besovmorrey.cli import main
 from besovmorrey.dyadic import SpaceParams, parse_space_params
-from besovmorrey.embedding import EmbeddingQuery, alpha_sequence, decide, ratio_R
+from besovmorrey.embedding import EmbeddingQuery, alpha_sequence, decide, q_star, ratio_R
 from besovmorrey.errors import DomainError, ExtrapolationError, WitnessSelectionError
 from besovmorrey.phi import eval_phi, parse_phi, phi_lattice, tabulated
 from besovmorrey.witness import select_witness_level
@@ -51,7 +51,7 @@ def scalar_alphas(phi1, phi2, rho, j_max, nu_min):
     return tuple(alphas)
 
 
-def scalar_pair_diagnostics(phi1, phi2, rho, j_max, nu_min):
+def scalar_pair_samples(phi1, phi2, rho, j_max, nu_min):
     """The pair layer of the diagnostics one scalar evaluation at a time."""
     rvals = []
     for nu in range(0, nu_min - 1, -1):
@@ -73,9 +73,8 @@ def scalar_pair_diagnostics(phi1, phi2, rho, j_max, nu_min):
     return alphas, tuple(damps), sup_R, embedding._classify_sup(rvals)
 
 
-def scalar_point_diagnostics(phi1, phi2, rho, j_max, nu_min, gap, qs):
+def scalar_cross_level(alphas, damps, gap, qs):
     """The point layer on top of the scalar pair layer."""
-    alphas, damps, _, _ = scalar_pair_diagnostics(phi1, phi2, rho, j_max, nu_min)
     terms = [None if damp is None else 2.0 ** (j * gap) * alpha * damp
              for j, (alpha, damp) in enumerate(zip(alphas, damps))]
     return embedding._classify_lq(terms, qs)
@@ -174,9 +173,11 @@ def test_decide_matches_scalar_reference(monkeypatch):
         source, target = query.source, query.target
         j_max, nu_min = rng.choice(WINDOWS)
         got = outcome_of(decide, query, j_max=j_max, nu_min=nu_min)
-        with monkeypatch.context() as patch:  # neither layer is cached on this route
-            patch.setattr(embedding, "_pair_diagnostics", scalar_pair_diagnostics)
-            patch.setattr(embedding, "_point_diagnostics", scalar_point_diagnostics)
+        with monkeypatch.context() as patch:  # no layer is cached on this route
+            for name in ("_decided", "_pair_diagnostics"):
+                patch.setattr(embedding, name, getattr(embedding, name).__wrapped__)
+            patch.setattr(embedding, "_pair_samples", scalar_pair_samples)
+            patch.setattr(embedding, "_sampled_cross_level", scalar_cross_level)
             want = outcome_of(decide, query, j_max=j_max, nu_min=nu_min)
         assert got == want
         assert outcome_of(alpha_sequence, source.phi, target.phi, query.rho, j_max, nu_min) \
@@ -228,6 +229,72 @@ def test_warm_caches_match_cold_ones():
                 seen.add("overflow gap")
     assert seen >= {"table", "analytic", "finite q*", "infinite q*", "overflow gap"}
     assert seen >= set(WINDOWS)
+
+
+def test_memo_matches_decide_with_the_memo_cleared():
+    """Every verdict decide serves through its memo equals, field by field
+    (floats by repr, details included), the one it computes with the memo
+    cleared.  The questions share a memo key only where the verdict cannot
+    tell them apart: p pairs of equal rho, q pairs of equal q*, s pairs of
+    equal gap; the sign of a zero gap, a table against its analytic twin
+    and each end of the window must keep them apart (against power(4),
+    capped(2) has an unbounded ratio, whose sampled sup grows with -nu_min)."""
+    table = DATA / "sweep_small" / "sqrt_table.csv"  # t^(1/2), the twin of power(2)
+    cases = [
+        (EmbeddingQuery(
+            source=parse_space_params("s=%s,p=%s,q=%s,phi=%s,d=1" % (s1, p1, q1, phi1)),
+            target=parse_space_params("s=%s,p=%s,q=%s,phi=%s,d=1" % (s2, p2, q2, phi2))),
+         window)
+        for phi1 in ("power(2)", "table(%s)" % table, "floorone(2)", "capped(2)")
+        for phi2 in ("power(4)", "capped(4)")
+        for p1, p2 in ((1, 2), (2, 4), (2, 2))
+        for q1, q2 in (("2", "1"), ("inf", "2"), ("1", "2"), ("2", "inf"))
+        for s1, s2 in (("-0.0", "0.0"), ("0.0", "0.0"), ("0.0", "-0.0"), ("0.5", "0"), ("1", "0.5"))
+        for window in ((64, -64), (8, -64), (64, -3))
+    ]
+    random.Random(20261019).shuffle(cases)
+    embedding._decided.cache_clear()
+    warm = [decide(query, *window) for query, window in cases]
+    info = embedding._decided.cache_info()
+    assert info.hits > len(cases) // 2 and info.misses + info.hits == len(cases)
+    details = {}
+    for (query, window), got in zip(cases, warm):
+        embedding._decided.cache_clear()
+        want = decide(query, *window)
+        assert repr(got) == repr(want), (query, window)
+        if query.source.phi.kind == "floorone" and query.rho < 1.0:
+            details.setdefault(repr(query.source.s) + repr(query.target.s), set()).add(
+                want.cond2.detail.split(")")[0])
+    # the sign of a zero gap shows in a detail, so the memo must keep it
+    assert details["-0.00.0"] == {"cross-level decay 2^(-j*-0.0"}
+    assert details["0.00.0"] == details["0.0-0.0"] == {"cross-level decay 2^(-j*0.0"}
+
+
+def test_specialised_deciders_do_not_use_the_memo(monkeypatch):
+    """AC08 compares the specialised deciders with decide, so they must
+    reach their verdicts without it."""
+    def refuse(*key):
+        raise AssertionError("a specialised decider read the verdict memo")
+
+    monkeypatch.setattr(embedding, "_decided", refuse)
+    source = parse_space_params("s=1,p=1,q=2,phi=capped(2),d=1")
+    target = parse_space_params("s=0,p=2,q=2,phi=power(2),d=1")
+    query = EmbeddingQuery(source=source, target=target)
+    assert embedding.decide_same_phi(EmbeddingQuery(source=target, target=target)).outcome
+    assert embedding.decide_into_besov(source, 0.0, 2.0, 2.0).outcome
+    assert embedding.decide_from_besov(1.0, 2.0, 2.0, target).outcome
+    assert embedding.decide_under_IS(query).outcome
+
+
+def test_verdict_memo_is_bounded():
+    size = embedding.VERDICT_MEMO_SIZE
+    source = parse_space_params("s=0,p=2,q=2,phi=capped(2),d=1")
+    target = parse_space_params("s=0,p=2,q=2,phi=power(2),d=1")
+    embedding._decided.cache_clear()
+    for k in range(size + 100):
+        decide(EmbeddingQuery(source=dataclasses.replace(source, s=k / 64.0), target=target))
+    info = embedding._decided.cache_info()
+    assert (info.maxsize, info.misses, info.currsize) == (size, size + 100, size)
 
 
 def scalar_witness_level(query, i, nu_min):
@@ -316,6 +383,26 @@ def test_sweep_matches_golden_file(tmp_path, monkeypatch, capsys):
     """A table source, a repeated block and per-point errors; the output is
     the one the scalar route wrote."""
     _sweep_golden("sweep_small", tmp_path, monkeypatch, capsys)
+
+
+def test_sweep_decides_each_distinct_question_once(tmp_path, monkeypatch, capsys):
+    """decide is still called at each of the grid's 54 decided points, and
+    its memo misses once per distinct key: profiles, rho, q*, the gap with
+    its sign, and the window."""
+    keys = []
+
+    def counting(query, j_max, nu_min):
+        src, tgt = query.source, query.target
+        keys.append((src.phi, tgt.phi, query.rho, q_star(src.q, tgt.q), repr(src.s - tgt.s),
+                     j_max, nu_min))
+        return decide(query, j_max=j_max, nu_min=nu_min)
+
+    monkeypatch.setattr(cli, "decide", counting)
+    embedding._decided.cache_clear()
+    _sweep_golden("sweep_small", tmp_path, monkeypatch, capsys)
+    info = embedding._decided.cache_info()
+    assert len(keys) == 54 and len(set(keys)) < 54
+    assert (info.misses, info.hits) == (len(set(keys)), 54 - len(set(keys)))
 
 
 def test_sweep_crosses_every_family(tmp_path, monkeypatch, capsys):

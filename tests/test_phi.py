@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +12,8 @@ from besovmorrey.errors import (
     NoProfileError,
     TableFormatError,
 )
+
+SQRT_TABLE = Path(__file__).parent / "data" / "sweep_small" / "sqrt_table.csv"
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +93,19 @@ def test_normalize_is_idempotent():
         once = phimod.normalize(spec)
         assert phimod.normalize(once) == once
         assert phimod.eval_phi(once, 1.0) == pytest.approx(1.0, rel=1e-15)
+
+
+def test_equal_profiles_are_one_object_and_print_alike():
+    # the caches keyed by a profile keep whichever equal profile came first,
+    # so equal profiles must not differ in print: a log exponent -0.0 is 0.0
+    assert phimod.normalize(phimod.parse_phi("table(%s)" % SQRT_TABLE)) \
+        is phimod.normalize(phimod.parse_phi("table(%s)" % SQRT_TABLE))
+    for kind in ("powerlog", "cappedlog"):
+        spec = phimod.parse_phi("%s(2,-0.0)" % kind)
+        assert spec == phimod.parse_phi("%s(2,0.0)" % kind)
+        assert math.copysign(1.0, spec.a) == 1.0
+        assert phimod.format_phi(spec) == "%s(2.0,0.0%s)" % (
+            kind, ",2.718281828459045" if kind == "powerlog" else "")
 
 
 # ---------------------------------------------------------------------------
