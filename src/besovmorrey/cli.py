@@ -147,9 +147,9 @@ def _section_block(cfg, section):
     return _format_block(_section_items(cfg, section))
 
 
-def _parse_space(block, label, d=None):
+def _parse_space(block, label, d=None, phis=None):
     try:
-        return parse_space_params(block, d=d)
+        return parse_space_params(block, d=d, _phis=phis)
     except TableFormatError as exc:
         raise _CliError(EXIT_DATA, "%s space: %s" % (label, exc))
     except DomainError as exc:
@@ -443,10 +443,12 @@ def _cmd_sweep(args):
             "sweep grid has %d combinations; the cap is %d" % (count, MAX_SWEEP),
         )
 
-    # grid points repeat blocks, so each distinct block (and the table file
-    # it names) is parsed once per call; decide returns one verdict object
-    # per distinct question, so a verdict seen lately is not encoded again
+    # grid points repeat blocks, so each distinct block is parsed once per
+    # call, and each distinct profile expression (and the table file it
+    # names) once; decide returns one verdict object per distinct question,
+    # so a verdict seen lately is not encoded again
     parsed = {}
+    phis = {}
     encoded = {}
     grid = itertools.product(_side_blocks(base["source"], sides["source"]),
                              _side_blocks(base["target"], sides["target"]))
@@ -456,8 +458,8 @@ def _cmd_sweep(args):
         for index, ((source_block, source_members), (target_block, target_members)) \
                 in enumerate(grid):
             try:
-                source = _parse_cached(parsed, source_block, "source")
-                target = _parse_cached(parsed, target_block, "target", d=source.d)
+                source = _parse_cached(parsed, phis, source_block, "source")
+                target = _parse_cached(parsed, phis, target_block, "target", d=source.d)
                 verdict = decide(_query(source, target), j_max=jmax, nu_min=numin)
             except _CliError as err:
                 if err.code == EXIT_DATA:
@@ -497,15 +499,15 @@ def _around_index(fields):
             _JSON.encode({k: v for k, v in fields.items() if k > "index"})[1:-1])
 
 
-def _parse_cached(parsed, block, label, d=None):
-    """_parse_space through the call's cache, keyed by everything the
-    result depends on.  An error is kept as its message and raised again
-    as a config error for every later point; a bad data file ends the
-    sweep the first time."""
+def _parse_cached(parsed, phis, block, label, d=None):
+    """_parse_space through the call's caches of spaces, keyed by
+    everything the result depends on, and of profiles (``phis``).  An
+    error is kept as its message and raised again as a config error for
+    every later point; a bad data file ends the sweep the first time."""
     key = (block, label, d)
     if key not in parsed:
         try:
-            parsed[key] = _parse_space(block, label, d=d)
+            parsed[key] = _parse_space(block, label, d=d, phis=phis)
         except _CliError as err:
             parsed[key] = err.message
             raise

@@ -112,7 +112,7 @@ class DyadicSequence:
             self._add_level(int(j), m, values)
             return
         if (j[1:] < j[:-1]).any():  # a stable sort of sorted levels changes nothing
-            order = np.argsort(j, kind="stable")
+            order, _ = _lex_order((j,))
             j, m, values = j[order], m[order], values[order]
         bounds = (np.flatnonzero(j[1:] != j[:-1]) + 1).tolist()
         for lo, hi in zip([0] + bounds, bounds + [n]):
@@ -230,13 +230,45 @@ def _group_rows(m):
     up, same = _compare_rows(m)
     order = None
     if not (up | same).all():
-        order = np.lexsort(m.T[::-1])
+        order, keys = _lex_order(m.T)
         m = m[order]
-        _, same = _compare_rows(m)
+        same = keys[1:] == keys[:-1] if keys is not None else _compare_rows(m)[1]
     if not same.any():
         return m, order, None
     starts = np.flatnonzero(np.concatenate(([True], ~same)))
     return m[starts], order, starts
+
+
+def _lex_order(columns):
+    """The permutation np.lexsort(columns[::-1]) returns for int64
+    columns, most significant first: the rows in lexicographic order,
+    equal rows in input order.  Also returns the rows' packed keys in that
+    order, equal exactly where the rows are, or None from the fallback.
+
+    Each column less its minimum takes the bits its span needs, the first
+    column highest, above the row index in the lowest bit_length(n - 1)
+    bits.  The keys are then distinct, so numpy's unstable (SIMD) sort of
+    their values gives the stable order, read back from the index bits.
+    When the spans and the index need more than 63 bits, np.lexsort sorts.
+    """
+    n = len(columns[0])
+    bounds = [(int(column.min()), int(column.max())) if n else (0, 0) for column in columns]
+    widths = [(hi - lo).bit_length() for lo, hi in bounds]
+    index_bits = max(n - 1, 0).bit_length()
+    if sum(widths) + index_bits > 63:
+        return np.lexsort(columns[::-1]), None
+    keys = np.arange(n, dtype=np.int64)
+    shift = index_bits
+    for column, (lo, _), width in zip(columns[::-1], bounds[::-1], widths[::-1]):
+        if width:
+            part = column - lo
+            part <<= shift
+            keys |= part
+            shift += width
+    keys.sort()
+    order = keys & ((1 << index_bits) - 1)
+    keys >>= index_bits
+    return order, keys
 
 
 def _regroup(values, order, starts):
@@ -315,11 +347,13 @@ class SpaceParams:
         return self.d * (1.0 / min(1.0, self.p) - 1.0)
 
 
-def parse_space_params(text, d=None):
+def parse_space_params(text, d=None, *, _phis=None):
     """Parse an inline block like ``s=1,p=2,q=inf,phi=twopower(1,2),d=1``.
 
     Commas inside parentheses belong to the profile expression.  A ``d``
-    passed by the caller fills in when the block omits it.
+    passed by the caller fills in when the block omits it.  ``_phis`` is
+    a caller's memo of parsed profiles by (expression, dimension), so a
+    knot table several blocks name is read once.
     """
     fields = {}
     depth = 0
@@ -357,12 +391,15 @@ def parse_space_params(text, d=None):
     missing = [key for key in ("s", "p", "q", "phi") if key not in fields]
     if missing:
         raise DomainError("missing %s in space block %r" % (", ".join(missing), text))
-    phi = parse_phi(fields["phi"], d=dim)
+    phis = {} if _phis is None else _phis
+    key = (fields["phi"], dim)
+    if key not in phis:
+        phis[key] = parse_phi(fields["phi"], d=dim)
     return SpaceParams(
         s=_parse_scalar(fields["s"]),
         p=_parse_scalar(fields["p"]),
         q=_parse_scalar(fields["q"]),
-        phi=phi,
+        phi=phis[key],
         d=dim,
     )
 
@@ -483,7 +520,7 @@ def _merge(coords, values, ps):
     and in lexicographic order.  This route runs from the first round where
     d * (b + 1) <= 63, b the bit length of the largest |coordinate|; rounds
     before it (coordinates near +-2**62, or in d >= 32 any nonzero one)
-    shift, lexsort and sum the coordinates instead.  Both routes sum each
+    shift, sort lexicographically and sum the coordinates instead.  Both routes sum each
     group's children in lexicographic order, and each weight array is
     permuted and summed exactly as if it were merged alone, so the result
     is the same to the bit whichever route ran and however many exponents
@@ -528,7 +565,7 @@ def _merged_weights(coords, rows):
         top = int(np.abs(coords).max()).bit_length()
     keys = _z_keys(coords, top)
     if (keys[1:] < keys[:-1]).any():
-        order = np.argsort(keys)
+        order, _ = _lex_order((keys,))
         keys = keys[order]
         _carry(rows, order, None)
     while True:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicSequence, n_norms
+from .dyadic import DyadicSequence, _lex_order, n_norms
 from .dyadic import n_norm  # noqa: F401  (bench/tracer.py's BINDINGS needs it bound here)
 from .embedding import DEFAULT_NU_MIN, _lattice_ratios, alpha_sequence, decide
 from .embedding import ratio_R  # noqa: F401  (bench/tracer.py traces calls through it)
@@ -186,7 +186,7 @@ def greedy_distribution(d, j0, nu0, total):
         i = np.arange(len(parent)) - (np.cumsum(kids) - kids)[parent]
         loads = np.minimum(share[parent], loads[parent] - i * share[parent])
         m = 2 * m[parent] + ((i[:, None] >> shifts) & 1)
-    m = m[np.lexsort(m.T[::-1])]
+    m = m[_lex_order(m.T)[0]]
     m.flags.writeable = False
     return GreedyDistribution(d=d, j0=j0, nu0=nu0, total=total, m=m)
 

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from besovmorrey import cli, witness
+from besovmorrey import phi as phimod
 from besovmorrey.cli import main
 from besovmorrey.dyadic import DyadicSequence, save_csv
 from besovmorrey.wavelet import SampledFunction, daubechies_system, save_samples
@@ -245,6 +246,40 @@ def test_sweep_bad_table_keeps_the_records_before_it(tmp_path, monkeypatch, caps
     assert [(r["index"], r["source.phi"], r["target.s"], r["outcome"]) for r in lines[1:]] \
         == [(0, "power(2)", "0", "holds"), (1, "power(2)", "0.5", "holds")]
     assert captured.err == "source space: bad.csv:2: malformed row '1,abc'\n"
+
+
+def test_sweep_reads_each_table_once_per_call(tmp_path, monkeypatch, capsys):
+    # two source blocks name each table, and each source block meets two
+    # target blocks: one read per distinct table and call, so a table
+    # edited between calls is read again by the next
+    monkeypatch.chdir(tmp_path)
+
+    def write_table(name, low, power):
+        rows = ["%r,%r" % (2.0 ** k, 2.0 ** (k * power)) for k in range(low, 4)]
+        (tmp_path / name).write_text("t,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
+
+    write_table("a.csv", -30, 0.5)
+    write_table("b.csv", -30, 0.25)
+    cfg = _sweep_config(tmp_path, ["source.phi = table(a.csv); power(2); table(b.csv)",
+                                   "source.s = 1; 2", "target.s = 0; 0.5"])
+    reads = []
+    load_table = phimod.load_table
+    monkeypatch.setattr(phimod, "load_table",
+                        lambda path, d=1: reads.append(path) or load_table(path, d=d))
+    out_path = tmp_path / "grid.jsonl"
+    argv = ["sweep", "--config", str(cfg), "--out", str(out_path)]
+    assert main(argv) == 0
+    assert sorted(reads) == ["a.csv", "b.csv"]
+    records = [json.loads(line) for line in out_path.read_text(encoding="utf-8").splitlines()]
+    assert [r["outcome"] for r in records[1:]].count("error") == 0
+    write_table("a.csv", -30, -0.5)  # decreasing: not admissible
+    reads.clear()
+    assert main(argv) == 0
+    assert sorted(reads) == ["a.csv", "b.csv"]
+    records = [json.loads(line) for line in out_path.read_text(encoding="utf-8").splitlines()]
+    errors = [r["source.phi"] for r in records[1:] if r["outcome"] == "error"]
+    assert errors == ["table(a.csv)"] * 4
+    capsys.readouterr()
 
 
 def test_cli_surface(capsys):

@@ -481,6 +481,113 @@ def test_cells_sorted_by_level_build_the_shuffled_sequence(d):
     assert seq == shuffled
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_repeated_cells_are_summed_in_input_order(d):
+    # every cell repeats 3 to 6 values out of 1e16, 1.0, -1e16 and 3.0 in its
+    # own order, whose sum depends on that order; rows of all levels come
+    # shuffled.  The reference keeps each cell's values in input order and
+    # sums them alone with the reduction the constructor runs over a run of
+    # equal cells, np.add.reduceat (which adds the first value to the
+    # left-to-right sum of the rest for runs of up to 8), so only a sort that
+    # keeps equal cells in input order matches it
+    rng = np.random.default_rng(1900 + d)
+    cells = {(int(rng.integers(0, 6)), tuple(rng.integers(-20, 21, size=d).tolist()))
+             for _ in range(300)}
+    rows = [(j, m, float(v)) for j, m in cells
+            for v in rng.choice([1e16, 1.0, -1e16, 3.0], size=int(rng.integers(3, 7)))]
+    rows = [rows[k] for k in rng.permutation(len(rows))]
+    seq = DyadicSequence(d, cells=(
+        [j for j, _, _ in rows], [m for _, m, _ in rows], [v for _, _, v in rows]))
+    inputs = {}
+    for j, m, v in rows:
+        inputs.setdefault((j, m), []).append(v)
+    sums = {cell: float(np.add.reduceat(np.array(vals), [0])[0])
+            for cell, vals in inputs.items()}
+    for j in range(6):
+        assert seq.level(j) == {m: v for (i, m), v in sums.items() if i == j and v != 0.0}
+    # the values do tell the orders apart: many sums change when the
+    # cell's values come reversed or rotated by one
+    changed = [
+        any(float(np.add.reduceat(np.array(other), [0])[0]) != sums[cell]
+            for other in (vals[::-1], vals[1:] + vals[:1]))
+        for cell, vals in inputs.items()
+    ]
+    assert sum(changed) > len(sums) // 5
+
+
+_LEX_VALUES = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from([-(1 << 63), -(1 << 62), (1 << 62) - 1, 1 << 62, (1 << 63) - 1]),
+)
+
+
+@st.composite
+def _lex_columns(draw):
+    """1 to 4 int64 columns of 0 to 40 rows, each column's values drawn
+    from a few of small or extreme ones, so rows repeat."""
+    width = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 40))
+    pools = [draw(st.lists(_LEX_VALUES, min_size=1, max_size=4)) for _ in range(width)]
+    rows = [[draw(st.sampled_from(pool)) for pool in pools] for _ in range(n)]
+    return np.array(rows, dtype=np.int64).reshape(n, width).T
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(columns=_lex_columns())
+def test_lex_order_is_the_lexsort_permutation(columns):
+    order, keys = dyadic._lex_order(columns)
+    expected = np.lexsort(columns[::-1])
+    assert order.dtype == expected.dtype and np.array_equal(order, expected)
+    if keys is not None:
+        rows = columns.T[order]
+        same = (rows[1:] == rows[:-1]).all(axis=1)
+        assert (keys[1:] >= keys[:-1]).all()
+        assert np.array_equal(keys[1:] == keys[:-1], same)
+
+
+@pytest.mark.parametrize("span_bits, n, packed", [
+    (62, 2, False),  # a span of 2^62 takes 63 bits, the index one more
+    (61, 2, True),
+    (58, 16, True),
+    (58, 17, False),
+    (0, 1, True),
+    (0, 0, True),
+])
+def test_lex_order_packs_up_to_63_bits(span_bits, n, packed):
+    column = np.full(n, -(1 << 62), dtype=np.int64)
+    column[:1] += 1 << span_bits
+    order, keys = dyadic._lex_order((column,))
+    assert np.array_equal(order, np.lexsort((column,)))
+    assert (keys is not None) == packed
+
+
+def test_constructor_and_merge_sort_without_lexsort_or_argsort(monkeypatch):
+    # a shuffled level of 2^12 distinct d=2 cells and 2^10 repeats, under
+    # two levels out of order: the level sort, the row sort and the merge's
+    # Z-order sort all take the packed route
+    rng = np.random.default_rng(1904)
+    flat = rng.choice(1 << 16, size=1 << 12, replace=False)
+    m = np.column_stack((flat % 256 - 128, flat // 256 - 128))
+    m = np.concatenate((m, m[rng.integers(0, 1 << 12, size=1 << 10)]))
+    values = rng.uniform(-1.0, 1.0, size=len(m))
+    j = np.where(np.arange(len(m)) % 3 == 0, 9, 5)
+    perm = rng.permutation(len(m))
+    cells = (j[perm], m[perm], values[perm])
+    params = parse_space_params("s=0.5,p=1.5,q=2,phi=power(2),d=2")
+    expected = DyadicSequence(2, cells=cells)
+    expected_norm = n_norm(expected, params)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.lexsort or np.argsort called")
+
+    monkeypatch.setattr(np, "lexsort", refuse)
+    monkeypatch.setattr(np, "argsort", refuse)
+    seq = DyadicSequence(2, cells=cells)
+    assert seq == expected and seq.levels() == [5, 9]
+    assert len(seq) > 1 << 12
+    assert n_norm(seq, params) == expected_norm
+
+
 def test_lq_norm_scales_by_the_largest_term():
     # (1e200)**2 and (1e-200)**2 leave the float range; the norm does not
     assert lq_norm([1e200, 2.0], 2.0) == 1e200

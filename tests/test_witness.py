@@ -132,6 +132,27 @@ def test_greedy_distribution_any_dimension():
     )
 
 
+@pytest.mark.parametrize("d, j0, nu0, total, packed", [
+    (1, 62, 0, 1000, False),
+    (1, 63, 0, 3, False),
+    (2, 40, -2, 3000, False),
+    (2, 20, 0, 3000, True),
+    (3, 6, 0, 200, True),
+])
+def test_greedy_cells_of_wide_blocks_in_lexicographic_order(
+        monkeypatch, d, j0, nu0, total, packed):
+    # blocks whose coordinate spans and row index need more than 63 bits
+    # sort through np.lexsort, the others on one packed key; both place the
+    # cells in np.lexsort's order
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+    m = greedy_distribution(d, j0, nu0, total).m
+    assert m.shape == (total, d) and calls == ([] if packed else [1])
+    assert np.array_equal(m, m[lexsort(m.T[::-1])])
+    assert (np.diff(m, axis=0) != 0).any(axis=1).all()  # distinct cells
+
+
 def test_select_witness_level_saturates():
     q = query("s=1,p=1,q=1,phi=capped(2)", "s=0,p=2,q=2,phi=capped(2)")
     for i in range(9):
