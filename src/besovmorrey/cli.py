@@ -41,6 +41,7 @@ import itertools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -446,34 +447,51 @@ def _cmd_sweep(args):
     # grid points repeat blocks, so each distinct block is parsed once per
     # call, and each distinct profile expression (and the table file it
     # names) once; decide returns one verdict object per distinct question,
-    # so a verdict seen lately is not encoded again
+    # so a verdict seen lately is not formatted again
     parsed = {}
     phis = {}
     encoded = {}
-    grid = itertools.product(_side_blocks(base["source"], sides["source"]),
-                             _side_blocks(base["target"], sides["target"]))
+    targets = list(_side_blocks(base["target"], sides["target"]))
+    index = 0
     with _output(args.out) as handle:
         _emit_json(handle, {"command": "sweep", "version": __version__, "count": count,
                             "keys": names, "jmax": jmax, "numin": numin})
-        for index, ((source_block, source_members), (target_block, target_members)) \
-                in enumerate(grid):
+        for source_block, source_members in _side_blocks(base["source"], sides["source"]):
+            error = None
             try:
                 source = _parse_cached(parsed, phis, source_block, "source")
-                target = _parse_cached(parsed, phis, target_block, "target", d=source.d)
-                verdict = decide(_query(source, target), j_max=jmax, nu_min=numin)
             except _CliError as err:
                 if err.code == EXIT_DATA:
                     raise
-                before, after = _around_index({"outcome": "error", "error": err.message})
-            else:
-                if id(verdict) not in encoded:
-                    if len(encoded) >= _ENCODED_VERDICTS:
-                        encoded.clear()
-                    # the verdict rides along so that its id stays its own
-                    encoded[id(verdict)] = verdict, *_around_index(_verdict_summary(verdict))
-                _, before, after = encoded[id(verdict)]
-            handle.write('{%s, "index": %d, %s%s%s}\n'
-                         % (before, index, after, source_members, target_members))
+                error = _error_members(err.message)
+            records = []
+            try:
+                for target_block, target_members in targets:
+                    if error:
+                        before, after = error
+                    else:
+                        try:
+                            target = _parse_cached(parsed, phis, target_block, "target",
+                                                   d=source.d)
+                            verdict = decide(_query(source, target), j_max=jmax, nu_min=numin)
+                        except _CliError as err:
+                            if err.code == EXIT_DATA:
+                                raise
+                            before, after = _error_members(err.message)
+                        else:
+                            if id(verdict) not in encoded:
+                                if len(encoded) >= _ENCODED_VERDICTS:
+                                    encoded.clear()
+                                # the verdict rides along so that its id stays its own
+                                encoded[id(verdict)] = verdict, *_verdict_members(verdict)
+                            _, before, after = encoded[id(verdict)]
+                    records.append('{%s, "index": %d, %s%s%s}\n'
+                                   % (before, index, after, source_members, target_members))
+                    index += 1
+            finally:
+                # one write per source block, also when a bad data file ends
+                # the sweep inside it
+                handle.write("".join(records))
     return EXIT_HOLDS
 
 
@@ -490,13 +508,30 @@ def _side_blocks(items, side):
         yield _format_block(block), members and ", " + members
 
 
-def _around_index(fields):
-    """The JSON members of a sweep record's fields that sort before its
-    "index" and those that sort after it.  A record is spliced from these,
-    the index and the source and target members, which sort after all of
-    them since every sweep key starts with "source." or "target."."""
-    return (_JSON.encode({k: v for k, v in fields.items() if k < "index"})[1:-1],
-            _JSON.encode({k: v for k, v in fields.items() if k > "index"})[1:-1])
+# A sweep record is spliced from the members that sort before its "index",
+# the index, the members that sort after it and then the source and target
+# members, which sort last since every sweep key starts with "source." or
+# "target.".  The members are the ones _JSON.encode writes for
+# _verdict_summary, or for {"outcome": "error", "error": message}.
+_VERDICT_BEFORE = '"cond0_status": %s, "cond0_value": %s, "cond2_status": %s, "cond2_value": %s'
+_VERDICT_AFTER = '"method": %s, "outcome": %s, "q_star": %s, "rho": %s'
+
+
+def _json_float(x):
+    return float.__repr__(x) if math.isfinite(x) else '"%s"' % _jsonable(x)
+
+
+def _verdict_members(verdict):
+    cond0, cond2 = verdict.cond0, verdict.cond2
+    return (_VERDICT_BEFORE % (encode_basestring_ascii(cond0.status), _json_float(cond0.value),
+                               encode_basestring_ascii(cond2.status), _json_float(cond2.value)),
+            _VERDICT_AFTER % (encode_basestring_ascii(verdict.method),
+                              encode_basestring_ascii(verdict.outcome),
+                              _json_float(verdict.q_star), _json_float(verdict.rho)))
+
+
+def _error_members(message):
+    return '"error": %s' % encode_basestring_ascii(message), '"outcome": "error"'
 
 
 def _parse_cached(parsed, phis, block, label, d=None):

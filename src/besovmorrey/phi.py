@@ -25,6 +25,7 @@ a constructor.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -48,6 +49,11 @@ class PhiSpec:
     ``denom`` is the normalising divisor: evaluation returns the raw family
     value divided by ``denom``.  Freshly constructed profiles have
     ``denom = 1.0`` and are generally not normalised.
+
+    The caches keyed by a profile hash it on every lookup, so the hash of
+    the fields (a table's knots among them) is taken once, on construction.
+    A copy or a pickle is built through the constructor again, since the
+    hash of ``kind`` differs between processes.
     """
 
     kind: str
@@ -60,6 +66,18 @@ class PhiSpec:
     ts: tuple = ()
     vals: tuple = ()
     denom: float = 1.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self._fields()))
+
+    def _fields(self):
+        return tuple(getattr(self, f.name) for f in dataclasses.fields(self))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), self._fields()
 
 
 @dataclass(frozen=True)

@@ -330,7 +330,8 @@ def coefficients_from_entries(d, top_level, scaling_entries, detail_entries):
 
 def _dense_from_cells(d, m, values):
     """The values on the box hull of the cells m, an (n, d) integer array, as
-    an (offset, array) pair; repeated cells are summed in order."""
+    an (offset, array) pair; repeated cells are summed in input order into
+    +0.0, bit for bit as np.add.at sums them."""
     if not len(values):
         return ((0,) * d, np.zeros((1,) * d))
     lo, hi = m.min(axis=0).tolist(), m.max(axis=0).tolist()
@@ -338,9 +339,15 @@ def _dense_from_cells(d, m, values):
     if math.prod(shape) > MAX_BOX_CELLS:
         box = " x ".join(map(str, shape))
         raise DomainError("the cells span a box of %s cells; the cap is %d" % (box, MAX_BOX_CELLS))
-    arr = np.zeros(shape)
-    np.add.at(arr, tuple((m - lo).T), values)
-    return (tuple(lo), arr)
+    # the row-major index of each cell, built in place: an (n, d) array of
+    # offsets beside it raised the peak RSS of repeated analyze calls by 4 MB
+    flat = m[:, 0] - lo[0]
+    for axis in range(1, d):
+        flat *= shape[axis]
+        flat += m[:, axis]
+        flat -= lo[axis]
+    arr = np.bincount(flat, weights=values, minlength=math.prod(shape))
+    return (tuple(lo), arr.reshape(shape))
 
 
 def save_samples(f, path, header_lines=()):

@@ -248,6 +248,35 @@ def test_sweep_bad_table_keeps_the_records_before_it(tmp_path, monkeypatch, caps
     assert captured.err == "source space: bad.csv:2: malformed row '1,abc'\n"
 
 
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_sweep_bad_target_table_keeps_the_records_before_it(tmp_path, monkeypatch, capsys,
+                                                            to_file):
+    # the first source block is not a space, so its points are error records
+    # and no target is parsed for them; the bad table then ends the sweep in
+    # the middle of the second source block, after that block's first records
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.csv").write_text("t,value\n1,abc\n", encoding="utf-8")
+    cfg = _sweep_config(tmp_path, ["source.p = -1; 2", "target.phi = power(2); table(bad.csv)",
+                                   "target.s = 0; 0.5"])
+    out_path = tmp_path / "grid.jsonl"
+    argv = ["sweep", "--config", str(cfg)] + (["--out", str(out_path)] if to_file else [])
+    assert main(argv) == 65
+    captured = capsys.readouterr()
+    text = out_path.read_text(encoding="utf-8") if to_file else captured.out
+    lines = [json.loads(line) for line in text.splitlines()]
+    assert text.endswith("\n") and len(lines) == 7
+    assert (lines[0]["command"], lines[0]["count"]) == ("sweep", 8)
+    assert [(r["index"], r["source.p"], r["target.phi"], r["target.s"], r["outcome"])
+            for r in lines[1:]] == [
+        (0, "-1", "power(2)", "0", "error"), (1, "-1", "power(2)", "0.5", "error"),
+        (2, "-1", "table(bad.csv)", "0", "error"), (3, "-1", "table(bad.csv)", "0.5", "error"),
+        (4, "2", "power(2)", "0", "holds"), (5, "2", "power(2)", "0.5", "holds"),
+    ]
+    assert len({r["error"] for r in lines[1:5]}) == 1
+    assert captured.err == "target space: bad.csv:2: malformed row '1,abc'\n"
+
+
 def test_sweep_reads_each_table_once_per_call(tmp_path, monkeypatch, capsys):
     # two source blocks name each table, and each source block meets two
     # target blocks: one read per distinct table and call, so a table

@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -106,6 +109,49 @@ def test_equal_profiles_are_one_object_and_print_alike():
         assert math.copysign(1.0, spec.a) == 1.0
         assert phimod.format_phi(spec) == "%s(2.0,0.0%s)" % (
             kind, ",2.718281828459045" if kind == "powerlog" else "")
+
+
+class _CountedTuple(tuple):
+    """A tuple that counts how often it is hashed."""
+
+    hashes = 0
+
+    def __hash__(self):
+        type(self).hashes += 1
+        return super().__hash__()
+
+
+def test_profile_hash_is_taken_once_and_rebuilt_by_copies(tmp_path):
+    table = SQRT_TABLE.read_text(encoding="utf-8")
+    (tmp_path / "second.csv").write_text(table, encoding="utf-8")
+    first = phimod.parse_phi("table(%s)" % SQRT_TABLE)
+    second = phimod.parse_phi("table(%s)" % (tmp_path / "second.csv"))
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert hash(phimod.powerlog(2, -0.0)) == hash(phimod.powerlog(2, 0.0))
+
+    # a cached hash that is wrong for the fields (as one from another
+    # process would be) is not carried into a copy
+    for spec in (first, phimod.normalize(first), phimod.twopower(1, 2, d=2)):
+        stale = phimod.PhiSpec(**{f.name: getattr(spec, f.name) for f in fields(spec)})
+        object.__setattr__(stale, "_hash", hash(spec) ^ 1)
+        denom = spec.denom * 2.0
+        for made, equal in (
+            (pickle.loads(pickle.dumps(stale)), spec),
+            (copy.copy(stale), spec),
+            (copy.deepcopy(stale), spec),
+            (replace(stale, denom=denom), replace(spec, denom=denom)),
+        ):
+            assert made == equal and hash(made) == hash(equal)
+            assert {equal: "found"}[made] == "found"
+
+    _CountedTuple.hashes = 0
+    spec = phimod.PhiSpec(kind="table", d=1, ts=_CountedTuple((0.5, 1.0, 2.0)),
+                          vals=_CountedTuple((0.25, 1.0, 4.0)))
+    for _ in range(3):
+        assert {spec: 1}[spec] == 1
+        phimod.check_class_gp(spec, 2.0)
+        phimod.phi_lattice(spec, -1, 1)
+    assert _CountedTuple.hashes == 2  # ts and vals, each once
 
 
 # ---------------------------------------------------------------------------

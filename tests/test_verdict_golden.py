@@ -5,14 +5,24 @@
 call raised.  The grid covers exact pairs, sampled pairs through the knot
 table t^(1/2) (at the default window and a short one), and the five
 specialised deciders on every pair, inside and outside their hypotheses.
+
+The JSON members ``sweep`` writes for a verdict or an error are checked
+against the encoder, on the verdicts of this grid and on drawn ones.
 """
 
 import dataclasses
+import math
 from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from besovmorrey import cli
 from besovmorrey.dyadic import parse_space_params
 from besovmorrey.embedding import (
+    ConditionReport,
     EmbeddingQuery,
+    EmbeddingVerdict,
     decide,
     decide_from_besov,
     decide_into_besov,
@@ -59,27 +69,31 @@ def _line(label, call):
     return "%s -> %s" % (label, fields)
 
 
-def golden_lines():
+def _calls():
+    """(label, call) for every call of the grid, in file order."""
     spaces = {text: _space(text) for text in SPACES}
-    lines = []
     for a in SPACES:
         for b in SPACES:
             query = EmbeddingQuery(source=spaces[a], target=spaces[b])
             pair = "%s | %s" % (a, b)
-            lines.append(_line("decide(%s)" % pair, lambda: decide(query)))
-            lines.append(_line("decide(%s, 8, -8)" % pair, lambda: decide(query, 8, -8)))
-            lines.append(_line("decide_same_phi(%s)" % pair, lambda: decide_same_phi(query)))
-            lines.append(_line("decide_under_IS(%s)" % pair, lambda: decide_under_IS(query)))
+            yield "decide(%s)" % pair, lambda: decide(query)
+            yield "decide(%s, 8, -8)" % pair, lambda: decide(query, 8, -8)
+            yield "decide_same_phi(%s)" % pair, lambda: decide_same_phi(query)
+            yield "decide_under_IS(%s)" % pair, lambda: decide_under_IS(query)
         for s, p, q in CLASSICAL:
-            lines.append(_line(
+            yield (
                 "decide_into_besov(%s | %r, %r, %r)" % (a, s, p, q),
                 lambda: decide_into_besov(spaces[a], s, p, q),
-            ))
-            lines.append(_line(
+            )
+            yield (
                 "decide_from_besov(%r, %r, %r | %s)" % (s, p, q, a),
                 lambda: decide_from_besov(s, p, q, spaces[a]),
-            ))
-    return lines
+            )
+
+
+def golden_lines():
+    # each call runs before the generator rebinds the names it reads
+    return [_line(label, call) for label, call in _calls()]
 
 
 def test_verdicts_match_golden_file():
@@ -88,3 +102,45 @@ def test_verdicts_match_golden_file():
     assert len(actual) == len(expected)
     for got, want in zip(actual, expected):
         assert got == want
+
+
+def _split_at_index(record):
+    """The JSON members of a record that sort before an "index" member and
+    those that sort after it, as the encoder writes them."""
+    text = cli._JSON.encode(dict(record, index=0))[1:-1]
+    before, after = text.split(', "index": 0, ')
+    return before, after
+
+
+def test_sweep_record_members_match_the_encoder():
+    verdicts = 0
+    for _, call in _calls():
+        try:
+            verdict = call()
+        except Exception:
+            continue
+        verdicts += 1
+        assert cli._verdict_members(verdict) == _split_at_index(cli._verdict_summary(verdict))
+    assert verdicts > 500
+
+
+_EDGE_FLOATS = st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324,
+                                1.1125369292536007e-308, 1e308, -1e308, 1.7976931348623157e308])
+_ANY_FLOAT = st.one_of(_EDGE_FLOATS, st.floats())
+_WORD = st.sampled_from(["satisfied", "violated", "undetermined", "holds", "profile", "a\"b"])
+_MESSAGE = st.text(st.one_of(st.sampled_from('"\\/\x00\x07\x1f\x7f\u2028\ud800é€😀'),
+                             st.characters()))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(values=st.tuples(_ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT),
+       words=st.tuples(_WORD, _WORD, _WORD, _WORD), message=_MESSAGE)
+def test_sweep_record_members_are_the_encoders(values, words, message):
+    rho, q_star, value0, value2 = values
+    outcome, method, status0, status2 = words
+    verdict = EmbeddingVerdict(
+        outcome=outcome, rho=rho, q_star=q_star, method=method,
+        cond0=ConditionReport(status0, value0), cond2=ConditionReport(status2, value2),
+    )
+    assert cli._verdict_members(verdict) == _split_at_index(cli._verdict_summary(verdict))
+    assert cli._error_members(message) == _split_at_index({"outcome": "error", "error": message})

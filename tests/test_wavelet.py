@@ -276,6 +276,50 @@ def test_samples_csv_errors():
     assert duplicated.values[0] == 3.5
 
 
+def _add_at_grid(d, cells, values):
+    """The dense grid by np.add.at: the reference for repeated cells."""
+    cells = np.array(cells, dtype=np.int64).reshape(-1, d)
+    lo = cells.min(axis=0)
+    arr = np.zeros(tuple(cells.max(axis=0) - lo + 1))
+    np.add.at(arr, tuple((cells - lo).T), np.array(values, dtype=float))
+    return tuple(lo.tolist()), arr
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_repeated_cells_sum_in_order_from_plus_zero():
+    # repeated cells add in input order into +0.0, so a -0.0 alone reads
+    # +0.0 and 1e16 + 1 - 1e16 keeps its rounding; both routes into the
+    # dense grid agree bit for bit with np.add.at
+    rows = [((0, 0), 1e16), ((0, 0), 1.0), ((0, 0), -1e16), ((2, 1), -0.0),
+            ((1, 0), -1e16), ((1, 0), 1e16), ((1, 0), 1.0), ((-1, 3), 0.25),
+            ((-1, 3), -0.0), ((0, 2), -0.0), ((0, 2), -0.0)]
+    text = "# d=2 js=3\nm_1,m_2,value\n" + "".join(
+        "%d,%d,%r\n" % (m1, m2, v) for (m1, m2), v in rows
+    )
+    f = read_samples(io.StringIO(text))
+    offset, want = _add_at_grid(2, [m for m, _ in rows], [v for _, v in rows])
+    assert f.offset == offset == (-1, 0) and _same_bits(f.values, want)
+    assert f.values[1, 0] == 0.0 and f.values[2, 0] == 1.0
+    assert math.copysign(1.0, f.values[3, 1]) == 1.0
+
+    # a dict holds each cell once, so here a -0.0 alone, a subnormal and
+    # large values of both signs go through the same sum
+    scaling = {(0,): -0.0, (3,): 1e16, (5,): -5e-324}
+    details = {"M": {(1, (0,)): -0.0, (1, (4,)): 1e16, (1, (2,)): -1e16, (0, (7,)): 2.0}}
+    coeffs = coefficients_from_entries(1, 2, scaling, details)
+    offset, want = _add_at_grid(1, list(scaling), list(scaling.values()))
+    assert coeffs.scaling[0] == offset and _same_bits(coeffs.scaling[1], want)
+    assert math.copysign(1.0, coeffs.scaling[1][0]) == 1.0
+    for level, cells in ((1, [0, 4, 2]), (0, [7])):
+        values = [details["M"][(level, (m,))] / 2.0 ** (level / 2.0) for m in cells]
+        offset, want = _add_at_grid(1, cells, values)
+        got = coeffs.details["M"][level]
+        assert got[0] == offset and _same_bits(got[1], want)
+
+
 def test_function_norm_estimate():
     params = parse_space_params("s=0.5,p=2,q=2,phi=power(2),d=1")
     rng = np.random.default_rng(11)
