@@ -444,11 +444,13 @@ def _cmd_sweep(args):
             "sweep grid has %d combinations; the cap is %d" % (count, MAX_SWEEP),
         )
 
-    # grid points repeat blocks, so each distinct block is parsed once per
-    # call, and each distinct profile expression (and the table file it
-    # names) once; decide returns one verdict object per distinct question,
-    # so a verdict seen lately is not formatted again
-    parsed = {}
+    # a sweep never repeats a source combination, so each source block is
+    # parsed once; the target blocks are parsed once per source dimension,
+    # into that dimension's plan, and each distinct profile expression (and
+    # the table file it names) once per dimension; decide returns one
+    # verdict object per distinct question, so a verdict seen lately is not
+    # formatted again
+    plans = {}
     phis = {}
     encoded = {}
     targets = list(_side_blocks(base["target"], sides["target"]))
@@ -457,34 +459,30 @@ def _cmd_sweep(args):
         _emit_json(handle, {"command": "sweep", "version": __version__, "count": count,
                             "keys": names, "jmax": jmax, "numin": numin})
         for source_block, source_members in _side_blocks(base["source"], sides["source"]):
-            error = None
             try:
-                source = _parse_cached(parsed, phis, source_block, "source")
+                source = _parse_space(source_block, "source", phis=phis)
+                plan = plans.setdefault(source.d, [])
             except _CliError as err:
                 if err.code == EXIT_DATA:
                     raise
-                error = _error_members(err.message)
+                plan = [_error_members(err.message)] * len(targets)
             records = []
             try:
-                for target_block, target_members in targets:
-                    if error:
-                        before, after = error
+                for at, (target_block, target_members) in enumerate(targets):
+                    if at == len(plan):
+                        plan.append(_plan_entry(source, target_block, phis))
+                    target = plan[at]
+                    if isinstance(target, tuple):
+                        before, after = target
                     else:
-                        try:
-                            target = _parse_cached(parsed, phis, target_block, "target",
-                                                   d=source.d)
-                            verdict = decide(_query(source, target), j_max=jmax, nu_min=numin)
-                        except _CliError as err:
-                            if err.code == EXIT_DATA:
-                                raise
-                            before, after = _error_members(err.message)
-                        else:
-                            if id(verdict) not in encoded:
-                                if len(encoded) >= _ENCODED_VERDICTS:
-                                    encoded.clear()
-                                # the verdict rides along so that its id stays its own
-                                encoded[id(verdict)] = verdict, *_verdict_members(verdict)
-                            _, before, after = encoded[id(verdict)]
+                        verdict = decide(EmbeddingQuery(source, target), j_max=jmax,
+                                         nu_min=numin)
+                        if id(verdict) not in encoded:
+                            if len(encoded) >= _ENCODED_VERDICTS:
+                                encoded.clear()
+                            # the verdict rides along so that its id stays its own
+                            encoded[id(verdict)] = verdict, *_verdict_members(verdict)
+                        _, before, after = encoded[id(verdict)]
                     records.append('{%s, "index": %d, %s%s%s}\n'
                                    % (before, index, after, source_members, target_members))
                     index += 1
@@ -534,21 +532,17 @@ def _error_members(message):
     return '"error": %s' % encode_basestring_ascii(message), '"outcome": "error"'
 
 
-def _parse_cached(parsed, phis, block, label, d=None):
-    """_parse_space through the call's caches of spaces, keyed by
-    everything the result depends on, and of profiles (``phis``).  An
-    error is kept as its message and raised again as a config error for
-    every later point; a bad data file ends the sweep the first time."""
-    key = (block, label, d)
-    if key not in parsed:
-        try:
-            parsed[key] = _parse_space(block, label, d=d, phis=phis)
-        except _CliError as err:
-            parsed[key] = err.message
+def _plan_entry(source, block, phis):
+    """A target block's entry in the sweep plan of the source's dimension:
+    the parsed target, or the members of the error record every point
+    with that target and a source of that dimension gets.  A bad data
+    file ends the sweep."""
+    try:
+        return _query(source, _parse_space(block, "target", d=source.d, phis=phis)).target
+    except _CliError as err:
+        if err.code == EXIT_DATA:
             raise
-    if isinstance(parsed[key], str):
-        raise _CliError(EXIT_CONFIG, parsed[key])
-    return parsed[key]
+        return _error_members(err.message)
 
 
 def _format_block(mapping):

@@ -301,7 +301,8 @@ def coefficients_from_entries(d, top_level, scaling_entries, detail_entries):
 
     ``scaling_entries`` maps level-0 cells to values; ``detail_entries``
     maps orientation labels to {(j, m): value} with the 2**(j d / 2)
-    rescaling already applied, as produced by detail_sequences.
+    rescaling already applied: ``dict(seq.entries())`` of each sequence
+    detail_sequences returns.
     """
     if top_level < 0:
         raise DomainError("top level must be >= 0")

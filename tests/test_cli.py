@@ -308,6 +308,50 @@ def test_sweep_reads_each_table_once_per_call(tmp_path, monkeypatch, capsys):
     records = [json.loads(line) for line in out_path.read_text(encoding="utf-8").splitlines()]
     errors = [r["source.phi"] for r in records[1:] if r["outcome"] == "error"]
     assert errors == ["table(a.csv)"] * 4
+
+
+@pytest.mark.parametrize("target_lines, targets, crossed", [
+    (["target.phi = power(2); power(4)"], 2, 0),
+    (["target.d = 1; 2", "target.phi = power(2); power(4)"], 4, 12),
+], ids=["target-inherits-d", "target-d-swept"])
+def test_sweep_across_source_dimensions(tmp_path, monkeypatch, capsys, target_lines, targets,
+                                        crossed):
+    # the target blocks are parsed once per source dimension; a point whose
+    # target names another dimension is an error record, and every other
+    # point is the verdict check gives for the same pair
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(
+        "[source]\ns = 1\np = 2\nq = 2\nphi = power(2)\n"
+        "[target]\ns = 0\np = 2\nq = 2\nphi = power(2)\n"
+        "[sweep]\nsource.d = 1; 2\nsource.s = 0.5; 1; 1.5\n" + "\n".join(target_lines) + "\n"
+    )
+    calls = []
+    parse = cli.parse_space_params
+    monkeypatch.setattr(cli, "parse_space_params",
+                        lambda *a, **kw: calls.append(a) or parse(*a, **kw))
+    out_path = tmp_path / "grid.jsonl"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out_path)]) == 0
+    records = [json.loads(line) for line in out_path.read_text(encoding="utf-8").splitlines()[1:]]
+    # 6 source blocks, each parsed once, and the target blocks once per dimension
+    assert len(records) == 6 * targets
+    assert len(calls) == 6 + targets * 2
+    errors = 0
+    for r in records:
+        source = "s=%s,p=2,q=2,phi=power(2),d=%s" % (r["source.s"], r["source.d"])
+        target = "s=0,p=2,q=2,phi=%s" % r["target.phi"]
+        if r.get("target.d", r["source.d"]) != r["source.d"]:
+            errors += 1
+            assert r["outcome"] == "error"
+            assert r["error"] == "source and target dimensions differ"
+            continue
+        if "target.d" in r:
+            target += ",d=%s" % r["target.d"]
+        capsys.readouterr()
+        main(["check", "--source", source, "--target", target, "--json"])
+        expected = json.loads(capsys.readouterr().out.splitlines()[1])
+        assert [r[key] for key in ("outcome", "method", "rho", "q_star")] \
+            == [expected[key] for key in ("outcome", "method", "rho", "q_star")]
+    assert errors == crossed
     capsys.readouterr()
 
 
