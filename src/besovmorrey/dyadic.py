@@ -31,7 +31,8 @@ group sums its children in the order a lexicographic merge would.  A key
 fits in an int64 when d * (b + 1) <= 63, with b the bit length of the
 largest |coordinate|; until it does (cells far out, or d >= 32), a round
 shifts the coordinates and sorts them lexicographically instead.  Storage
-stays lexicographic either way.
+stays lexicographic either way.  Witness plans, placed in Z-order, enter
+the key phase from their keys (``_keyed_norms``).
 
 The groups depend on the coordinates alone; only the weights |value|**p
 depend on the space, and only through p.  So ``_merge`` returns plain
@@ -491,7 +492,12 @@ def level_quantity(seq, j, params, *, _merges=None):
     memo of an ``n_norms`` call."""
     if j not in seq._levels:
         return 0.0
-    scale, maxima = _merges(j) if _merges else _merge(*seq._levels[j], (params.p,))
+    merged = _merges(j) if _merges else _merge(*seq._levels[j], (params.p,))
+    return _supremum(j, params, *merged)
+
+
+def _supremum(j, params, scale, maxima):
+    """The level-j supremum from the result of ``_merge``."""
     p = params.p
     best = 0.0
     for nu, top in zip(itertools.count(j, -1), maxima[p]):
@@ -506,25 +512,20 @@ def level_quantity(seq, j, params, *, _merges=None):
     return best
 
 
-def _merge(coords, values, ps):
+def _merge(coords, values, ps, keys=None):
     """Merge one level's cells into their groups in each coarser level of
-    cubes, for each exponent p of ps at once.
+    cubes, for each exponent p of ps at once; with ``keys``, the (keys,
+    top, d) of ``_key_rounds``, from its key phase on and without coords.
 
     Returns the largest |value| and, per p, the largest group weight
     sum (|value|/largest)**p of each round nu = j, j-1, ...; the weights
     of all exponents go through the same permutations and sums.
 
-    The merge keeps one int64 Z-order key per group, sorted once: a parent's
-    key is its child's shifted right by d, so the parents of a Z-sorted
-    array stay Z-sorted, and the siblings under each parent stay contiguous
-    and in lexicographic order.  This route runs from the first round where
-    d * (b + 1) <= 63, b the bit length of the largest |coordinate|; rounds
-    before it (coordinates near +-2**62, or in d >= 32 any nonzero one)
-    shift, sort lexicographically and sum the coordinates instead.  Both routes sum each
-    group's children in lexicographic order, and each weight array is
-    permuted and summed exactly as if it were merged alone, so the result
-    is the same to the bit whichever route ran and however many exponents
-    share the merge.
+    Rounds run on Z-order keys once they fit (see the module docstring),
+    on shifted coordinates sorted lexicographically before.  Both routes sum
+    each group's children in lexicographic order, and each weight array is
+    merged exactly as if alone, so the result is the same to the bit
+    whichever route ran and however many exponents share the merge.
     """
     # scaled by the largest magnitude so |value|**p neither overflows nor
     # underflows; freed once each exponent has its weights
@@ -533,8 +534,9 @@ def _merge(coords, values, ps):
     ratios /= scale
     rows = [ratios ** p for p in ps]
     del ratios
-    rounds = [[float(row.max()) for row in weights] for weights in _merged_weights(coords, rows)]
-    return scale, dict(zip(ps, zip(*rounds)))
+    rounds = _merged_weights(coords, rows) if keys is None else _key_rounds(*keys, rows)
+    maxima = [[float(row.max()) for row in weights] for weights in rounds]
+    return scale, dict(zip(ps, zip(*maxima)))
 
 
 def _merged_weights(coords, rows):
@@ -551,25 +553,30 @@ def _merged_weights(coords, rows):
     of its Z-order key by d bits, whose top d bits are then its orthant.
     """
     d = coords.shape[1]
-    orthants = 1 << d
-    yield rows
     top = int(np.abs(coords).max()).bit_length()
     while d * (top + 1) > 63:
-        if len(coords) <= orthants and len(
+        yield rows
+        if len(coords) <= 1 << d and len(
             set(map(tuple, (coords < 0).tolist()))
         ) == len(coords):
             return
         coords, order, starts = _group_rows(coords >> 1)
         _carry(rows, order, starts)
-        yield rows
         top = int(np.abs(coords).max()).bit_length()
     keys = _z_keys(coords, top)
     if (keys[1:] < keys[:-1]).any():
         order, _ = _lex_order((keys,))
         keys = keys[order]
         _carry(rows, order, None)
+    yield from _key_rounds(keys, top, d, rows)
+
+
+def _key_rounds(keys, top, d, rows):
+    """``_merged_weights`` from sorted ``_z_keys``, biased by any 2**top above
+    every |coordinate| with d * (top + 1) <= 63.  Shifts keys in place."""
     while True:
-        if len(keys) <= orthants:
+        yield rows
+        if len(keys) <= 1 << d:
             signs = keys >> (d * top)
             if (signs[1:] != signs[:-1]).all():
                 return
@@ -580,7 +587,6 @@ def _merged_weights(coords, rows):
             starts = np.concatenate(([0], fresh))
             keys = keys[starts]
             _carry(rows, None, starts)
-        yield rows
 
 
 def _carry(rows, order, starts):
@@ -631,16 +637,21 @@ def n_norm(seq, params, *, _merges=None):
         raise DomainError(
             "sequence dimension %d does not match space dimension %d" % (seq.d, params.d)
         )
-    levels = seq.levels()
+    quantity = functools.partial(level_quantity, seq, params=params, _merges=_merges)
+    return _lq_of_levels(seq.levels(), params, quantity)
+
+
+def _lq_of_levels(levels, params, quantity):
+    """n_norm's ell_q sum over levels of the suprema ``quantity(j)``."""
     quantities = []
     for j in levels:
         try:
-            quantity = level_quantity(seq, j, params, _merges=_merges)
+            value = quantity(j)
         except ExtrapolationError as exc:
             raise ExtrapolationError("level %d: %s" % (j, exc))
-        if not 0.0 < quantity < INF:
+        if not 0.0 < value < INF:
             raise FloatRangeError("level %d: the Morrey supremum is outside the float range" % j)
-        quantities.append(quantity)
+        quantities.append(value)
     return lq_norm(quantities, params.q, [j * params.s for j in levels])
 
 
@@ -653,6 +664,16 @@ def n_norms(seq, spaces):
     ps = tuple(dict.fromkeys(params.p for params in spaces))
     merges = functools.cache(lambda j: _merge(*seq._levels[j], ps))
     return tuple(n_norm(seq, params, _merges=merges) for params in spaces)
+
+
+def _keyed_norms(d, j, keys, top, values, spaces):
+    """n_norms, bits and errors, of the level-j values on cells in
+    [0, 2**top)**d given by sorted Z-order keys, which it overwrites."""
+    keys |= ((1 << d) - 1) << (d * top)  # the bias of _z_keys
+    merged = _merge(None, values, tuple(dict.fromkeys(params.p for params in spaces)),
+                    (keys, top, d))
+    return tuple(_lq_of_levels((j,), params, lambda j: _supremum(j, params, *merged))
+                 for params in spaces)
 
 
 def n_norm_via_morrey(seq, params):

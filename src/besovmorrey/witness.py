@@ -12,7 +12,8 @@ sequences whose target/source quasi-norm ratio grows without bound:
 
 The greedy spreading keeps every intermediate cube's share of cells within
 one unit of the even split, which is what makes the source norm of the
-capacity witnesses uniformly bounded.
+capacity witnesses uniformly bounded.  A divergence scan norms each witness
+from its plan, on its cells' Z-order keys; it builds one only past int64 keys.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import DyadicSequence, _lex_order, n_norms
+from .dyadic import MAX_LEVEL, DyadicSequence, _keyed_norms, _lex_order, n_norms
 from .dyadic import n_norm  # noqa: F401  (bench/tracer.py's BINDINGS needs it bound here)
 from .embedding import DEFAULT_NU_MIN, _lattice_ratios, alpha_sequence, decide
 from .embedding import ratio_R  # noqa: F401  (bench/tracer.py traces calls through it)
@@ -83,13 +84,10 @@ def _check_block_size(d, span):
 
 def _plan(d, j, nu, total, value):
     """A checked witness plan: ``value`` on every level-j cell inside
-    Q_{nu, 0}, or on ``total`` of them spread by greedy_distribution.
-
-    The builders check everything in their plan, so building one only
-    allocates.  A value outside the positive floats is refused: an
-    underflowed 0 would leave an empty witness, and inf a witness with no
-    norm.
-    """
+    Q_{nu, 0}, or on ``total`` of them spread by greedy_distribution.  The
+    builders check everything in their plan, so building one only
+    allocates.  A value outside the positive floats is refused: 0 would
+    leave an empty witness, and inf a witness with no norm."""
     if not 0.0 < value < math.inf:
         raise FloatRangeError(
             "the level-%d witness coefficient %r is not finite and positive" % (j, value)
@@ -98,12 +96,28 @@ def _plan(d, j, nu, total, value):
 
 
 def _materialise(d, j, nu, total, value):
-    """The witness a plan describes."""
+    """The witness a plan describes; a block's row r holds r's 2**(j - nu)-ary digits."""
     if total is None:
-        m = np.indices((1 << (j - nu),) * d).reshape(d, -1).T
+        digits = (j - nu) * np.arange(d - 1, -1, -1)
+        m = (np.arange(1 << ((j - nu) * d))[:, None] >> digits) & ((1 << (j - nu)) - 1)
     else:
         m = greedy_distribution(d, j, nu, total).m
     return DyadicSequence(d, cells=(j, m, np.full(len(m), value)))
+
+
+def _plan_norms(plan, spaces):
+    """n_norms of a plan's witness from its cells' Z-order keys: a block's
+    k-th cell has key k, and a greedy child appends its d offset bits to its
+    parent's.  Keys past an int64, or j past MAX_LEVEL, build the witness."""
+    d, j, nu, total, value = plan
+    span = j - nu
+    if d * (span + 1) > 63 or j > MAX_LEVEL:
+        return n_norms(_materialise(*plan), spaces)
+    keys = np.arange(1 << (span * d) if total is None else 1, dtype=np.int64)
+    if total is not None:
+        for parent, i in _greedy_split(d, span, total):
+            keys = keys[parent] << d | i
+    return _keyed_norms(d, j, keys, span, np.broadcast_to(value, keys.shape), spaces)
 
 
 def _cell_count(bits, ratio, p):
@@ -174,21 +188,27 @@ def greedy_distribution(d, j0, nu0, total):
     total * d, whatever the dimension.
     """
     _check_distribution(d, j0, nu0, total)
+    shifts = np.minimum(np.arange(d - 1, -1, -1), 63)
+    m = np.zeros((int(total > 0), d), dtype=np.int64)
+    for parent, i in _greedy_split(d, j0 - nu0, total):
+        m = 2 * m[parent] + ((i[:, None] >> shifts) & 1)
+    m = m[_lex_order(m.T)[0]]
+    m.flags.writeable = False
+    return GreedyDistribution(d=d, j0=j0, nu0=nu0, total=total, m=m)
+
+
+def _greedy_split(d, span, total):
+    """Per level of greedy_distribution, each new cube's parent and child number."""
     # no load exceeds MAX_CELLS, so a wider fan-out gives the same shares
     fan = min(2 ** d, MAX_CELLS)
-    shifts = np.minimum(np.arange(d - 1, -1, -1), 63)
     loads = np.full(int(total > 0), total, dtype=np.int64)
-    m = np.zeros((len(loads), d), dtype=np.int64)
-    for _ in range(j0 - nu0):
+    for _ in range(span):
         share = -(-loads // fan)
         kids = -(-loads // share)
         parent = np.repeat(np.arange(len(loads)), kids)
         i = np.arange(len(parent)) - (np.cumsum(kids) - kids)[parent]
         loads = np.minimum(share[parent], loads[parent] - i * share[parent])
-        m = 2 * m[parent] + ((i[:, None] >> shifts) & 1)
-    m = m[_lex_order(m.T)[0]]
-    m.flags.writeable = False
-    return GreedyDistribution(d=d, j0=j0, nu0=nu0, total=total, m=m)
+        yield parent, i
 
 
 def capacity_witness(d, j0, nu0, phi1, p1):
@@ -312,14 +332,13 @@ def divergence_scan(query, depth=DEFAULT_DEPTH, nu_min=DEFAULT_NU_MIN):
     failure the ratios grow without bound.  Raises WitnessSelectionError
     when the verdict is not a failure.
 
-    Before any witness is built, the plan of each index runs in order:
-    every check its builder makes, with the cell count in closed form.  The
-    first witness over MAX_CELLS is refused there with the error its
-    builder raises.  A plan that fails in any other way ends this
-    look-ahead, and the scan meets that error at its index.  So the refusal
-    comes early only where a smaller witness's norm would have left the
-    float range first.  Each witness is normed in both spaces with one
-    merge per level.
+    First each index is planned in order: every check its builder makes,
+    with the cell count in closed form.  The first witness over MAX_CELLS is
+    refused there with its builder's error.  A plan that fails in any other
+    way ends this look-ahead, and is rerun, and raises, at its index.  So
+    the refusal comes early only where a smaller witness's norm would have
+    left the float range first.  Each witness is normed in both spaces from
+    its plan, with one merge.
     """
     if depth < 0:
         raise DomainError("depth must be >= 0")
@@ -333,22 +352,22 @@ def divergence_scan(query, depth=DEFAULT_DEPTH, nu_min=DEFAULT_NU_MIN):
         family = "beta"
     else:
         family = "simple" if query.rho == 1.0 else "capacity"
-    build, plan, args = {
-        "simple": (simple_witness, _simple_plan, lambda i: (0, -i, src.phi)),
-        "capacity": (capacity_witness, _capacity_plan, lambda i: (src.d, 0, -i, src.phi, src.p)),
-        "beta": (beta_witness, _beta_plan, lambda i: (
-            i, select_witness_level(query, i, nu_min=nu_min), query, nu_min
-        )),
+    plan = {
+        "simple": lambda i: _simple_plan(0, -i, src.phi),
+        "capacity": lambda i: _capacity_plan(src.d, 0, -i, src.phi, src.p),
+        "beta": lambda i: _beta_plan(
+            i, select_witness_level(query, i, nu_min=nu_min), query, nu_min),
     }[family]
     indices = tuple(range(depth + 1))
+    plans = []
     for i in indices:
         try:
-            plan(*args(i))
+            plans.append(plan(i))
         except WitnessTooLargeError:
             raise
         except (ArithmeticError, DomainError, WitnessSelectionError):
             break  # the scan meets this error, or an earlier one, itself
-    norms = (n_norms(build(*args(i)), (tgt, src)) for i in indices)
+    norms = (_plan_norms(plans[i] if i < len(plans) else plan(i), (tgt, src)) for i in indices)
     ratios = tuple(target / source for target, source in norms)
     return DivergenceScan(
         family=family, indices=indices, ratios=ratios, outcome=verdict.outcome

@@ -421,6 +421,14 @@ def test_witness_in_high_dimension_is_capped_without_allocating(capsys, d):
     assert "too large" in err and len(err.strip().splitlines()) == 1
 
 
+def test_witness_block_in_64_dimensions(capsys):
+    # a block's cells came from np.indices, whose output has d + 1 axes:
+    # past 63 axes the one-cell witness at index 0 exited 70
+    code = main(["witness", "--source", "s=0,p=64,q=2,phi=capped(64),d=64",
+                 "--target", "s=0,p=64,q=2,phi=power(64),d=64", "--depth", "0"])
+    assert code == 0 and capsys.readouterr().out.endswith("index,ratio\n0,1.0\n")
+
+
 def test_analyze_norm_outside_float_range_exits_65(tmp_path, capsys):
     # the estimate used to exit 64, after the --out file had been written
     samples = tmp_path / "samples.csv"

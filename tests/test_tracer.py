@@ -14,6 +14,7 @@ import numpy as np
 
 from besovmorrey import cli, dyadic
 from besovmorrey.wavelet import SampledFunction, save_samples
+from besovmorrey.witness import simple_witness
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -38,18 +39,24 @@ def test_tracer_installs_on_the_package():
 
 def test_tracer_counts_the_norms_of_a_witness_scan(capsys):
     # n_norms reaches n_norm and level_quantity through the module's
-    # bindings, so the trace counts every norm of every witness
+    # bindings, so the trace counts every norm of a built witness; the scan
+    # norms its witnesses from their plans, and the trace counts the scan
+    # and its verdict
+    spaces = [dyadic.parse_space_params("s=0,p=2,q=2,phi=%s,d=1" % phi)
+              for phi in ("power(2)", "capped(2)")]
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:
+        norms = dyadic.n_norms(simple_witness(0, -3, spaces[1].phi), spaces)
         code = cli.main(["witness", "--source", "s=0,p=2,q=2,phi=capped(2),d=1",
                          "--target", "s=0,p=2,q=2,phi=power(2),d=1", "--depth", "3"])
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    assert code == 0
+    assert code == 0 and norms[0] > norms[1]
     calls = dict(zip(tracer.names, (row[0] for row in tracer.agg)))
-    assert calls["dyadic.n_norm"] > 0 and calls["dyadic.level_quantity"] > 0
+    assert calls["dyadic.n_norm"] == 2 and calls["dyadic.level_quantity"] == 2
+    assert calls["witness.divergence_scan"] == 1 and calls["embedding.decide"] >= 1
 
 
 def test_tracer_counts_one_decide_per_sweep_point(tmp_path, monkeypatch, capsys):

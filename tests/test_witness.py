@@ -1,16 +1,21 @@
 import hashlib
+import importlib.util
 import json
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from besovmorrey.dyadic import DyadicSequence, n_norm, parse_space_params
+from besovmorrey import witness
+from besovmorrey.dyadic import DyadicSequence, n_norm, n_norms, parse_space_params
 from besovmorrey.embedding import EmbeddingQuery
 from besovmorrey.errors import (
     CapacityError,
     DomainError,
+    FloatRangeError,
     WitnessSelectionError,
     WitnessTooLargeError,
 )
@@ -231,3 +236,125 @@ def test_divergence_scan_rejects_holding_pairs():
         divergence_scan(q)
     with pytest.raises(DomainError):
         divergence_scan(q, depth=-1)
+
+
+def _outcome(norms):
+    """The norms a callable returns, or the type and message of the
+    DomainError it raises."""
+    try:
+        return norms()
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+def _oracle(plan, spaces):
+    return _outcome(lambda: n_norms(witness._materialise(*plan), spaces))
+
+
+_SQRT_TABLE = Path(__file__).parent / "data" / "sweep_small" / "sqrt_table.csv"
+
+
+@st.composite
+def _plan_and_spaces(draw):
+    """A witness plan, a full block or a greedy spread, in d = 1..3 with
+    any span whose keys fit an int64, and a target and a source space.  The
+    spans, levels and values reach norms outside the float range, and the
+    d = 1 knot table (2^-40 .. 2^48) fails to extrapolate."""
+    d = draw(st.integers(1, 3))
+    full = draw(st.booleans())
+    span = draw(st.integers(0, 12 // d if full else 63 // d - 1))
+    total = None if full else draw(st.integers(1, min(1 << (span * d), 300)))
+    j = draw(st.integers(0, 80))
+    value = draw(st.one_of(st.floats(5e-324, 1e300),
+                           st.sampled_from([5e-324, 2.0 ** -1022, 1.0, 1e300])))
+    spaces = []
+    for _ in range(2):
+        p = draw(st.sampled_from([0.5, 1.0, 2.0, 2.5]))
+        phis = ["power(%r)", "capped(%r)", "floorone(%r)", "twopower(%r,5)"]
+        phi = draw(st.sampled_from(phis + (["table"] if d == 1 and p <= 2.0 else [])))
+        phi = "table(%s)" % _SQRT_TABLE if phi == "table" else phi % (p + 0.5)
+        s = draw(st.sampled_from(["-3", "0", "0.5", "4"]))
+        q = draw(st.sampled_from(["0.5", "2", "inf"]))
+        spaces.append(sp("s=%s,p=%r,q=%s,phi=%s" % (s, p, q, phi), d))
+    return witness._plan(d, j, j - span, total, value), spaces
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(drawn=_plan_and_spaces())
+def test_plan_norms_match_the_built_witness(drawn):
+    # the scan's route from a plan's keys gives the bits, or the error,
+    # of n_norms on the witness the plan builds
+    plan, spaces = drawn
+    assert _outcome(lambda: witness._plan_norms(plan, spaces)) == _oracle(plan, spaces)
+
+
+@pytest.mark.parametrize("d, j, nu, total, keyed", [
+    (1, 0, -62, 5, True),     # d * (span + 1) = 63: the keys fit
+    (1, 0, -63, 3, False),    # 64 bits: the second cell sits at 2^62
+    (2, 5, -25, 7, True),
+    (2, 5, -26, 7, False),
+    (3, 20, 0, 9, True),
+    (3, 21, 0, 9, False),
+    (63, 0, 0, None, True),
+    (64, 0, 0, None, False),  # a single cell, 64 orthant bits
+    (1, 1022, 1022, None, True),
+    (1, 1023, 1022, None, False),  # past MAX_LEVEL: the build refuses it
+])
+def test_plan_norms_fall_back_where_keys_do_not_fit(monkeypatch, d, j, nu, total, keyed):
+    calls = []
+    keyed_norms = witness._keyed_norms
+    monkeypatch.setattr(witness, "_keyed_norms",
+                        lambda *args: calls.append(1) or keyed_norms(*args))
+    plan = witness._plan(d, j, nu, total, 0.75)
+    # p >= d keeps t**(-d/p) within the float range on the profile check
+    p = max(2, d)
+    spaces = [sp("s=0,p=%d,q=2,phi=power(%d)" % (p, p), d),
+              sp("s=0,p=%d,q=inf,phi=capped(%d)" % (p, p), d)]
+    norms = _outcome(lambda: witness._plan_norms(plan, spaces))
+    assert norms == _oracle(plan, spaces) and calls == ([1] if keyed else [])
+    if j > 1022:
+        assert norms == (DomainError, "levels run from 0 to 1022, got j=1023")
+
+
+def _bench_witness_calls(seed, workdir):
+    spec = importlib.util.spec_from_file_location(
+        "bench_gen", Path(__file__).resolve().parent.parent / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.gen_witness_scan(seed, workdir, gen.SIZES["full"])[0]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_divergence_scan_ratios_are_the_built_witnesses(tmp_path, seed):
+    # the benchmark's six witness scans, against building every witness
+    # and norming it with n_norms
+    for call in _bench_witness_calls(seed, tmp_path):
+        info = call["check"]
+        q = EmbeddingQuery(source=sp(info["source"]), target=sp(info["target"]))
+        src = q.source
+        build = {
+            "simple": lambda i: simple_witness(0, -i, src.phi),
+            "capacity": lambda i: capacity_witness(src.d, 0, -i, src.phi, src.p),
+            "beta": lambda i: beta_witness(i, select_witness_level(q, i), q),
+        }[info["family"]]
+        scan = divergence_scan(q, depth=info["depth"])
+        assert scan.family == info["family"]
+        norms = [n_norms(build(i), (q.target, src)) for i in scan.indices]
+        assert scan.ratios == tuple(target / source for target, source in norms), call["name"]
+
+
+def test_divergence_scan_plans_each_index_once(monkeypatch):
+    # the look-ahead's plans are normed; only the first failing index is
+    # planned again, after the norms before it, and raises there
+    planned = []
+    beta_plan = witness._beta_plan
+    monkeypatch.setattr(witness, "_beta_plan",
+                        lambda i, *args: planned.append(i) or beta_plan(i, *args))
+    q = query("s=0,p=2,q=2,phi=power(2)", "s=0.5,p=2,q=2,phi=power(2)")
+    assert divergence_scan(q, depth=6).family == "beta" and planned == list(range(7))
+    del planned[:]
+    # 2**1100 / phi(2**-1) leaves the floats at index 1
+    q = query("s=-1100,p=0.04,q=2,phi=power(0.04)", "s=-1099,p=0.04,q=2,phi=power(0.04)")
+    with pytest.raises(FloatRangeError, match="level-1 witness coefficient inf"):
+        divergence_scan(q, depth=6)
+    assert planned == [0, 1, 1]
