@@ -31,8 +31,7 @@ group sums its children in the order a lexicographic merge would.  A key
 fits in an int64 when d * (b + 1) <= 63, with b the bit length of the
 largest |coordinate|; until it does (cells far out, or d >= 32), a round
 shifts the coordinates and sorts them lexicographically instead.  Storage
-stays lexicographic either way.  Witness plans, placed in Z-order, enter
-the key phase from their keys (``_keyed_norms``).
+stays lexicographic either way.
 
 The groups depend on the coordinates alone; only the weights |value|**p
 depend on the space, and only through p.  So ``_merge`` returns plain
@@ -497,7 +496,8 @@ def level_quantity(seq, j, params, *, _merges=None):
 
 
 def _supremum(j, params, scale, maxima):
-    """The level-j supremum from the result of ``_merge``."""
+    """The level-j supremum from the result of ``_merge``, or from the cube
+    counts of a witness plan (``witness._plan_norms``)."""
     p = params.p
     best = 0.0
     for nu, top in zip(itertools.count(j, -1), maxima[p]):
@@ -512,10 +512,9 @@ def _supremum(j, params, scale, maxima):
     return best
 
 
-def _merge(coords, values, ps, keys=None):
+def _merge(coords, values, ps):
     """Merge one level's cells into their groups in each coarser level of
-    cubes, for each exponent p of ps at once; with ``keys``, the (keys,
-    top, d) of ``_key_rounds``, from its key phase on and without coords.
+    cubes, for each exponent p of ps at once.
 
     Returns the largest |value| and, per p, the largest group weight
     sum (|value|/largest)**p of each round nu = j, j-1, ...; the weights
@@ -534,8 +533,7 @@ def _merge(coords, values, ps, keys=None):
     ratios /= scale
     rows = [ratios ** p for p in ps]
     del ratios
-    rounds = _merged_weights(coords, rows) if keys is None else _key_rounds(*keys, rows)
-    maxima = [[float(row.max()) for row in weights] for weights in rounds]
+    maxima = [[float(row.max()) for row in weights] for weights in _merged_weights(coords, rows)]
     return scale, dict(zip(ps, zip(*maxima)))
 
 
@@ -664,16 +662,6 @@ def n_norms(seq, spaces):
     ps = tuple(dict.fromkeys(params.p for params in spaces))
     merges = functools.cache(lambda j: _merge(*seq._levels[j], ps))
     return tuple(n_norm(seq, params, _merges=merges) for params in spaces)
-
-
-def _keyed_norms(d, j, keys, top, values, spaces):
-    """n_norms, bits and errors, of the level-j values on cells in
-    [0, 2**top)**d given by sorted Z-order keys, which it overwrites."""
-    keys |= ((1 << d) - 1) << (d * top)  # the bias of _z_keys
-    merged = _merge(None, values, tuple(dict.fromkeys(params.p for params in spaces)),
-                    (keys, top, d))
-    return tuple(_lq_of_levels((j,), params, lambda j: _supremum(j, params, *merged))
-                 for params in spaces)
 
 
 def n_norm_via_morrey(seq, params):

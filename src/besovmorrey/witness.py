@@ -13,7 +13,8 @@ sequences whose target/source quasi-norm ratio grows without bound:
 The greedy spreading keeps every intermediate cube's share of cells within
 one unit of the even split, which is what makes the source norm of the
 capacity witnesses uniformly bounded.  A divergence scan norms each witness
-from its plan, on its cells' Z-order keys; it builds one only past int64 keys.
+from its plan, on the cell count of its fullest cube at each level; it builds
+one only past MAX_LEVEL.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import MAX_LEVEL, DyadicSequence, _keyed_norms, _lex_order, n_norms
+from .dyadic import MAX_LEVEL, DyadicSequence, _lex_order, _lq_of_levels, _supremum, n_norms
 from .dyadic import n_norm  # noqa: F401  (bench/tracer.py's BINDINGS needs it bound here)
 from .embedding import DEFAULT_NU_MIN, _lattice_ratios, alpha_sequence, decide
 from .embedding import ratio_R  # noqa: F401  (bench/tracer.py traces calls through it)
@@ -106,18 +107,24 @@ def _materialise(d, j, nu, total, value):
 
 
 def _plan_norms(plan, spaces):
-    """n_norms of a plan's witness from its cells' Z-order keys: a block's
-    k-th cell has key k, and a greedy child appends its d offset bits to its
-    parent's.  Keys past an int64, or j past MAX_LEVEL, build the witness."""
+    """n_norms of a plan's witness, bits and errors, from the cell count of
+    its fullest cube at each level.  All cells hold the same positive value,
+    so every group weight of the merge is an exact integer count: the whole
+    block holds L_0 cells, and the fullest cube one level finer
+    ceil(L_k / 2**d), since the greedy split gives its first child the full
+    share.  The cells all lie in the first orthant, so the merge ends at
+    level nu, or at once for a single cell.  A level past MAX_LEVEL builds
+    the witness for its error."""
     d, j, nu, total, value = plan
-    span = j - nu
-    if d * (span + 1) > 63 or j > MAX_LEVEL:
+    if j > MAX_LEVEL:
         return n_norms(_materialise(*plan), spaces)
-    keys = np.arange(1 << (span * d) if total is None else 1, dtype=np.int64)
-    if total is not None:
-        for parent, i in _greedy_split(d, span, total):
-            keys = keys[parent] << d | i
-    return _keyed_norms(d, j, keys, span, np.broadcast_to(value, keys.shape), spaces)
+    counts = [1 << ((j - nu) * d) if total is None else total]
+    if counts[0] > 1:
+        for _ in range(j - nu):
+            counts.append(-(-counts[-1] >> d))
+    maxima = dict.fromkeys((params.p for params in spaces), [float(c) for c in counts[::-1]])
+    return tuple(_lq_of_levels((j,), params, lambda j: _supremum(j, params, value, maxima))
+                 for params in spaces)
 
 
 def _cell_count(bits, ratio, p):
@@ -189,26 +196,20 @@ def greedy_distribution(d, j0, nu0, total):
     """
     _check_distribution(d, j0, nu0, total)
     shifts = np.minimum(np.arange(d - 1, -1, -1), 63)
-    m = np.zeros((int(total > 0), d), dtype=np.int64)
-    for parent, i in _greedy_split(d, j0 - nu0, total):
-        m = 2 * m[parent] + ((i[:, None] >> shifts) & 1)
-    m = m[_lex_order(m.T)[0]]
-    m.flags.writeable = False
-    return GreedyDistribution(d=d, j0=j0, nu0=nu0, total=total, m=m)
-
-
-def _greedy_split(d, span, total):
-    """Per level of greedy_distribution, each new cube's parent and child number."""
     # no load exceeds MAX_CELLS, so a wider fan-out gives the same shares
     fan = min(2 ** d, MAX_CELLS)
     loads = np.full(int(total > 0), total, dtype=np.int64)
-    for _ in range(span):
+    m = np.zeros((int(total > 0), d), dtype=np.int64)
+    for _ in range(j0 - nu0):
         share = -(-loads // fan)
         kids = -(-loads // share)
         parent = np.repeat(np.arange(len(loads)), kids)
         i = np.arange(len(parent)) - (np.cumsum(kids) - kids)[parent]
         loads = np.minimum(share[parent], loads[parent] - i * share[parent])
-        yield parent, i
+        m = 2 * m[parent] + ((i[:, None] >> shifts) & 1)
+    m = m[_lex_order(m.T)[0]]
+    m.flags.writeable = False
+    return GreedyDistribution(d=d, j0=j0, nu0=nu0, total=total, m=m)
 
 
 def capacity_witness(d, j0, nu0, phi1, p1):

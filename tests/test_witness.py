@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from besovmorrey import witness
-from besovmorrey.dyadic import DyadicSequence, n_norm, n_norms, parse_space_params
+from besovmorrey.dyadic import MAX_LEVEL, DyadicSequence, n_norm, n_norms, parse_space_params
 from besovmorrey.embedding import EmbeddingQuery
 from besovmorrey.errors import (
     CapacityError,
@@ -256,13 +256,14 @@ _SQRT_TABLE = Path(__file__).parent / "data" / "sweep_small" / "sqrt_table.csv"
 
 @st.composite
 def _plan_and_spaces(draw):
-    """A witness plan, a full block or a greedy spread, in d = 1..3 with
-    any span whose keys fit an int64, and a target and a source space.  The
-    spans, levels and values reach norms outside the float range, and the
-    d = 1 knot table (2^-40 .. 2^48) fails to extrapolate."""
-    d = draw(st.integers(1, 3))
+    """A witness plan, a full block or a greedy spread, in d = 1..4 with
+    any span greedy_distribution places (up to 63), and a target and a
+    source space.  The spans, levels and values reach norms outside the
+    float range, and the d = 1 knot table (2^-40 .. 2^48) fails to
+    extrapolate."""
+    d = draw(st.integers(1, 4))
     full = draw(st.booleans())
-    span = draw(st.integers(0, 12 // d if full else 63 // d - 1))
+    span = draw(st.integers(0, 12 // d if full else 63))
     total = None if full else draw(st.integers(1, min(1 << (span * d), 300)))
     j = draw(st.integers(0, 80))
     value = draw(st.one_of(st.floats(5e-324, 1e300),
@@ -282,14 +283,14 @@ def _plan_and_spaces(draw):
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(drawn=_plan_and_spaces())
 def test_plan_norms_match_the_built_witness(drawn):
-    # the scan's route from a plan's keys gives the bits, or the error,
-    # of n_norms on the witness the plan builds
+    # the scan's route from a plan's cube counts gives the bits, or the
+    # error, of n_norms on the witness the plan builds
     plan, spaces = drawn
     assert _outcome(lambda: witness._plan_norms(plan, spaces)) == _oracle(plan, spaces)
 
 
 @pytest.mark.parametrize("d, j, nu, total, keyed", [
-    (1, 0, -62, 5, True),     # d * (span + 1) = 63: the keys fit
+    (1, 0, -62, 5, True),     # d * (span + 1) = 63: Z-order keys would fit an int64
     (1, 0, -63, 3, False),    # 64 bits: the second cell sits at 2^62
     (2, 5, -25, 7, True),
     (2, 5, -26, 7, False),
@@ -299,21 +300,45 @@ def test_plan_norms_match_the_built_witness(drawn):
     (64, 0, 0, None, False),  # a single cell, 64 orthant bits
     (1, 1022, 1022, None, True),
     (1, 1023, 1022, None, False),  # past MAX_LEVEL: the build refuses it
+    (1, 0, -200, 1, False),
+    (2, 3, -40, 2, False),
+    (3, 0, -40, 9, False),
 ])
 def test_plan_norms_fall_back_where_keys_do_not_fit(monkeypatch, d, j, nu, total, keyed):
-    calls = []
-    keyed_norms = witness._keyed_norms
-    monkeypatch.setattr(witness, "_keyed_norms",
-                        lambda *args: calls.append(1) or keyed_norms(*args))
+    # ``keyed`` marks the rows whose cells' Z-order keys fit an int64 below
+    # MAX_LEVEL; the counts route norms both sides alike and builds a
+    # witness only past MAX_LEVEL
+    assert keyed == (d * (j - nu + 1) <= 63 and j <= MAX_LEVEL)
+    built = []
+    materialise = witness._materialise
+    monkeypatch.setattr(witness, "_materialise",
+                        lambda *plan: built.append(plan) or materialise(*plan))
     plan = witness._plan(d, j, nu, total, 0.75)
     # p >= d keeps t**(-d/p) within the float range on the profile check
     p = max(2, d)
     spaces = [sp("s=0,p=%d,q=2,phi=power(%d)" % (p, p), d),
               sp("s=0,p=%d,q=inf,phi=capped(%d)" % (p, p), d)]
     norms = _outcome(lambda: witness._plan_norms(plan, spaces))
-    assert norms == _oracle(plan, spaces) and calls == ([1] if keyed else [])
-    if j > 1022:
+    assert built == ([plan] if j > MAX_LEVEL else [])
+    assert norms == _oracle(plan, spaces)
+    if j > MAX_LEVEL:
         assert norms == (DomainError, "levels run from 0 to 1022, got j=1023")
+
+
+def test_greedy_cube_counts_follow_the_ceiling_recurrence():
+    # the counts route rests on this: the fullest level-k cube of a greedy
+    # spread of L_0 cells holds L_k = ceil(L_{k-1} / 2**d), and one cube is
+    # occupied only at k = 0 or for a single cell
+    for d in range(1, 4):
+        for span in range(13 // d + 1):
+            for total in sorted({*range(1, min(1 << (span * d), 200) + 1), 1 << (span * d)}):
+                m = greedy_distribution(d, span, 0, total).m
+                load = total
+                for k in range(span + 1):
+                    _, counts = np.unique(m >> (span - k), axis=0, return_counts=True)
+                    assert counts.max() == load, (d, span, total, k)
+                    assert (len(counts) == 1) == (k == 0 or total == 1), (d, span, total, k)
+                    load = -(-load // (1 << d))
 
 
 def _bench_witness_calls(seed, workdir):
