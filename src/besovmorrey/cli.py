@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import ctypes
 import functools
 import itertools
 import json
@@ -75,6 +76,12 @@ EXIT_TOOBIG = 66
 EXIT_INTERNAL = 70
 
 MAX_SWEEP = 100_000
+
+try:  # glibc's malloc_trim(pad); elsewhere a no-op
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes, _malloc_trim.restype = (ctypes.c_size_t,), ctypes.c_int
+except (OSError, AttributeError, TypeError):
+    _malloc_trim = lambda pad: 0  # noqa: E731
 
 #: Verdicts whose record members one sweep keeps encoded, cleared when full.
 #: 4096 would hold more of a grid's repeats, but on the sweep benchmark it
@@ -401,6 +408,8 @@ def _cmd_analyze(args):
         coords = ["m_%d" % (r + 1) for r in range(f.d)]
         write_header(handle, comments, ["gender", "j", *coords, "value"])
         write_bands(handle, bands)
+    del f, coeffs, bands  # and hand their heap back: the next call's peak is then its own
+    _malloc_trim(0)
     if params is not None:
         sys.stdout.write("norm_estimate=%r\n" % estimate)
     return EXIT_HOLDS

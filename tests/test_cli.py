@@ -3,7 +3,10 @@ import io
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -861,6 +864,50 @@ def test_unexpected_exception_exits_70(monkeypatch, capsys, exc, line):
     assert main(["norm", "--space", "s=0,p=2,q=2,phi=power(2),d=1", "--seq", "x.csv"]) == 70
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "internal error: %s\n" % line)
+
+
+def test_analyze_returns_the_free_heap_when_it_ends(tmp_path, monkeypatch, capsys):
+    # the freed heap one analyze call leaves behind would otherwise sit under
+    # the next call's peak RSS in a process that calls main repeatedly
+    trims = []
+    monkeypatch.setattr(cli, "_malloc_trim", trims.append)
+    samples = tmp_path / "samples.csv"
+    save_samples(SampledFunction(d=1, js=3, offset=(0,), values=np.arange(8.0)), str(samples))
+    space = "s=0.5,p=2,q=2,phi=power(2),d=1"
+    assert main(["check", "--source", HOLD_SRC, "--target", HOLD_TGT]) == 0
+    assert trims == []
+    for extra in ([], ["--space", space]):
+        assert main(["analyze", "--samples", str(samples), "--out", str(tmp_path / "c.csv"),
+                     "--moments", "2", *extra]) == 0
+    assert trims == [0, 0]
+    assert "norm_estimate=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "cdll",
+    [
+        "raise OSError('no C library')",
+        "raise TypeError('no handle for the program')",
+        "return object()",
+    ],
+    ids=["no-library", "no-dlopen", "no-malloc-trim"],
+)
+def test_analyze_runs_without_malloc_trim(tmp_path, cdll):
+    samples = tmp_path / "samples.csv"
+    save_samples(SampledFunction(d=1, js=2, offset=(0,), values=[1.0, 2.0, 0.5, -1.0]), samples)
+    code = "\n".join([
+        "import ctypes, sys",
+        "def cdll(name):",
+        "    " + cdll,
+        "ctypes.CDLL = cdll",
+        "from besovmorrey import cli",
+        "sys.exit(cli.main(%r))" % ["analyze", "--samples", str(samples), "--moments", "2"],
+    ])
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("# besovmorrey analyze\n")
 
 
 def test_one_parser_serves_every_call(tmp_path):
