@@ -691,9 +691,10 @@ def tilde_norm(coeffs, params):
     orientation."""
     f = DyadicStepFunction(d=params.d, level=0, values=coeffs.scaling_values())
     total = morrey_norm(f, params.phi, params.p)
+    # one gender's sequence at a time: each is built as it is popped
     details = coeffs.detail_sequences()
     for gender in sorted(details):
-        total += n_norm(details[gender], params)
+        total += n_norm(details.pop(gender), params)
     return total
 
 

@@ -13,10 +13,11 @@ suite rather than trusted.
 
 Functions enter the transform as arrays of fine-scale scaling coefficients on
 an integer box (for a smooth function these are about 2**(-js d/2) times the
-samples at spacing 2**-js).  Analysis cascades down to level zero with full
-convolutions and explicit index offsets, so no periodisation or boundary
-tricks distort the coefficients; synthesis is the exact adjoint and the
-round trip is the identity up to floating point.
+samples at spacing 2**-js).  Analysis cascades down to level zero with
+decimated correlations over the whole line, computing only the entries each
+step keeps (Mallat 1989), and explicit index offsets, so no periodisation or
+boundary tricks distort the coefficients; synthesis is the exact adjoint and
+the round trip is the identity up to floating point.
 
 Detail coefficients are stored raw (orthonormal basis inner products) and
 rescaled by 2**(j d / 2) when materialised as coefficient sequences or
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -47,6 +49,8 @@ _DOMINATE_BUDGET = 2_000_000
 MAX_BOX_CELLS = 1 << 24
 #: Relative pruning threshold of function_norm_estimate.
 NORM_PRUNE = 1e-11
+#: Rows of sparse cells placed per step of _dense_from_cells.
+_DENSE_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -259,27 +263,62 @@ class WaveletCoefficients:
         return bands
 
     def detail_sequences(self):
-        """Detail coefficients as sequences, rescaled by 2**(j d / 2);
-        FloatRangeError when a rescaled one overflows.  The norm estimate is
-        the only caller in the command line, which writes ``analyze --out``
-        from bands() instead."""
-        bands, out = self.bands()[1:], {}
-        for gender in sorted(self.details):
-            # one array per gender, filled band by band: no band is held twice
-            rows = [band for band in bands if band[0] == gender]
-            sizes = [np.count_nonzero(arr) for _, _, _, arr, _ in rows]
-            m, values = np.empty((sum(sizes), self.d), dtype=np.int64), np.empty(sum(sizes))
-            at = 0
-            for (_, _, offset, arr, scale), n in zip(rows, sizes):
-                idx = np.nonzero(arr)
-                for r in range(self.d):
-                    m[at:at + n, r] = idx[r] + offset[r]
-                values[at:at + n] = scale * arr[idx]
-                at += n
-            # the levels ascend, so the constructor skips its sort by level
-            levels = np.repeat([j for _, j, _, _, _ in rows], sizes)
-            out[gender] = DyadicSequence(self.d, cells=(levels, m, values))
-        return out
+        """Detail coefficients as sequences, rescaled by 2**(j d / 2), in a
+        read-only mapping from gender to DyadicSequence that builds each
+        sequence on its first lookup; ``pop(gender)`` hands one over and
+        forgets it, so a caller that pops one gender at a time holds one
+        sequence at a time.  Every band's overflow check runs here, before
+        any sequence is built: FloatRangeError as bands() raises it.  The
+        norm estimate is the only caller in the command line, which writes
+        ``analyze --out`` from bands() instead."""
+        rows = {gender: [] for gender in sorted(self.details)}
+        for band in self.bands()[1:]:
+            rows[band[0]].append(band)
+        return _DetailSequences(self.d, rows)
+
+
+class _DetailSequences(Mapping):
+    """Gender -> DyadicSequence of checked detail bands, each sequence
+    built once, on its first lookup (see detail_sequences)."""
+
+    def __init__(self, d, rows):
+        self._d, self._rows, self._built = d, rows, {}
+
+    def __getitem__(self, gender):
+        if gender not in self._built:
+            self._built[gender] = self._sequence(self._rows[gender])
+        return self._built[gender]
+
+    def __contains__(self, gender):
+        return gender in self._rows
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self):
+        return len(self._rows)
+
+    def pop(self, gender):
+        """The gender's sequence, which the mapping then no longer holds."""
+        seq = self[gender]
+        del self._rows[gender], self._built[gender]
+        return seq
+
+    def _sequence(self, rows):
+        # one array per gender, filled band by band: no band is held twice
+        d = self._d
+        sizes = [np.count_nonzero(arr) for _, _, _, arr, _ in rows]
+        m, values = np.empty((sum(sizes), d), dtype=np.int64), np.empty(sum(sizes))
+        at = 0
+        for (_, _, offset, arr, scale), n in zip(rows, sizes):
+            idx = np.nonzero(arr)
+            for r in range(d):
+                m[at:at + n, r] = idx[r] + offset[r]
+            values[at:at + n] = scale * arr[idx]
+            at += n
+        # the levels ascend, so the constructor skips its sort by level
+        levels = np.repeat([j for _, j, _, _, _ in rows], sizes)
+        return DyadicSequence(d, cells=(levels, m, values))
 
 
 def write_bands(handle, bands):
@@ -332,7 +371,7 @@ def coefficients_from_entries(d, top_level, scaling_entries, detail_entries):
 def _dense_from_cells(d, m, values):
     """The values on the box hull of the cells m, an (n, d) integer array, as
     an (offset, array) pair; repeated cells are summed in input order into
-    +0.0, bit for bit as np.add.at sums them."""
+    +0.0 by np.add.at."""
     if not len(values):
         return ((0,) * d, np.zeros((1,) * d))
     lo, hi = m.min(axis=0).tolist(), m.max(axis=0).tolist()
@@ -340,15 +379,18 @@ def _dense_from_cells(d, m, values):
     if math.prod(shape) > MAX_BOX_CELLS:
         box = " x ".join(map(str, shape))
         raise DomainError("the cells span a box of %s cells; the cap is %d" % (box, MAX_BOX_CELLS))
-    # the row-major index of each cell, built in place: an (n, d) array of
-    # offsets beside it raised the peak RSS of repeated analyze calls by 4 MB
-    flat = m[:, 0] - lo[0]
-    for axis in range(1, d):
-        flat *= shape[axis]
-        flat += m[:, axis]
-        flat -= lo[axis]
-    arr = np.bincount(flat, weights=values, minlength=math.prod(shape))
-    return (tuple(lo), arr.reshape(shape))
+    # the row-major index of each cell, built in place a chunk of rows at a
+    # time, so the index and the weights np.add.at reads stay bounded
+    grid = np.zeros(math.prod(shape))
+    for at in range(0, len(values), _DENSE_CHUNK):
+        rows = m[at:at + _DENSE_CHUNK]
+        flat = rows[:, 0] - lo[0]
+        for axis in range(1, d):
+            flat *= shape[axis]
+            flat += rows[:, axis]
+            flat -= lo[axis]
+        np.add.at(grid, flat, values[at:at + _DENSE_CHUNK])
+    return (tuple(lo), grid.reshape(shape))
 
 
 def save_samples(f, path, header_lines=()):
@@ -405,17 +447,29 @@ def _conv_axis(arr, taps, axis):
 
 
 def _analyze_axis(offset, arr, taps, axis):
-    # decimated correlation: z_k = sum_n taps[n - 2k] x_n
-    t = len(taps)
+    # decimated correlation: z_k = sum_n taps[n - 2k] x_n.  Entry r is entry
+    # start + 2r of the full correlation, and only those entries are built,
+    # tap by tap in the order the full one adds them, so every sum has the
+    # same terms in the same order
+    t, n = len(taps), arr.shape[axis]
     off = offset[axis]
-    full = _conv_axis(arr, taps[::-1], axis)
     k_lo = -((t - 1 - off) // 2)  # ceil((off - t + 1) / 2)
-    start = t - 1 - off + 2 * k_lo
-    index = [slice(None)] * arr.ndim
-    index[axis] = slice(start, None, 2)
-    sub = full[tuple(index)]
+    start = t - 1 - off + 2 * k_lo  # 0 or 1
+    shape = list(arr.shape)
+    shape[axis] = (n + t - start) // 2
+    out = np.zeros(shape)
+    src, dst = [slice(None)] * arr.ndim, [slice(None)] * arr.ndim
+    for k, c in enumerate(taps[::-1]):
+        # full entry i takes c * x[i - k]; the kept i = start + 2r with 0 <= i - k < n
+        r_lo, r_hi = max(0, -((start - k) // 2)), (n - 1 + k - start) // 2
+        if c == 0.0 or r_hi < r_lo:
+            continue
+        dst[axis] = slice(r_lo, r_hi + 1)
+        first = start + 2 * r_lo - k
+        src[axis] = slice(first, first + 2 * (r_hi - r_lo) + 1, 2)
+        out[tuple(dst)] += c * arr[tuple(src)]
     new_offset = offset[:axis] + (k_lo,) + offset[axis + 1:]
-    return new_offset, sub
+    return new_offset, out
 
 
 def _synthesize_axis(offset, arr, taps, axis):
@@ -512,20 +566,13 @@ def analyze(f, system, depth=None, prune=0.0):
             "a level-%d wavelet coefficient is outside the float range" % (level - 1)
         )
     if prune > 0.0:
-        peak = float(np.max(np.abs(arr))) if arr.size else 0.0
-        for per_level in details.values():
-            for _, a in per_level.values():
-                if a.size:
-                    peak = max(peak, float(np.max(np.abs(a))))
-        cutoff = prune * peak
-        arr = np.where(np.abs(arr) < cutoff, 0.0, arr)
-        details = {
-            gender: {
-                j: (o, np.where(np.abs(a) < cutoff, 0.0, a))
-                for j, (o, a) in per_level.items()
-            }
-            for gender, per_level in details.items()
-        }
+        if arr is f.values:
+            arr = arr.copy()  # depth 0: the caller's samples stay as they are
+        # every other array is the cascade's own, so each is pruned in place
+        arrays = [arr, *(a for per_level in details.values() for _, a in per_level.values())]
+        cutoff = prune * max((float(np.max(np.abs(a))) for a in arrays if a.size), default=0.0)
+        for a in arrays:
+            a[np.abs(a) < cutoff] = 0.0
     return WaveletCoefficients(
         d=d, base_level=f.js - depth, top_level=f.js, scaling=(off, arr), details=details
     )

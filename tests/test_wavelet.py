@@ -11,8 +11,9 @@ import pytest
 
 from besovmorrey import csvio, wavelet
 from besovmorrey.csvio import write_rows
-from besovmorrey.dyadic import DyadicSequence, parse_space_params, tilde_norm
+from besovmorrey.dyadic import DyadicSequence, n_norm, parse_space_params, tilde_norm
 from besovmorrey.errors import DomainError, InsufficientMomentsError, ResolutionError
+from besovmorrey.morrey import DyadicStepFunction, morrey_norm
 from besovmorrey.wavelet import (
     SampledFunction,
     WaveletCoefficients,
@@ -194,21 +195,85 @@ def test_written_bands_are_the_detail_sequences(monkeypatch):
     assert all(np.signbit(a[a == 0]).any() for bands in details for _, a in bands)
 
 
+def _eager_detail_entries(coeffs):
+    """Every gender's rescaled nonzero entries at once, cell by cell from
+    bands(): the reference for the detail_sequences mapping."""
+    out = {gender: {} for gender in coeffs.details}
+    for gender, j, offset, arr, scale in coeffs.bands()[1:]:
+        for idx, v in np.ndenumerate(arr):
+            if v != 0.0:
+                out[gender][(j, tuple(o + i for o, i in zip(offset, idx)))] = scale * float(v)
+    return out
+
+
+def test_detail_sequences_are_the_eagerly_built_ones():
+    params = parse_space_params("s=0.5,p=2,q=2,phi=power(2),d=2")
+    for coeffs in [_analyzed_coefficients(2, (16, 16), 2),
+                   _hand_made_coefficients(2, (5, 9), 2),
+                   _hand_made_coefficients(3, (3, 4, 9), 3)]:
+        want = _eager_detail_entries(coeffs)
+        seqs = coeffs.detail_sequences()
+        assert list(seqs) == sorted(want) == sorted(detail_genders(coeffs.d))
+        assert len(seqs) == len(want) and all(gender in seqs for gender in want)
+        for gender, entries in want.items():
+            assert dict(seqs[gender].entries()) == entries and len(entries) > 10
+        if coeffs.d == 2:
+            # the norm pops one gender at a time, summing in the same order
+            scaling = DyadicStepFunction(d=2, level=0, values=coeffs.scaling_values())
+            total = morrey_norm(scaling, params.phi, params.p)
+            for gender in sorted(want):
+                total += n_norm(DyadicSequence(2, want[gender]), params)
+            assert tilde_norm(coeffs, params) == total
+
+
+def test_detail_sequences_build_each_gender_once(monkeypatch):
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args[0])
+        return DyadicSequence(*args, **kwargs)
+
+    monkeypatch.setattr(wavelet, "DyadicSequence", counted)
+    genders = sorted(detail_genders(3))
+    seqs = _hand_made_coefficients(3, (3, 4, 9), 3).detail_sequences()
+    assert "FMM" in seqs and built == []
+    looked = list(seqs.values())  # as the benchmark tracer counts the entries
+    assert len(built) == len(genders) == 7
+    for gender, seq in zip(genders, looked):
+        assert seqs[gender] is seq and seqs.pop(gender) is seq
+        assert gender not in seqs
+        with pytest.raises(KeyError):
+            seqs[gender]
+        with pytest.raises(KeyError):
+            seqs.pop(gender)
+    assert len(built) == 7 and len(seqs) == 0
+    fresh = _hand_made_coefficients(3, (3, 4, 9), 3).detail_sequences()
+    for unknown in ("FFF", "MM", "XYZ"):
+        with pytest.raises(KeyError):
+            fresh[unknown]
+    assert len(built) == 7
+
+
 #: Largest tracemalloc peak of a dense write to os.devnull; measured at
 #: 0.74 MB for the 2^19 band, 0.69 MB for the 512x512 band and 0.64 MB for
 #: the 512x512 samples, whatever the size of the band.
 WRITE_PEAK_BOUND = 1 << 20
 
 
+def _traced_peak(call):
+    """call() and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        result = call()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return result, peak
+
+
 def _write_peak(write):
     with open(os.devnull, "w") as handle:
-        tracemalloc.start()
-        try:
-            write(handle)
-        finally:
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-    return peak
+        return _traced_peak(lambda: write(handle))[1]
 
 
 def test_dense_writers_memory_does_not_grow_with_the_band():
@@ -253,6 +318,68 @@ def test_analyze_depth_and_prune():
     assert all(
         not np.any(arr) for level in kept.details.values() for _, arr in level.values()
     )
+
+
+def _full_correlation_axis(offset, arr, taps, axis):
+    """One cascade step as the full correlation, then every second entry:
+    the reference the kept-entry _analyze_axis matches bit for bit."""
+    t, n, off = len(taps), arr.shape[axis], offset[axis]
+    shape = list(arr.shape)
+    shape[axis] = n + t - 1
+    full = np.zeros(shape)
+    index = [slice(None)] * arr.ndim
+    for k, c in enumerate(taps[::-1]):
+        if c == 0.0:
+            continue
+        index[axis] = slice(k, k + n)
+        full[tuple(index)] += c * arr
+    k_lo = -((t - 1 - off) // 2)
+    index[axis] = slice(t - 1 - off + 2 * k_lo, None, 2)
+    return offset[:axis] + (k_lo,) + offset[axis + 1:], full[tuple(index)]
+
+
+def test_kept_entry_cascade_matches_the_full_correlation():
+    rng = np.random.default_rng(24)
+    for order in range(1, 11):
+        system = daubechies_system(order)
+        for d, axis in [(d, axis) for d in (1, 2, 3) for axis in range(d)]:
+            for n in range(1, 2 * order + 3):
+                shape = [3] * d
+                shape[axis] = n
+                arr = rng.uniform(-1, 1, size=shape) * (rng.random(shape) < 0.8)
+                arr[rng.random(shape) < 0.1] = -0.0
+                for off in (-3, -2, 4, 5):
+                    offset = (off,) * d
+                    for taps in (system.h, system.g):
+                        got = wavelet._analyze_axis(offset, arr, taps, axis)
+                        want = _full_correlation_axis(offset, arr, taps, axis)
+                        assert got[0] == want[0] and _same_bits(got[1], want[1])
+                        assert got[1].base is None
+    # so every band of a cascade owns its memory
+    f = SampledFunction(d=2, js=4, offset=(-3, 2), values=rng.uniform(-1, 1, size=(16, 16)))
+    for prune in (0.0, 1e-3):
+        bands = analyze(f, daubechies_system(3), prune=prune).bands()
+        assert all(arr.base is None for _, _, _, arr, _ in bands)
+
+
+def test_pruning_leaves_the_callers_samples_alone():
+    # analyze prunes its own cascade arrays in place; at depth 0 the scaling
+    # block is the caller's array itself, which SampledFunction keeps
+    # without a copy, and it must come back as it was
+    rng = np.random.default_rng(5)
+    values = rng.uniform(-1, 1, size=(8, 8)) * 10.0 ** rng.integers(-6, 1, size=(8, 8))
+    before = values.copy()
+    f = SampledFunction(d=2, js=3, offset=(1, -2), values=values)
+    assert f.values is values
+    system = daubechies_system(2)
+    for depth in (0, 1, 3):
+        full = analyze(f, system, depth=depth).bands()
+        kept = analyze(f, system, depth=depth, prune=1e-3).bands()
+        assert _same_bits(values, before)
+        cutoff = 1e-3 * max(float(np.max(np.abs(a))) for _, _, _, a, _ in full)
+        for (_, _, o1, a1, _), (_, _, o2, a2, _) in zip(full, kept):
+            assert o1 == o2 and _same_bits(a2, np.where(np.abs(a1) < cutoff, 0.0, a1))
+        assert any(np.any((a1 != 0) & (a2 == 0)) for (*_, a1, _), (*_, a2, _) in zip(full, kept))
 
 
 def test_samples_csv_round_trip(tmp_path):
@@ -318,6 +445,69 @@ def test_repeated_cells_sum_in_order_from_plus_zero():
         offset, want = _add_at_grid(1, cells, values)
         got = coeffs.details["M"][level]
         assert got[0] == offset and _same_bits(got[1], want)
+
+
+def test_dense_build_sums_in_input_order_across_chunks(monkeypatch):
+    # four rows per chunk, so each repeated cell below straddles a chunk
+    # boundary: a -0.0 pair reads +0.0, 1e16 + 1 - 1e16 reads 0.0, and
+    # (0.5 + 1) + 1e16 - 1e16 reads 2.0 where summing each chunk apart
+    # would give 1.5
+    monkeypatch.setattr(wavelet, "_DENSE_CHUNK", 4)
+    rows = [((0, 0), 0.5), ((2, 1), 0.25), ((1, 1), -0.0), ((0, 0), 1.0),
+            ((1, 1), -0.0), ((0, 0), 1e16), ((0, 0), -1e16), ((3, 0), 1e16),
+            ((3, 0), 1.0), ((-1, 2), -0.0), ((3, 0), -1e16), ((1, 2), 2.0), ((1, 2), -0.0)]
+    text = "# d=2 js=3\nm_1,m_2,value\n" + "".join(
+        "%d,%d,%r\n" % (m1, m2, v) for (m1, m2), v in rows
+    )
+    f = read_samples(io.StringIO(text))
+    offset, want = _add_at_grid(2, [m for m, _ in rows], [v for _, v in rows])
+    assert f.offset == offset == (-1, 0) and _same_bits(f.values, want)
+    assert [f.values[1, 0], f.values[4, 0], f.values[2, 1]] == [2.0, 0.0, 0.0]
+    assert not np.signbit(f.values).any()
+    # many repeats in d = 3, with chunks of one row, four rows and all rows
+    rng = np.random.default_rng(7)
+    cells = rng.integers(-3, 3, size=(500, 3))
+    values = rng.choice([1e16, -1e16, 1.0, -0.0, 0.25], size=500)
+    _, want = _add_at_grid(3, cells, values)
+    for chunk in (1, 4, 500):
+        monkeypatch.setattr(wavelet, "_DENSE_CHUNK", chunk)
+        assert _same_bits(wavelet._dense_from_cells(3, cells, values)[1], want)
+
+
+def test_box_cap_refuses_before_allocating():
+    # two cells spanning 4097 x 4096 > 2^24 cells: a 134 MB grid, never built
+    text = "# d=2 js=13\nm_1,m_2,value\n0,0,1.0\n4096,4095,1.0\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="4097 x 4096 cells; the cap is 16777216"):
+            read_samples(io.StringIO(text))
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+#: tracemalloc peaks on the 256x256 grid below, each space's estimate with
+#: the samples already read.  Measured: read_samples 2.37 MB, where 3.15 MB
+#: with every row's cell index and weight built at once; the estimate
+#: 2.23-2.31 MB, where 3.34-3.47 MB with full-length cascade bands and
+#: every gender's sequence held together.
+READ_PEAK_BOUND = 2_600_000
+ESTIMATE_PEAK_BOUND = 2_500_000
+
+
+def test_read_and_estimate_peaks_on_a_256_square_grid(tmp_path):
+    rng = np.random.default_rng(24)
+    path = tmp_path / "samples.csv"
+    values = rng.uniform(-1, 1, size=(256, 256))
+    save_samples(SampledFunction(d=2, js=8, offset=(-5, 3), values=values), str(path))
+    f, peak = _traced_peak(lambda: load_samples(str(path)))
+    assert _same_bits(f.values, values) and peak < READ_PEAK_BOUND
+    for space in ("s=0.5,p=2,q=2,phi=power(2),d=2", "s=0.25,p=2,q=2,phi=power(4),d=2",
+                  "s=1,p=1,q=inf,phi=capped(2),d=2"):
+        params = parse_space_params(space)
+        estimate, peak = _traced_peak(lambda: function_norm_estimate(f, params))
+        assert estimate > 0 and peak < ESTIMATE_PEAK_BOUND, space
 
 
 def test_function_norm_estimate():
