@@ -53,7 +53,6 @@ from .dyadic import (
     level_quantity,
     n_norm,
     n_norm_via_morrey,
-    n_norms,
     parse_space_params,
     tilde_norm,
 )

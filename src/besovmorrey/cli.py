@@ -59,6 +59,7 @@ from .errors import DomainError, FloatRangeError, InsufficientMomentsError, Tabl
 from .wavelet import (
     analyze as wavelet_analyze,
     cascade_depth,
+    check_prune,
     daubechies_system,
     function_norm_estimate,
     load_samples,
@@ -383,6 +384,7 @@ def _cmd_analyze(args):
             moments = min_vanishing_moments(params.s, params.p, params.d)
         system = daubechies_system(moments)
         depth = cascade_depth(f, args.depth)
+        check_prune(args.prune)
         if params is not None:
             # the estimate runs its own cascade before the output one, so the
             # two are never held together; a cascade error is still reported

@@ -34,11 +34,10 @@ shifts the coordinates and sorts them lexicographically instead.  Storage
 stays lexicographic either way.
 
 The groups depend on the coordinates alone; only the weights |value|**p
-depend on the space, and only through p.  So ``_merge`` returns plain
-numbers, the largest group weight of each round for each p, and each space
-turns them into its supremum.  ``n_norms`` calls ``n_norm`` on each space
-in order over one memo for the call, which merges each level once for every
-distinct p; nothing of a merge is cached on the sequence or kept after it.
+depend on the space, and only through p.  ``_merge`` runs for one p and
+returns plain numbers, the largest group weight of each round, which
+``_supremum`` turns into the level's supremum; nothing of a merge is cached
+on the sequence or kept after it.
 """
 
 from __future__ import annotations
@@ -484,23 +483,21 @@ def lq_norm(values, q, log2_weights=None):
     return norm
 
 
-def level_quantity(seq, j, params, *, _merges=None):
+def level_quantity(seq, j, params):
     """Per-level Morrey supremum of the level-j slice of the sequence: the
     largest candidate of the rounds nu = j, j-1, ... of its merge
-    (``_merge``), with phi evaluated once per round.  ``_merges`` is the
-    memo of an ``n_norms`` call."""
+    (``_merge``), with phi evaluated once per round."""
     if j not in seq._levels:
         return 0.0
-    merged = _merges(j) if _merges else _merge(*seq._levels[j], (params.p,))
-    return _supremum(j, params, *merged)
+    return _supremum(j, params, *_merge(*seq._levels[j], params.p))
 
 
 def _supremum(j, params, scale, maxima):
     """The level-j supremum from the result of ``_merge``, or from the cube
-    counts of a witness plan (``witness._plan_norms``)."""
+    counts of a witness plan (``witness._norms_of_plan``)."""
     p = params.p
     best = 0.0
-    for nu, top in zip(itertools.count(j, -1), maxima[p]):
+    for nu, top in zip(itertools.count(j, -1), maxima):
         candidate = (
             eval_phi(params.phi, 2.0 ** (-nu))
             * 2.0 ** ((nu - j) * (params.d / p))
@@ -512,37 +509,33 @@ def _supremum(j, params, scale, maxima):
     return best
 
 
-def _merge(coords, values, ps):
+def _merge(coords, values, p):
     """Merge one level's cells into their groups in each coarser level of
-    cubes, for each exponent p of ps at once.
+    cubes.
 
-    Returns the largest |value| and, per p, the largest group weight
-    sum (|value|/largest)**p of each round nu = j, j-1, ...; the weights
-    of all exponents go through the same permutations and sums.
+    Returns the largest |value| and the largest group weight sum
+    (|value|/largest)**p of each round nu = j, j-1, ...
 
     Rounds run on Z-order keys once they fit (see the module docstring),
     on shifted coordinates sorted lexicographically before.  Both routes sum
-    each group's children in lexicographic order, and each weight array is
-    merged exactly as if alone, so the result is the same to the bit
-    whichever route ran and however many exponents share the merge.
+    each group's children in lexicographic order, so the result is the same
+    to the bit whichever route ran.
     """
     # scaled by the largest magnitude so |value|**p neither overflows nor
-    # underflows; freed once each exponent has its weights
-    ratios = np.abs(values)
-    scale = float(ratios.max())
-    ratios /= scale
-    rows = [ratios ** p for p in ps]
-    del ratios
-    maxima = [[float(row.max()) for row in weights] for weights in _merged_weights(coords, rows)]
-    return scale, dict(zip(ps, zip(*maxima)))
+    # underflows
+    weights = np.abs(values)
+    scale = float(weights.max())
+    weights /= scale
+    weights **= p
+    return scale, list(_merged_weights(coords, weights))
 
 
-def _merged_weights(coords, rows):
+def _merged_weights(coords, weights):
     """Merge the cells (rows of coords, distinct and in lexicographic
     order) into the groups they form in each coarser level of cubes, until
-    the groups have settled, carrying every weight array of the list rows
-    along.  Yields rows once per level, first for the cells themselves,
-    each array then holding the summed weights of the groups.
+    the groups have settled, summing their weights.  Yields the largest
+    weight once per level, first of the cells themselves, then of the
+    groups.
 
     Every cube lies in one coordinate orthant, so the groups have settled
     once no two of them share one; that needs at most 2**d groups.  A group
@@ -553,27 +546,21 @@ def _merged_weights(coords, rows):
     d = coords.shape[1]
     top = int(np.abs(coords).max()).bit_length()
     while d * (top + 1) > 63:
-        yield rows
+        yield float(weights.max())
         if len(coords) <= 1 << d and len(
             set(map(tuple, (coords < 0).tolist()))
         ) == len(coords):
             return
         coords, order, starts = _group_rows(coords >> 1)
-        _carry(rows, order, starts)
+        weights = _regroup(weights, order, starts)
         top = int(np.abs(coords).max()).bit_length()
     keys = _z_keys(coords, top)
     if (keys[1:] < keys[:-1]).any():
         order, _ = _lex_order((keys,))
         keys = keys[order]
-        _carry(rows, order, None)
-    yield from _key_rounds(keys, top, d, rows)
-
-
-def _key_rounds(keys, top, d, rows):
-    """``_merged_weights`` from sorted ``_z_keys``, biased by any 2**top above
-    every |coordinate| with d * (top + 1) <= 63.  Shifts keys in place."""
+        weights = weights[order]
     while True:
-        yield rows
+        yield float(weights.max())
         if len(keys) <= 1 << d:
             signs = keys >> (d * top)
             if (signs[1:] != signs[:-1]).all():
@@ -584,14 +571,7 @@ def _key_rounds(keys, top, d, rows):
         if len(fresh) < len(keys) - 1:
             starts = np.concatenate(([0], fresh))
             keys = keys[starts]
-            _carry(rows, None, starts)
-
-
-def _carry(rows, order, starts):
-    """_regroup every weight array of rows in place, one at a time, so
-    only one new array is alive besides the old ones."""
-    for k in range(len(rows)):
-        rows[k] = _regroup(rows[k], order, starts)
+            weights = np.add.reduceat(weights, starts)
 
 
 def _z_keys(coords, top):
@@ -627,15 +607,14 @@ def _z_keys(coords, top):
     return keys
 
 
-def n_norm(seq, params, *, _merges=None):
+def n_norm(seq, params):
     """Quasi-norm of the sequence in the space described by params, from
-    one ``level_quantity`` per level.  ``_merges`` is the memo an
-    ``n_norms`` call shares among its spaces."""
+    one ``level_quantity`` per level."""
     if seq.d != params.d:
         raise DomainError(
             "sequence dimension %d does not match space dimension %d" % (seq.d, params.d)
         )
-    quantity = functools.partial(level_quantity, seq, params=params, _merges=_merges)
+    quantity = functools.partial(level_quantity, seq, params=params)
     return _lq_of_levels(seq.levels(), params, quantity)
 
 
@@ -651,17 +630,6 @@ def _lq_of_levels(levels, params, quantity):
             raise FloatRangeError("level %d: the Morrey supremum is outside the float range" % j)
         quantities.append(value)
     return lq_norm(quantities, params.q, [j * params.s for j in levels])
-
-
-def n_norms(seq, spaces):
-    """Quasi-norms of the sequence in each of the spaces, as a tuple: n_norm
-    on each space in order, so the numbers and the first error raised are
-    theirs.  The calls share one memo, which merges each level once for
-    every distinct p on first use; nothing is kept after the call."""
-    spaces = tuple(spaces)
-    ps = tuple(dict.fromkeys(params.p for params in spaces))
-    merges = functools.cache(lambda j: _merge(*seq._levels[j], ps))
-    return tuple(n_norm(seq, params, _merges=merges) for params in spaces)
 
 
 def n_norm_via_morrey(seq, params):

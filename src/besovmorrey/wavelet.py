@@ -432,20 +432,6 @@ def read_samples(handle):
 # cascade
 
 
-def _conv_axis(arr, taps, axis):
-    n = arr.shape[axis]
-    out_shape = list(arr.shape)
-    out_shape[axis] = n + len(taps) - 1
-    out = np.zeros(out_shape)
-    index = [slice(None)] * arr.ndim
-    for k, c in enumerate(taps):
-        if c == 0.0:
-            continue
-        index[axis] = slice(k, k + n)
-        out[tuple(index)] += c * arr
-    return out
-
-
 def _analyze_axis(offset, arr, taps, axis):
     # decimated correlation: z_k = sum_n taps[n - 2k] x_n.  Entry r is entry
     # start + 2r of the full correlation, and only those entries are built,
@@ -473,15 +459,19 @@ def _analyze_axis(offset, arr, taps, axis):
 
 
 def _synthesize_axis(offset, arr, taps, axis):
-    # zero-fill upsampling followed by convolution: y_n = sum_k taps[n - 2k] z_k
+    # y_n = sum_k taps[n - 2k] z_k: tap k adds c * z into every second entry
+    # from k on, bit for bit what zero-filled upsampling then convolution
+    # gives, whose other terms add only +-0.0 to entries that start at +0.0
     m = arr.shape[axis]
-    up_shape = list(arr.shape)
-    up_shape[axis] = 2 * m - 1
-    up = np.zeros(up_shape)
+    shape = list(arr.shape)
+    shape[axis] = 2 * m + len(taps) - 2
+    out = np.zeros(shape)
     index = [slice(None)] * arr.ndim
-    index[axis] = slice(0, None, 2)
-    up[tuple(index)] = arr
-    out = _conv_axis(up, taps, axis)
+    for k, c in enumerate(taps):
+        if c == 0.0:
+            continue
+        index[axis] = slice(k, k + 2 * m - 1, 2)
+        out[tuple(index)] += c * arr
     new_offset = offset[:axis] + (2 * offset[axis],) + offset[axis + 1:]
     return new_offset, out
 
@@ -532,6 +522,12 @@ def cascade_depth(f, depth=None):
     return depth
 
 
+def check_prune(prune):
+    """DomainError unless ``prune`` is a finite number >= 0."""
+    if not 0.0 <= prune < math.inf:
+        raise DomainError("prune must be a finite number >= 0, got %r" % (prune,))
+
+
 def analyze(f, system, depth=None, prune=0.0):
     """Cascade the sampled function down ``depth`` levels (default: all the
     way to level zero).
@@ -539,9 +535,11 @@ def analyze(f, system, depth=None, prune=0.0):
     ``prune`` zeroes coefficients smaller than ``prune`` times the largest
     coefficient magnitude; the default keeps everything.  Raises
     ResolutionError when the requested depth exceeds the sampling level,
-    and FloatRangeError when a coefficient overflows.
+    DomainError when ``prune`` is not a finite number >= 0, and
+    FloatRangeError when a coefficient overflows.
     """
     depth = cascade_depth(f, depth)
+    check_prune(prune)
     # each level's bands together hold about prod(n + taps) cells
     if math.prod(n + len(system.h) for n in f.values.shape) > 2 * MAX_BOX_CELLS:
         raise DomainError("the cascade exceeds %d cells; use fewer moments" % (2 * MAX_BOX_CELLS))

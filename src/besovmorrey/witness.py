@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import MAX_LEVEL, DyadicSequence, _lex_order, _lq_of_levels, _supremum, n_norms
+from .dyadic import MAX_LEVEL, DyadicSequence, _lex_order, _lq_of_levels, _supremum
 from .dyadic import n_norm  # noqa: F401  (bench/tracer.py's BINDINGS needs it bound here)
 from .embedding import DEFAULT_NU_MIN, _lattice_ratios, alpha_sequence, decide
 from .embedding import ratio_R  # noqa: F401  (bench/tracer.py traces calls through it)
@@ -106,23 +106,23 @@ def _materialise(d, j, nu, total, value):
     return DyadicSequence(d, cells=(j, m, np.full(len(m), value)))
 
 
-def _plan_norms(plan, spaces):
-    """n_norms of a plan's witness, bits and errors, from the cell count of
-    its fullest cube at each level.  All cells hold the same positive value,
-    so every group weight of the merge is an exact integer count: the whole
-    block holds L_0 cells, and the fullest cube one level finer
-    ceil(L_k / 2**d), since the greedy split gives its first child the full
-    share.  The cells all lie in the first orthant, so the merge ends at
-    level nu, or at once for a single cell.  A level past MAX_LEVEL builds
-    the witness for its error."""
+def _norms_of_plan(plan, spaces):
+    """The norms in each of the spaces of a plan's witness, bits and errors,
+    from the cell count of its fullest cube at each level.  All cells hold
+    the same positive value, so every group weight of the merge is an exact
+    integer count: the whole block holds L_0 cells, and the fullest cube
+    one level finer ceil(L_k / 2**d), since the greedy split gives its
+    first child the full share.  The cells all lie in the first orthant,
+    so the merge ends at level nu, or at once for a single cell.  A level
+    past MAX_LEVEL builds the witness for its error."""
     d, j, nu, total, value = plan
     if j > MAX_LEVEL:
-        return n_norms(_materialise(*plan), spaces)
+        _materialise(*plan)  # DyadicSequence refuses the level
     counts = [1 << ((j - nu) * d) if total is None else total]
     if counts[0] > 1:
         for _ in range(j - nu):
             counts.append(-(-counts[-1] >> d))
-    maxima = dict.fromkeys((params.p for params in spaces), [float(c) for c in counts[::-1]])
+    maxima = [float(c) for c in counts[::-1]]
     return tuple(_lq_of_levels((j,), params, lambda j: _supremum(j, params, value, maxima))
                  for params in spaces)
 
@@ -339,7 +339,7 @@ def divergence_scan(query, depth=DEFAULT_DEPTH, nu_min=DEFAULT_NU_MIN):
     way ends this look-ahead, and is rerun, and raises, at its index.  So
     the refusal comes early only where a smaller witness's norm would have
     left the float range first.  Each witness is normed in both spaces from
-    its plan, with one merge.
+    the cube counts of its plan.
     """
     if depth < 0:
         raise DomainError("depth must be >= 0")
@@ -368,7 +368,7 @@ def divergence_scan(query, depth=DEFAULT_DEPTH, nu_min=DEFAULT_NU_MIN):
             raise
         except (ArithmeticError, DomainError, WitnessSelectionError):
             break  # the scan meets this error, or an earlier one, itself
-    norms = (_plan_norms(plans[i] if i < len(plans) else plan(i), (tgt, src)) for i in indices)
+    norms = (_norms_of_plan(plans[i] if i < len(plans) else plan(i), (tgt, src)) for i in indices)
     ratios = tuple(target / source for target, source in norms)
     return DivergenceScan(
         family=family, indices=indices, ratios=ratios, outcome=verdict.outcome

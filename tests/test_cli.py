@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besovmorrey import cli, witness
+from besovmorrey import cli, wavelet, witness
 from besovmorrey import phi as phimod
 from besovmorrey.cli import main
 from besovmorrey.dyadic import DyadicSequence, save_csv
@@ -165,7 +165,7 @@ def test_analyze_deterministic(tmp_path, capsys):
     assert "gender,j,m_1,value" in text1
 
 
-def test_analyze_errors(tmp_path, capsys):
+def test_analyze_errors(tmp_path, capsys, monkeypatch):
     rng = np.random.default_rng(6)
     f = SampledFunction(d=1, js=2, offset=(0,), values=rng.uniform(-1, 1, size=4))
     samples = tmp_path / "samples.csv"
@@ -181,6 +181,20 @@ def test_analyze_errors(tmp_path, capsys):
     assert main(["analyze", "--samples", str(samples), "--moments", "2",
                  "--depth", "9"]) == 64
     capsys.readouterr()
+    # a --prune that is not a finite number >= 0 is refused before any
+    # cascade runs, that of the norm estimate included
+    steps = []
+    step = wavelet._analysis_step
+    monkeypatch.setattr(wavelet, "_analysis_step", lambda *a: steps.append(a) or step(*a))
+    for prune in ("nan", "-1", "-0.5e-300", "inf", "-inf"):
+        for flags in (["--space", space], ["--moments", "2", "--depth", "0"]):
+            out = tmp_path / "coeffs.csv"
+            assert main(["analyze", "--samples", str(samples), *flags, "--prune=" + prune,
+                         "--out", str(out)]) == 64
+            assert "prune must be a finite number >= 0" in capsys.readouterr().err
+            assert not steps and not out.exists()
+    assert main(["analyze", "--samples", str(samples), "--space", space,
+                 "--prune", "0"]) == 0 and steps
 
 
 def _sweep_config(tmp_path, sweep_lines):

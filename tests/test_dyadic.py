@@ -22,13 +22,12 @@ from besovmorrey.dyadic import (
     lq_norm,
     n_norm,
     n_norm_via_morrey,
-    n_norms,
     parse_space_params,
     read_csv,
     save_csv,
     write_csv,
 )
-from besovmorrey.errors import DomainError
+from besovmorrey.errors import DomainError, ExtrapolationError, FloatRangeError
 
 
 def test_sequence_container():
@@ -223,15 +222,15 @@ def _space_list(draw, d):
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(drawn=_two_level_cells(), data=st.data())
-def test_n_norms_match_one_space_at_a_time(drawn, data):
-    # one merge per level serves every space: each gets the bits n_norm
-    # gives on a fresh copy, in either order, on both merge routes
+def test_n_norm_per_space_matches_the_lexicographic_merge(drawn, data):
+    # norming one sequence in several spaces, in either order, gives each
+    # the bits n_norm gives on a fresh copy, on both merge routes
     d, cells = drawn
     spaces = data.draw(_space_list(d))
     seq = DyadicSequence(d, cells=cells)
     alone = tuple(n_norm(DyadicSequence(d, cells=seq.cells()), params) for params in spaces)
-    assert n_norms(seq, spaces) == alone
-    assert n_norms(seq, spaces[::-1]) == alone[::-1]
+    assert tuple(n_norm(seq, params) for params in spaces) == alone
+    assert tuple(n_norm(seq, params) for params in spaces[::-1]) == alone[::-1]
     for j, params in itertools.product(seq.levels(), spaces):
         assert level_quantity(seq, j, params) == _level_quantity_lexicographic(seq, j, params)
 
@@ -245,63 +244,30 @@ _ERROR_SEQ = DyadicSequence(
     1, {(45, (0,)): 1.0, (45, (1,)): 0.5, (45, (1 << 56,)): 0.25, (600, (3,)): 1e-200}
 )
 _ERROR_SPACES = {
-    "table": "s=0.5,p=2,q=2,phi=table(%s),d=1" % _SQRT_TABLE,
-    "short_table": "s=0.5,p=2,q=2,phi=table({short}),d=1",
-    "underflow": "s=-3,p=1,q=1,phi=power(1),d=1",
-    "overflow": "s=4,p=2,q=2,phi=power(2),d=1",  # 2^2400 * 1e-290 in lq_norm
-    "fine": "s=0,p=2,q=2,phi=power(2),d=1",
-    "other_d": "s=0,p=2,q=2,phi=power(2),d=2",
+    "table": ("s=0.5,p=2,q=2,phi=table(%s),d=1" % _SQRT_TABLE, ExtrapolationError),
+    "short_table": ("s=0.5,p=2,q=2,phi=table({short}),d=1", ExtrapolationError),
+    "underflow": ("s=-3,p=1,q=1,phi=power(1),d=1", FloatRangeError),
+    # 2^2400 * 1e-290 in lq_norm
+    "overflow": ("s=4,p=2,q=2,phi=power(2),d=1", FloatRangeError),
+    "fine": ("s=0,p=2,q=2,phi=power(2),d=1", None),
+    "other_d": ("s=0,p=2,q=2,phi=power(2),d=2", DomainError),
 }
 
 
-def _outcome(norm):
-    try:
-        return norm()
-    except DomainError as exc:
-        return type(exc), str(exc)
-
-
-def test_n_norms_raise_what_the_calls_in_order_raise_first(tmp_path):
-    # a space that fails in the first round of a level leaves the merge, and
-    # the others go on to the rounds where they fail themselves
+def test_n_norm_raises_the_error_of_each_space(tmp_path):
+    # every space but "fine" fails on its own, each with its own error
     short = tmp_path / "short_table.csv"
     short.write_text("t,value\n" + "".join(
         "%r,%r\n" % (2.0 ** k, 2.0 ** (k / 2)) for k in range(-50, 11)
     ))
-    parsed = {
-        name: parse_space_params(text.format(short=short))
-        for name, text in _ERROR_SPACES.items()
-    }
-    for k in (1, 2, 3):
-        for names in itertools.permutations(sorted(parsed), k):
-            spaces = [parsed[name] for name in names]
-            first = _outcome(lambda: tuple(n_norm(_ERROR_SEQ, params) for params in spaces))
-            assert _outcome(lambda: n_norms(_ERROR_SEQ, spaces)) == first, names
-            # every space but "fine" fails on its own
-            assert isinstance(first[0], type) == (names != ("fine",)), names
-
-
-def test_n_norms_merge_each_level_once(monkeypatch):
-    # the spaces share one merge per level, for both distinct exponents
-    merges = []
-    merge = dyadic._merge
-
-    def counted(coords, values, ps):
-        merges.append((len(values), ps))
-        return merge(coords, values, ps)
-
-    monkeypatch.setattr(dyadic, "_merge", counted)
-    seq = DyadicSequence(1, {(2, (0,)): 1.0, (2, (3,)): 2.0, (5, (7,)): 0.5})
-    spaces = [
-        parse_space_params("s=%s,p=%s,q=2,phi=power(%s),d=1" % (s, p, p))
-        for s, p in [("0", "2"), ("0.5", "1"), ("1", "2")]
-    ]
-    norms = n_norms(seq, spaces)
-    assert merges == [(2, (2.0, 1.0)), (1, (2.0, 1.0))]
-    # alone, n_norm merges each level once for its own exponent
-    del merges[:]
-    assert norms == tuple(n_norm(seq, params) for params in spaces)
-    assert merges == [(n, (params.p,)) for params in spaces for n in (2, 1)]
+    for name, (text, error) in _ERROR_SPACES.items():
+        params = parse_space_params(text.format(short=short))
+        if error is None:
+            assert 0.0 < n_norm(_ERROR_SEQ, params) < INF
+        else:
+            with pytest.raises(DomainError) as caught:
+                n_norm(_ERROR_SEQ, params)
+            assert type(caught.value) is error, name
 
 
 def test_constant_profile_collapses_to_sup():

@@ -38,16 +38,17 @@ def test_tracer_installs_on_the_package():
 
 
 def test_tracer_counts_the_norms_of_a_witness_scan(capsys):
-    # n_norms reaches n_norm and level_quantity through the module's
-    # bindings, so the trace counts every norm of a built witness; the scan
-    # norms its witnesses from their plans, and the trace counts the scan
-    # and its verdict
+    # n_norm reaches level_quantity through the module's binding, so the
+    # trace counts every norm of a built witness; the scan norms its
+    # witnesses from their plans, and the trace counts the scan and its
+    # verdict
     spaces = [dyadic.parse_space_params("s=0,p=2,q=2,phi=%s,d=1" % phi)
               for phi in ("power(2)", "capped(2)")]
     tracer = _load_tracer().Tracer()
     tracer.install()
     try:
-        norms = dyadic.n_norms(simple_witness(0, -3, spaces[1].phi), spaces)
+        seq = simple_witness(0, -3, spaces[1].phi)
+        norms = [dyadic.n_norm(seq, params) for params in spaces]
         code = cli.main(["witness", "--source", "s=0,p=2,q=2,phi=capped(2),d=1",
                          "--target", "s=0,p=2,q=2,phi=power(2),d=1", "--depth", "3"])
     finally:

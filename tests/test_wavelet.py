@@ -318,6 +318,18 @@ def test_analyze_depth_and_prune():
     assert all(
         not np.any(arr) for level in kept.details.values() for _, arr in level.values()
     )
+    # a threshold that is not a finite number >= 0 is refused, also at depth 0
+    for prune in (-1.0, -5e-324, math.inf, math.nan):
+        for depth in (0, 3):
+            with pytest.raises(DomainError, match="prune must be a finite number >= 0"):
+                analyze(f, system, depth=depth, prune=prune)
+
+
+def _signed_values(rng, shape):
+    """Values in (-1, 1) with exact zeros and -0.0 among them."""
+    arr = rng.uniform(-1, 1, size=shape) * (rng.random(shape) < 0.8)
+    arr[rng.random(shape) < 0.1] = -0.0
+    return arr
 
 
 def _full_correlation_axis(offset, arr, taps, axis):
@@ -346,8 +358,7 @@ def test_kept_entry_cascade_matches_the_full_correlation():
             for n in range(1, 2 * order + 3):
                 shape = [3] * d
                 shape[axis] = n
-                arr = rng.uniform(-1, 1, size=shape) * (rng.random(shape) < 0.8)
-                arr[rng.random(shape) < 0.1] = -0.0
+                arr = _signed_values(rng, shape)
                 for off in (-3, -2, 4, 5):
                     offset = (off,) * d
                     for taps in (system.h, system.g):
@@ -380,6 +391,55 @@ def test_pruning_leaves_the_callers_samples_alone():
         for (_, _, o1, a1, _), (_, _, o2, a2, _) in zip(full, kept):
             assert o1 == o2 and _same_bits(a2, np.where(np.abs(a1) < cutoff, 0.0, a1))
         assert any(np.any((a1 != 0) & (a2 == 0)) for (*_, a1, _), (*_, a2, _) in zip(full, kept))
+
+
+def _zero_filled_synthesis_axis(offset, arr, taps, axis):
+    """One synthesis step as zero-filled upsampling, then the full
+    convolution: the reference the tap-by-tap _synthesize_axis matches bit
+    for bit."""
+    m = arr.shape[axis]
+    shape = list(arr.shape)
+    shape[axis] = 2 * m - 1
+    up = np.zeros(shape)
+    index = [slice(None)] * arr.ndim
+    index[axis] = slice(0, None, 2)
+    up[tuple(index)] = arr
+    shape[axis] += len(taps) - 1
+    out = np.zeros(shape)
+    for k, c in enumerate(taps):
+        if c == 0.0:
+            continue
+        index[axis] = slice(k, k + 2 * m - 1)
+        out[tuple(index)] += c * up
+    return offset[:axis] + (2 * offset[axis],) + offset[axis + 1:], out
+
+
+def test_synthesis_matches_zero_filled_upsampling(monkeypatch):
+    rng = np.random.default_rng(25)
+    for order in range(1, 11):
+        system = daubechies_system(order)
+        for d, axis in [(d, axis) for d in (1, 2, 3) for axis in range(d)]:
+            for m in range(1, 2 * order + 3):
+                shape = [3] * d
+                shape[axis] = m
+                arr = _signed_values(rng, shape)
+                for taps in (system.h, system.g):
+                    offset = tuple(rng.integers(-5, 6, size=d).tolist())
+                    got = wavelet._synthesize_axis(offset, arr, taps, axis)
+                    want = _zero_filled_synthesis_axis(offset, arr, taps, axis)
+                    assert got[0] == want[0] and _same_bits(got[1], want[1])
+    # and whole reconstructions, every band through the reference step
+    cases = []
+    for d, js, order in [(1, 6, 1), (1, 5, 4), (2, 3, 2), (2, 4, 10), (3, 2, 3)]:
+        values = _signed_values(rng, (1 << js,) * d)
+        f = SampledFunction(d=d, js=js, offset=tuple(range(-2, d - 2)), values=values)
+        system = daubechies_system(order)
+        cases.append((analyze(f, system), system))
+    got = [synthesize(coeffs, system) for coeffs, system in cases]
+    monkeypatch.setattr(wavelet, "_synthesize_axis", _zero_filled_synthesis_axis)
+    for back, (coeffs, system) in zip(got, cases):
+        want = synthesize(coeffs, system)
+        assert back.offset == want.offset and _same_bits(back.values, want.values)
 
 
 def test_samples_csv_round_trip(tmp_path):

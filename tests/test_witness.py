@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from besovmorrey import witness
-from besovmorrey.dyadic import MAX_LEVEL, DyadicSequence, n_norm, n_norms, parse_space_params
+from besovmorrey.dyadic import MAX_LEVEL, DyadicSequence, n_norm, parse_space_params
 from besovmorrey.embedding import EmbeddingQuery
 from besovmorrey.errors import (
     CapacityError,
@@ -247,8 +247,12 @@ def _outcome(norms):
         return type(exc), str(exc)
 
 
+def _norms(seq, spaces):
+    return tuple(n_norm(seq, params) for params in spaces)
+
+
 def _oracle(plan, spaces):
-    return _outcome(lambda: n_norms(witness._materialise(*plan), spaces))
+    return _outcome(lambda: _norms(witness._materialise(*plan), spaces))
 
 
 _SQRT_TABLE = Path(__file__).parent / "data" / "sweep_small" / "sqrt_table.csv"
@@ -284,9 +288,9 @@ def _plan_and_spaces(draw):
 @given(drawn=_plan_and_spaces())
 def test_plan_norms_match_the_built_witness(drawn):
     # the scan's route from a plan's cube counts gives the bits, or the
-    # error, of n_norms on the witness the plan builds
+    # error, of n_norm in each space on the witness the plan builds
     plan, spaces = drawn
-    assert _outcome(lambda: witness._plan_norms(plan, spaces)) == _oracle(plan, spaces)
+    assert _outcome(lambda: witness._norms_of_plan(plan, spaces)) == _oracle(plan, spaces)
 
 
 @pytest.mark.parametrize("d, j, nu, total, keyed", [
@@ -318,7 +322,7 @@ def test_plan_norms_fall_back_where_keys_do_not_fit(monkeypatch, d, j, nu, total
     p = max(2, d)
     spaces = [sp("s=0,p=%d,q=2,phi=power(%d)" % (p, p), d),
               sp("s=0,p=%d,q=inf,phi=capped(%d)" % (p, p), d)]
-    norms = _outcome(lambda: witness._plan_norms(plan, spaces))
+    norms = _outcome(lambda: witness._norms_of_plan(plan, spaces))
     assert built == ([plan] if j > MAX_LEVEL else [])
     assert norms == _oracle(plan, spaces)
     if j > MAX_LEVEL:
@@ -352,7 +356,7 @@ def _bench_witness_calls(seed, workdir):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_divergence_scan_ratios_are_the_built_witnesses(tmp_path, seed):
     # the benchmark's six witness scans, against building every witness
-    # and norming it with n_norms
+    # and norming it with n_norm in each space
     for call in _bench_witness_calls(seed, tmp_path):
         info = call["check"]
         q = EmbeddingQuery(source=sp(info["source"]), target=sp(info["target"]))
@@ -364,7 +368,7 @@ def test_divergence_scan_ratios_are_the_built_witnesses(tmp_path, seed):
         }[info["family"]]
         scan = divergence_scan(q, depth=info["depth"])
         assert scan.family == info["family"]
-        norms = [n_norms(build(i), (q.target, src)) for i in scan.indices]
+        norms = [_norms(build(i), (q.target, src)) for i in scan.indices]
         assert scan.ratios == tuple(target / source for target, source in norms), call["name"]
 
 
