@@ -21,9 +21,9 @@ Exit codes are part of the interface:
       UTF-8, breaks the shared ``csvio`` grammar, leaves its bounds or has a
       norm or wavelet coefficient outside the float range; the one-line
       message starts ``<file>:``,
-* 66 a request larger than a hard cap (a sweep grid, or a witness with more
-      cells than ``witness.MAX_CELLS``, a coefficient that overflows or
-      underflows to 0, or a norm outside the float range),
+* 66 a sweep grid larger than its hard cap, or a witness scan that leaves
+      the float range, by index 1024 at the latest (a coefficient, cell
+      count or norm outside the floats, or a level past 1022),
 * 70 an internal error: an exception no handler maps to a code above, reported
       as one line naming its type.
 
@@ -354,7 +354,7 @@ def _cmd_witness(args):
     try:
         scan = divergence_scan(query, depth=depth, nu_min=numin)
     except DomainError as exc:
-        # over MAX_CELLS, or a witness or its norm outside the float range
+        # a witness or its norm outside the float range, or its level past 1022
         raise _CliError(EXIT_TOOBIG, "witness: %s; lower --depth" % exc)
     with _output(args.out) as handle:
         comments = [

@@ -13,12 +13,13 @@ sequences whose target/source quasi-norm ratio grows without bound:
 The greedy spreading keeps every intermediate cube's share of cells within
 one unit of the even split, which is what makes the source norm of the
 capacity witnesses uniformly bounded.  A divergence scan norms each witness
-from its plan, on the cell count of its fullest cube at each level; it builds
-one only past MAX_LEVEL.
+from its plan, on the cell count of its fullest cube at each level, and
+builds none.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .dyadic import MAX_LEVEL, DyadicSequence, _lex_order, _lq_of_levels, _supremum
 from .dyadic import n_norm  # noqa: F401  (bench/tracer.py's BINDINGS needs it bound here)
-from .embedding import DEFAULT_NU_MIN, _lattice_ratios, alpha_sequence, decide
+from .embedding import DEFAULT_NU_MIN, _lattice_ratios, _running_maxima, alpha_sequence, decide
 from .embedding import ratio_R  # noqa: F401  (bench/tracer.py traces calls through it)
 from .errors import (
     CapacityError,
@@ -37,7 +38,7 @@ from .errors import (
 )
 from .phi import eval_phi
 
-#: Refuse to materialise witnesses with more cells than this.
+#: Refuse to materialise witnesses with more cells than this (a scan builds none).
 MAX_CELLS = 1 << 22
 
 #: Largest family index a divergence scan runs to unless told otherwise.
@@ -69,26 +70,15 @@ def simple_witness(j0, nu0, phi1):
 def _simple_plan(j0, nu0, phi1):
     d = phi1.d
     _check_block(d, j0, nu0)
-    value = 1.0 / eval_phi(phi1, 2.0 ** (-nu0))
-    _check_block_size(d, j0 - nu0)
-    return _plan(d, j0, nu0, None, value)
-
-
-def _check_block_size(d, span):
-    """Refuse a full block of 2**(span*d) cells over MAX_CELLS."""
-    if span * d > 62 or (1 << (span * d)) > MAX_CELLS:
-        raise WitnessTooLargeError(
-            "witness block of 2^%d cells is too large; the cap is %d cells"
-            % (span * d, MAX_CELLS)
-        )
+    return _plan(d, j0, nu0, None, 1.0 / eval_phi(phi1, 2.0 ** (-nu0)))
 
 
 def _plan(d, j, nu, total, value):
     """A checked witness plan: ``value`` on every level-j cell inside
-    Q_{nu, 0}, or on ``total`` of them spread by greedy_distribution.  The
-    builders check everything in their plan, so building one only
-    allocates.  A value outside the positive floats is refused: 0 would
-    leave an empty witness, and inf a witness with no norm."""
+    Q_{nu, 0}, or on ``total`` of them spread by greedy_distribution.  A
+    plan makes the mathematical checks only; the cell cap is checked where
+    the cells are built.  A value outside the positive floats is refused: 0
+    would leave an empty witness, and inf a witness with no norm."""
     if not 0.0 < value < math.inf:
         raise FloatRangeError(
             "the level-%d witness coefficient %r is not finite and positive" % (j, value)
@@ -99,6 +89,10 @@ def _plan(d, j, nu, total, value):
 def _materialise(d, j, nu, total, value):
     """The witness a plan describes; a block's row r holds r's 2**(j - nu)-ary digits."""
     if total is None:
+        bits = (j - nu) * d
+        if bits > 62 or (1 << bits) > MAX_CELLS:
+            raise WitnessTooLargeError(
+                "witness block of 2^%d cells is too large; the cap is %d cells" % (bits, MAX_CELLS))
         digits = (j - nu) * np.arange(d - 1, -1, -1)
         m = (np.arange(1 << ((j - nu) * d))[:, None] >> digits) & ((1 << (j - nu)) - 1)
     else:
@@ -110,19 +104,22 @@ def _norms_of_plan(plan, spaces):
     """The norms in each of the spaces of a plan's witness, bits and errors,
     from the cell count of its fullest cube at each level.  All cells hold
     the same positive value, so every group weight of the merge is an exact
-    integer count: the whole block holds L_0 cells, and the fullest cube
+    integer count: a full block's cubes k levels above its cells hold
+    2**(k d); a spread's whole block holds L_0 cells, and its fullest cube
     one level finer ceil(L_k / 2**d), since the greedy split gives its
-    first child the full share.  The cells all lie in the first orthant,
-    so the merge ends at level nu, or at once for a single cell.  A level
-    past MAX_LEVEL builds the witness for its error."""
+    first child the full share.  The cells all lie in the first orthant, so
+    the merge ends at level nu, or at once for a single cell.  A count past
+    the floats raises OverflowError."""
     d, j, nu, total, value = plan
     if j > MAX_LEVEL:
-        _materialise(*plan)  # DyadicSequence refuses the level
-    counts = [1 << ((j - nu) * d) if total is None else total]
-    if counts[0] > 1:
-        for _ in range(j - nu):
+        raise DomainError("levels run from 0 to %d, got j=%d" % (MAX_LEVEL, j))
+    if total is None:
+        maxima = [2.0 ** (k * d) for k in range(j - nu + 1)]
+    else:
+        counts = [total]
+        for _ in range(j - nu if total > 1 else 0):
             counts.append(-(-counts[-1] >> d))
-    maxima = [float(c) for c in counts[::-1]]
+        maxima = [float(c) for c in counts[::-1]]
     return tuple(_lq_of_levels((j,), params, lambda j: _supremum(j, params, value, maxima))
                  for params in spaces)
 
@@ -133,9 +130,8 @@ def _cell_count(bits, ratio, p):
     try:
         raw = 2.0 ** bits * ratio ** p
     except OverflowError:
-        raise WitnessTooLargeError(
-            "the cell count 2^%d * %r^%r leaves the float range; the cap is %d cells"
-            % (bits, ratio, p, MAX_CELLS)
+        raise FloatRangeError(
+            "the cell count 2^%d * %r^%r leaves the float range" % (bits, ratio, p)
         ) from None
     return max(1, math.ceil(raw - _CEIL_DUST))
 
@@ -159,27 +155,16 @@ class GreedyDistribution:
         return tuple(map(tuple, self.m.tolist()))
 
 
-def _check_distribution(d, j0, nu0, total):
-    """Refuse the placements greedy_distribution cannot make: ``total``
-    cells that do not fit the block, more than MAX_CELLS, or cells whose
-    coordinates leave the int64 range."""
+def _check_fit(d, j0, nu0, total):
+    """Refuse ``total`` cells that do not fit the block."""
     _check_block(d, j0, nu0)
     capacity_bits = (j0 - nu0) * d
     if total < 0:
         raise DomainError("cannot place a negative number of cells")
-    if capacity_bits < 63 and total > (1 << capacity_bits):
+    # 2**capacity_bits is formed only below total's bit length, so it stays small
+    if capacity_bits < int(total).bit_length() and total > (1 << capacity_bits):
         raise CapacityError(
             "%d cells do not fit the 2^%d cells of the block" % (total, capacity_bits)
-        )
-    if total > MAX_CELLS:
-        raise WitnessTooLargeError(
-            "distribution of %d cells is too large; the cap is %d cells"
-            % (total, MAX_CELLS)
-        )
-    if total > 1 and j0 - nu0 > 63:
-        # the second cell sits at 2**(j0-nu0-1) along the last axis
-        raise DomainError(
-            "cells of a block %d levels deep leave the int64 range" % (j0 - nu0)
         )
 
 
@@ -194,7 +179,17 @@ def greedy_distribution(d, j0, nu0, total):
     most 2**(d(nu0-nu)) * total + 2 cells overall.  Memory grows with
     total * d, whatever the dimension.
     """
-    _check_distribution(d, j0, nu0, total)
+    _check_fit(d, j0, nu0, total)
+    if total > MAX_CELLS:
+        raise WitnessTooLargeError(
+            "distribution of %d cells is too large; the cap is %d cells"
+            % (total, MAX_CELLS)
+        )
+    if total > 1 and j0 - nu0 > 63:
+        # the second cell sits at 2**(j0-nu0-1) along the last axis
+        raise DomainError(
+            "cells of a block %d levels deep leave the int64 range" % (j0 - nu0)
+        )
     shifts = np.minimum(np.arange(d - 1, -1, -1), 63)
     # no load exceeds MAX_CELLS, so a wider fan-out gives the same shares
     fan = min(2 ** d, MAX_CELLS)
@@ -231,7 +226,7 @@ def _capacity_plan(d, j0, nu0, phi1, p1):
     if p1 <= 0:
         raise DomainError("p1 must be positive")
     total = _cell_count((j0 - nu0) * d, eval_phi(phi1, 2.0 ** (-nu0)), -p1)
-    _check_distribution(d, j0, nu0, total)
+    _check_fit(d, j0, nu0, total)
     return _plan(d, j0, nu0, total, 1.0)
 
 
@@ -246,11 +241,16 @@ def select_witness_level(query, i, nu_min=DEFAULT_NU_MIN):
     """
     if i < 0:
         raise DomainError("level index must be >= 0")
-    ratios = _lattice_ratios(query.source.phi, query.target.phi, query.rho, nu_min, i)
+    phi1, phi2 = query.source.phi, query.target.phi
+    return _select_level(_lattice_ratios(phi1, phi2, query.rho, nu_min, i), nu_min)
+
+
+def _select_level(ratios, nu_min):
+    """select_witness_level from R(nu) for nu = nu_min, nu_min + 1, ..., i."""
     threshold = max((r for r in ratios if r is not None), default=math.inf) / 2.0
-    for nu in range(i, nu_min - 1, -1):
-        if ratios[nu - nu_min] is not None and ratios[nu - nu_min] >= threshold:
-            return nu
+    for k in range(len(ratios) - 1, -1, -1):
+        if ratios[k] is not None and ratios[k] >= threshold:
+            return nu_min + k
     raise WitnessSelectionError("no level attains half the running maximum")
 
 
@@ -262,17 +262,27 @@ def beta_witness(i, nu_i, query, nu_min=DEFAULT_NU_MIN):
     distribution.  Its target quasi-norm is at least
     2**(i(s2-s1)) * alpha_i * phi1(2**-i)**(rho-1) up to a bounded factor.
     """
-    return _materialise(*_beta_plan(i, nu_i, query, nu_min))
+    _check_block(query.source.d, i, nu_i)
+    alphas = alpha_sequence(query.source.phi, query.target.phi, query.rho, j_max=i, nu_min=nu_min)
+    return _materialise(*_beta_plan(i, nu_i, alphas[i], query))
 
 
-def _beta_plan(i, nu_i, query, nu_min):
+def _beta_plans(query, nu_min):
+    """The plan of beta_witness(i, select_witness_level(query, i), query) for
+    i = 0, 1, ..., with each R(nu) evaluated once, not once per index."""
+    phi1, phi2, rho = query.source.phi, query.target.phi, query.rho
+    ratios = []  # R(nu) for nu = nu_min..i
+    for i in itertools.count():
+        ratios += _lattice_ratios(phi1, phi2, rho, nu_min + len(ratios), i)
+        nu_i = _select_level(ratios, nu_min)
+        yield _beta_plan(i, nu_i, _running_maxima(ratios, nu_min)[i], query)
+
+
+def _beta_plan(i, nu_i, alpha_i, query):
     src, tgt = query.source, query.target
     d = src.d
-    _check_block(d, i, nu_i)
     rho = query.rho
     phi1, phi2 = src.phi, tgt.phi
-    alphas = alpha_sequence(phi1, phi2, rho, j_max=max(i, 0), nu_min=nu_min)
-    alpha_i = alphas[i]
     span = i - nu_i
     w = -i * src.s
     try:
@@ -283,12 +293,11 @@ def _beta_plan(i, nu_i, query, nu_min):
         scale = 2.0 ** (w - whole)
     if rho == 1.0:
         value = scale * alpha_i / eval_phi(phi2, 2.0 ** (-nu_i))
-        _check_block_size(d, span)
         return _plan(d, i, nu_i, None, _ldexp(value, whole))
     f1_fine = eval_phi(phi1, 2.0 ** (-i))
     f1_coarse = eval_phi(phi1, 2.0 ** (-nu_i))
     total = _cell_count(span * d, f1_fine / f1_coarse, src.p)
-    _check_distribution(d, i, nu_i, total)
+    _check_fit(d, i, nu_i, total)
     value = scale * alpha_i / eval_phi(phi2, 2.0 ** (-nu_i)) * f1_coarse ** rho / f1_fine
     return _plan(d, i, nu_i, total, _ldexp(value, whole))
 
@@ -333,13 +342,10 @@ def divergence_scan(query, depth=DEFAULT_DEPTH, nu_min=DEFAULT_NU_MIN):
     failure the ratios grow without bound.  Raises WitnessSelectionError
     when the verdict is not a failure.
 
-    First each index is planned in order: every check its builder makes,
-    with the cell count in closed form.  The first witness over MAX_CELLS is
-    refused there with its builder's error.  A plan that fails in any other
-    way ends this look-ahead, and is rerun, and raises, at its index.  So
-    the refusal comes early only where a smaller witness's norm would have
-    left the float range first.  Each witness is normed in both spaces from
-    the cube counts of its plan.
+    Each index is planned and its witness normed in both spaces from the
+    cube counts of its plan; no cell is built, so no cell cap applies.  The
+    first index that fails raises, at the latest index 1024, where 2**i
+    leaves the floats (a beta level leaves MAX_LEVEL before).
     """
     if depth < 0:
         raise DomainError("depth must be >= 0")
@@ -350,26 +356,19 @@ def divergence_scan(query, depth=DEFAULT_DEPTH, nu_min=DEFAULT_NU_MIN):
         )
     src, tgt = query.source, query.target
     if verdict.cond0.status != "violated":
-        family = "beta"
+        family, plans = "beta", _beta_plans(query, nu_min)
+    elif query.rho == 1.0:
+        family = "simple"
+        plans = (_simple_plan(0, -i, src.phi) for i in itertools.count())
     else:
-        family = "simple" if query.rho == 1.0 else "capacity"
-    plan = {
-        "simple": lambda i: _simple_plan(0, -i, src.phi),
-        "capacity": lambda i: _capacity_plan(src.d, 0, -i, src.phi, src.p),
-        "beta": lambda i: _beta_plan(
-            i, select_witness_level(query, i, nu_min=nu_min), query, nu_min),
-    }[family]
-    indices = tuple(range(depth + 1))
-    plans = []
-    for i in indices:
+        family = "capacity"
+        plans = (_capacity_plan(src.d, 0, -i, src.phi, src.p) for i in itertools.count())
+    ratios = []
+    for i in range(depth + 1):
         try:
-            plans.append(plan(i))
-        except WitnessTooLargeError:
-            raise
-        except (ArithmeticError, DomainError, WitnessSelectionError):
-            break  # the scan meets this error, or an earlier one, itself
-    norms = (_norms_of_plan(plans[i] if i < len(plans) else plan(i), (tgt, src)) for i in indices)
-    ratios = tuple(target / source for target, source in norms)
-    return DivergenceScan(
-        family=family, indices=indices, ratios=ratios, outcome=verdict.outcome
-    )
+            target, source = _norms_of_plan(next(plans), (tgt, src))
+        except OverflowError:
+            raise FloatRangeError("the index-%d witness leaves the float range" % i) from None
+        ratios.append(target / source)
+    return DivergenceScan(family=family, indices=tuple(range(len(ratios))),
+                          ratios=tuple(ratios), outcome=verdict.outcome)

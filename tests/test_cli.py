@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besovmorrey import cli, wavelet, witness
+from besovmorrey import cli, wavelet
 from besovmorrey import phi as phimod
 from besovmorrey.cli import main
 from besovmorrey.dyadic import DyadicSequence, save_csv
@@ -403,7 +403,9 @@ def test_norm_rejects_unrepresentable_rows(tmp_path, capsys, row, message):
     assert str(path) in captured.err
 
 
-def test_witness_size_cap_exits_66(capsys):
+def test_witness_past_the_old_cell_cap_scans_to_depth(capsys):
+    # index 23 used to be refused as a witness of 2^23 cells, though the
+    # scan builds none
     code = main([
         "witness",
         "--source", "s=0,p=2,q=2,phi=capped(2),d=1",
@@ -411,13 +413,16 @@ def test_witness_size_cap_exits_66(capsys):
         "--depth", "40",
     ])
     captured = capsys.readouterr()
-    assert code == 66
-    assert "too large" in captured.err
-    assert len(captured.err.strip().splitlines()) == 1
+    assert code == 0 and captured.err == ""
+    rows = [line.split(",") for line in captured.out.splitlines() if not line.startswith("#")]
+    assert [int(index) for index, _ in rows[1:]] == list(range(41))
+    ratios = [float(ratio) for _, ratio in rows[1:]]
+    assert all(math.isfinite(r) for r in ratios)
+    assert all(a < b for a, b in zip(ratios, ratios[1:]))
 
 
 @pytest.mark.parametrize("d", [40, 300])
-def test_witness_in_high_dimension_is_capped_without_allocating(capsys, d):
+def test_witness_in_high_dimension_scans_without_allocating(capsys, d):
     # placement used to list all 2^d children of a cube before any check;
     # the cells array `m` marks the placement that makes only the children
     # receiving load, so this never runs the old allocation
@@ -433,9 +438,10 @@ def test_witness_in_high_dimension_is_capped_without_allocating(capsys, d):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    err = capsys.readouterr().err
-    assert code == 66 and peak < 1 << 24
-    assert "too large" in err and len(err.strip().splitlines()) == 1
+    captured = capsys.readouterr()
+    assert code == 0 and peak < 1 << 24 and captured.err == ""
+    body = [line for line in captured.out.splitlines() if not line.startswith("#")]
+    assert [line.split(",")[0] for line in body] == ["index", "0", "1", "2", "3"]
 
 
 def test_witness_block_in_64_dimensions(capsys):
@@ -953,9 +959,9 @@ def test_one_parser_serves_every_call(tmp_path):
     assert cli._build_parser() is cli._build_parser()
 
 
-def test_witness_over_the_cap_is_refused_before_any_is_built(capsys):
-    # the scan used to build and norm every smaller witness first: 2.2 s and
-    # a peak of several hundred MB before index 12 was refused
+def test_witness_past_the_old_cell_cap_builds_no_cell(capsys):
+    # index 12, a block of 2^24 cells, used to be refused; each witness is
+    # normed from its cube counts, so the scan runs to depth 40
     tracemalloc.start()
     try:
         code = main([
@@ -968,10 +974,49 @@ def test_witness_over_the_cap_is_refused_before_any_is_built(capsys):
     finally:
         tracemalloc.stop()
     captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert captured.out.splitlines()[-1].startswith("40,")
+    assert peak < 1 << 24
+
+
+def test_beta_witness_scan_reads_each_profile_level_once(capsys):
+    # a scan that read R(nu) over nu_min..i afresh at each index i left the
+    # profile cache holding 512 such windows: 19.5 MB here
+    tracemalloc.start()
+    try:
+        code = main([
+            "witness",
+            "--source", "s=0,p=1,q=inf,phi=floorone(1),d=1",
+            "--target", "s=0,p=1,q=0.5,phi=capped(4),d=1",
+            "--depth", "300", "--numin", "-1074",
+        ])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == "" and "family=beta" in captured.out
+    assert captured.out.splitlines()[-1].startswith("300,")
+    assert peak < 1 << 24
+
+
+def test_witness_at_any_depth_ends_at_the_float_range(capsys):
+    # 2^(2 i) cells leave the floats at index 512; the scan used to list
+    # every index up to the depth first, and ran out of memory
+    tracemalloc.start()
+    try:
+        code = main([
+            "witness",
+            "--source", "s=0,p=2,q=2,phi=capped(2),d=2",
+            "--target", "s=0,p=2,q=2,phi=power(2),d=2",
+            "--depth", "1000000000",
+        ])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
     assert code == 66 and captured.out == ""
     assert captured.err == (
-        "witness: witness block of 2^24 cells is too large; the cap is 4194304 cells; "
-        "lower --depth\n"
+        "witness: the index-512 witness leaves the float range; lower --depth\n"
     )
     assert peak < 1 << 24
 
@@ -1065,7 +1110,7 @@ def _command_lines(draw):
     edges = {
         "--numin": ["-1075", "-1074", "-64", "-1", "0", "1"],
         "--jmax": ["-1", "0", "1", "64", "1074", "1075"],
-        "--depth": ["-1", "0", "1", "12", "40"],
+        "--depth": ["-1", "0", "1", "12", "40", "300"],
     }
     for flag in ("--numin", "--jmax" if command == "check" else "--depth"):
         if draw(st.booleans()):
@@ -1078,17 +1123,14 @@ def _command_lines(draw):
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(argv=_command_lines())
 def test_fuzz_check_and_witness_command_lines(argv):
-    # a witness at the 2^22-cell cap takes 1-2 s and 200-300 MB, so the cap
-    # is lowered here; the draws still reach it along the same code path
-    with mock.patch.object(witness, "MAX_CELLS", 1 << 12):
-        out, err = io.StringIO(), io.StringIO()
-        tracemalloc.start()
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    out, err = io.StringIO(), io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     err = err.getvalue()
     assert code in (0, 1, 2, 64, 65, 66), (argv, err)
     assert "Traceback" not in err

@@ -119,8 +119,25 @@ def test_capacity_witness_frozen():
 def test_capacity_count_outside_float_range_is_too_large(d, j0, nu0):
     # 2^2000 and 2^1200 cells: the count itself overflowed a float
     phi1 = sp("s=0,p=1,q=1,phi=const(1)", d).phi
-    with pytest.raises(WitnessTooLargeError, match="leaves the float range"):
+    with pytest.raises(FloatRangeError, match="leaves the float range"):
         capacity_witness(d, j0, nu0, phi1, 1.0)
+
+
+def test_builders_keep_the_cell_cap():
+    # a scan norms witnesses of any size unbuilt; the builders still refuse
+    # more than MAX_CELLS cells
+    phi2 = sp("s=0,p=2,q=2,phi=capped(2)", 2).phi
+    with pytest.raises(WitnessTooLargeError, match=r"^witness block of 2\^24 cells is too large; "
+                       "the cap is 4194304 cells$"):
+        simple_witness(0, -12, phi2)
+    q = query("s=0,p=2,q=2,phi=power(2)", "s=0.5,p=2,q=2,phi=power(2)")
+    with pytest.raises(WitnessTooLargeError, match=r"^witness block of 2\^23 cells"):
+        beta_witness(23, 0, q)
+    phi1 = sp("s=0,p=1,q=1,phi=const(1)").phi
+    with pytest.raises(WitnessTooLargeError, match="^distribution of 8388608 cells is too large"):
+        capacity_witness(1, 0, -23, phi1, 1.0)
+    with pytest.raises(WitnessTooLargeError, match="^distribution of 4194305 cells"):
+        greedy_distribution(1, 23, 0, witness.MAX_CELLS + 1)
 
 
 def test_greedy_distribution_any_dimension():
@@ -303,15 +320,15 @@ def test_plan_norms_match_the_built_witness(drawn):
     (63, 0, 0, None, True),
     (64, 0, 0, None, False),  # a single cell, 64 orthant bits
     (1, 1022, 1022, None, True),
-    (1, 1023, 1022, None, False),  # past MAX_LEVEL: the build refuses it
+    (1, 1023, 1022, None, False),  # past MAX_LEVEL: refused unbuilt
     (1, 0, -200, 1, False),
     (2, 3, -40, 2, False),
     (3, 0, -40, 9, False),
 ])
 def test_plan_norms_fall_back_where_keys_do_not_fit(monkeypatch, d, j, nu, total, keyed):
     # ``keyed`` marks the rows whose cells' Z-order keys fit an int64 below
-    # MAX_LEVEL; the counts route norms both sides alike and builds a
-    # witness only past MAX_LEVEL
+    # MAX_LEVEL; the counts route norms both sides alike and builds no
+    # witness
     assert keyed == (d * (j - nu + 1) <= 63 and j <= MAX_LEVEL)
     built = []
     materialise = witness._materialise
@@ -323,7 +340,7 @@ def test_plan_norms_fall_back_where_keys_do_not_fit(monkeypatch, d, j, nu, total
     spaces = [sp("s=0,p=%d,q=2,phi=power(%d)" % (p, p), d),
               sp("s=0,p=%d,q=inf,phi=capped(%d)" % (p, p), d)]
     norms = _outcome(lambda: witness._norms_of_plan(plan, spaces))
-    assert built == ([plan] if j > MAX_LEVEL else [])
+    assert built == []
     assert norms == _oracle(plan, spaces)
     if j > MAX_LEVEL:
         assert norms == (DomainError, "levels run from 0 to 1022, got j=1023")
@@ -373,8 +390,8 @@ def test_divergence_scan_ratios_are_the_built_witnesses(tmp_path, seed):
 
 
 def test_divergence_scan_plans_each_index_once(monkeypatch):
-    # the look-ahead's plans are normed; only the first failing index is
-    # planned again, after the norms before it, and raises there
+    # one pass: each index is planned, then normed, and the first failing
+    # index raises
     planned = []
     beta_plan = witness._beta_plan
     monkeypatch.setattr(witness, "_beta_plan",
@@ -386,4 +403,4 @@ def test_divergence_scan_plans_each_index_once(monkeypatch):
     q = query("s=-1100,p=0.04,q=2,phi=power(0.04)", "s=-1099,p=0.04,q=2,phi=power(0.04)")
     with pytest.raises(FloatRangeError, match="level-1 witness coefficient inf"):
         divergence_scan(q, depth=6)
-    assert planned == [0, 1, 1]
+    assert planned == [0, 1]
