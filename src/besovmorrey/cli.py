@@ -293,8 +293,6 @@ def _cmd_check(args):
         record.update(
             cond0_detail=verdict.cond0.detail,
             cond2_detail=verdict.cond2.detail,
-            never_compact=verdict.never_compact,
-            constant=_jsonable(verdict.constant),
             notes=list(verdict.notes),
             source=source,
             target=target,
@@ -307,8 +305,6 @@ def _cmd_check(args):
         for name, cond in _conditions(verdict):
             detail = " (%s)" % cond.detail if cond.detail else ""
             out.write("%s=%s value=%r%s\n" % (name, cond.status, cond.value, detail))
-        if verdict.constant is not None:
-            out.write("constant=%r\n" % verdict.constant)
         for note in verdict.notes:
             out.write("note=%s\n" % note)
     return _OUTCOME_CODES[verdict.outcome]
@@ -361,11 +357,11 @@ def _cmd_witness(args):
             "besovmorrey witness",
             "source=%s" % format_space_params(query.source),
             "target=%s" % format_space_params(query.target),
-            "family=%s outcome=%s" % (scan.family, scan.outcome),
+            "family=%s outcome=fails" % scan.family,
             "depth=%d numin=%d" % (depth, numin),
         ]
         write_header(handle, comments, ["index", "ratio"])
-        write_rows(handle, np.array(scan.indices).reshape(-1, 1), np.array(scan.ratios))
+        write_rows(handle, np.arange(len(scan.ratios)).reshape(-1, 1), np.array(scan.ratios))
     return EXIT_HOLDS
 
 

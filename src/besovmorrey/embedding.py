@@ -35,7 +35,7 @@ the pair shares; ``phi_lattice`` keeps one value per level per (profile,
 nu window), up to 512 windows.
 
 A holding embedding between distinct spaces of this family is never compact;
-the verdict records that alongside the decision.
+an exact holding verdict says so in its notes.
 """
 
 from __future__ import annotations
@@ -95,10 +95,11 @@ class EmbeddingVerdict:
     """The outcome follows from the two condition reports: "fails" if either
     is violated, "holds" if both are satisfied, "undetermined" otherwise.
 
-    ``constant``, set only when the embedding holds, is the q*-th root of
-    the sampled partial ell_{q*} sum of the cross-level sequence over the
-    window (j_max, nu_min), or its sampled sup when q* = inf.  It is not an
-    embedding constant, and it is inf when that root leaves the float range."""
+    Where decide reaches the cross-level condition, cond2's value is the
+    sampled partial quantity of the cross-level sequence over the window
+    (j_max, nu_min): the q*-th root of its partial ell_{q*} sum, or its
+    sampled sup when q* = inf.  It is not an embedding constant, and it is
+    inf when that root leaves the float range."""
 
     outcome: str  # "holds" | "fails" | "undetermined"
     rho: float
@@ -106,8 +107,6 @@ class EmbeddingVerdict:
     cond0: ConditionReport
     cond2: ConditionReport
     method: str
-    never_compact: bool = True
-    constant: float = None
     notes: tuple = ()
 
 
@@ -196,10 +195,9 @@ _UNBOUNDED = ConditionReport(
 )
 
 
-def _verdict(rho, qs, method, cond0, cond2, constant=None, notes=()):
+def _verdict(rho, qs, method, cond0, cond2, notes=()):
     """The one constructor of EmbeddingVerdict: the outcome by the rule on
-    the two condition reports, and the constant kept only for a holding
-    verdict."""
+    the two condition reports."""
     if "violated" in (cond0.status, cond2.status):
         outcome = "fails"
     elif cond0.status == cond2.status == "satisfied":
@@ -213,7 +211,6 @@ def _verdict(rho, qs, method, cond0, cond2, constant=None, notes=()):
         cond0=cond0,
         cond2=cond2,
         method=method,
-        constant=constant if outcome == "holds" else None,
         notes=notes,
     )
 
@@ -348,16 +345,10 @@ def _sampled_cross_level(alphas, damps, gap, qs):
     """Three-way verdict and partial quantity of the sampled cross-level
     sequence 2**(j gap) * alpha_j * phi1(2**-j)**(rho-1) in ell_{q*}, where
     gap = s2 - s1."""
-    try:
-        terms = [
-            None if damp is None else 2.0 ** (j * gap) * alpha * damp
-            for j, (alpha, damp) in enumerate(zip(alphas, damps))
-        ]
-    except OverflowError:  # some 2**(j*gap) alone is beyond the float range
-        terms = [
-            None if damp is None else _cross_term(j * gap, alpha, damp)
-            for j, (alpha, damp) in enumerate(zip(alphas, damps))
-        ]
+    terms = [
+        None if damp is None else _cross_term(j * gap, alpha, damp)
+        for j, (alpha, damp) in enumerate(zip(alphas, damps))
+    ]
     return _classify_lq(terms, qs)
 
 
@@ -400,7 +391,7 @@ def _decided(phi1, phi2, rho, qs, gap, gap_negative, j_max, nu_min):
         st2, v2 = _sampled_cross_level(alphas, damps, -gap, qs)
         cond2 = ConditionReport(st2, v2, "sampled cross-level partial quantities")
         notes = ("sampled verdicts depend on the scan window",)
-        return _verdict(rho, qs, "sampled", cond0, cond2, constant=v2, notes=notes)
+        return _verdict(rho, qs, "sampled", cond0, cond2, notes=notes)
     if cond0.status == "violated":
         notes = ("ratio of profiles unbounded on large cubes",)
         return _verdict(rho, qs, "profile", cond0, _UNBOUNDED, notes=notes)
@@ -411,7 +402,7 @@ def _decided(phi1, phi2, rho, qs, gap, gap_negative, j_max, nu_min):
         gamma, delta, qs, partial, " against q*=%s" % ("inf" if qs == INF else repr(qs))
     )
     notes = ("the embedding is not compact",) if cond2.status == "satisfied" else ()
-    return _verdict(rho, qs, "profile", cond0, cond2, constant=partial, notes=notes)
+    return _verdict(rho, qs, "profile", cond0, cond2, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -590,31 +581,36 @@ def decide_under_IS(query):
 
 
 def decide_lebesgue_targets(source, r):
-    """Sufficient conditions for landing in a Lebesgue space on R^d.
+    """Whether the source space lands in the Lebesgue space L_r on R^d.
 
-    For finite r the rule needs r >= max(p, 1) and the natural large-cube
-    power t**(d/p); for r = inf only the cross-level decay matters.  The
-    conditions are sufficient in general and also necessary for pure power
-    profiles, so the verdict is "holds", "fails" (power profile only) or
-    "undetermined".
+    For 1 <= r < inf the answer comes from decide on the Besov brackets
+    B^0_{r,min(r,2)} in L_r in B^0_{r,max(r,2)} (for r = 1, B^0_{1,1} and
+    B^0_{1,inf}; Triebel 1983, 2.3.2 and 2.3.5), each the space
+    s=0, p=r, q, phi=power(r): "holds" when the source embeds into the lower
+    bracket, "fails" when it does not embed into the upper one, and
+    "undetermined" otherwise.  The detail names the bracket that decided.
+
+    r = inf has no bracket here, since SpaceParams refuses p = inf; only the
+    cross-level decay against q' decides, "fails" for pure power profiles
+    and "undetermined" for the others where it does not hold.
+
+    Returns (outcome, detail).
     """
     src = source
-    q = src.q
-    if q == INF:
-        qprime = 1.0
-    elif q <= 1.0:
-        qprime = INF
-    else:
-        qprime = q / (q - 1.0)
-    prof = asymptotic_profile(src.phi)
-    pure_power = src.phi.kind in ("power",)
     if r == INF:
+        q = src.q
+        if q == INF:
+            qprime = 1.0
+        elif q <= 1.0:
+            qprime = INF
+        else:
+            qprime = q / (q - 1.0)
+        prof = asymptotic_profile(src.phi)
         gamma = src.s - prof.a_zero
         delta = -prof.b_zero
-        ok = _tail_in_lqstar(gamma, delta, qprime)
-        if ok:
+        if _tail_in_lqstar(gamma, delta, qprime):
             outcome = "holds"
-        elif pure_power:
+        elif src.phi.kind == "power":
             outcome = "fails"
         else:
             outcome = "undetermined"
@@ -624,21 +620,18 @@ def decide_lebesgue_targets(source, r):
             "inf" if qprime == INF else repr(qprime),
         )
     r = float(r)
-    if not (r >= 1.0 and r >= src.p):
-        raise NotApplicableError("needs r >= max(p, 1)")
-    dp = src.d / src.p
-    if not (prof.a_inf == dp and prof.b_inf == 0.0):
-        raise NotApplicableError(
-            "needs the pure large-cube power t^(d/p), got exponent %r with log order %r"
-            % (prof.a_inf, prof.b_inf)
-        )
-    e = src.p / r - 1.0
-    gamma = src.s + prof.a_zero * e
-    delta = prof.b_zero * e
-    ok = _tail_in_lqstar(gamma, delta, qprime)
-    outcome = "holds" if ok else "undetermined"
-    return outcome, "decay 2^(-j*%r)*(1+j)^%r against q'=%s" % (
-        gamma,
-        delta,
-        "inf" if qprime == INF else repr(qprime),
-    )
+    if not r >= 1.0:
+        raise NotApplicableError("needs r >= 1")
+
+    def bracket(q):
+        target = SpaceParams(s=0.0, p=r, q=q, phi=power(r, d=src.d), d=src.d)
+        return decide(EmbeddingQuery(source=src, target=target)).outcome, "B^0_{%r,%r}" % (r, q)
+
+    lower, lower_name = bracket(min(r, 2.0))
+    if lower == "holds":
+        return "holds", "holds into the lower bracket " + lower_name
+    upper, upper_name = bracket(INF if r == 1.0 else max(r, 2.0))
+    if upper == "fails":
+        return "fails", "fails into the upper bracket " + upper_name
+    return "undetermined", "%s into the lower bracket %s, %s into the upper bracket %s" % (
+        lower, lower_name, upper, upper_name)

@@ -243,8 +243,8 @@ def phi_lattice(spec, nu_lo, nu_hi):
         try:
             value = eval_phi(spec, 2.0 ** -nu)
         except (ExtrapolationError, OverflowError):
-            value = None
-        values.append(value or None)
+            value = 0.0
+        values.append(value if 0.0 < value < math.inf else None)
     return tuple(values)
 
 

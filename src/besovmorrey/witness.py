@@ -328,10 +328,10 @@ def shift_family(mu, d):
 
 @dataclass(frozen=True)
 class DivergenceScan:
+    """The witness family of a failing pair and its ratios at indices 0, 1, ..."""
+
     family: str
-    indices: tuple
     ratios: tuple
-    outcome: str
 
 
 def divergence_scan(query, depth=DEFAULT_DEPTH, nu_min=DEFAULT_NU_MIN):
@@ -345,7 +345,8 @@ def divergence_scan(query, depth=DEFAULT_DEPTH, nu_min=DEFAULT_NU_MIN):
     Each index is planned and its witness normed in both spaces from the
     cube counts of its plan; no cell is built, so no cell cap applies.  The
     first index that fails raises, at the latest index 1024, where 2**i
-    leaves the floats (a beta level leaves MAX_LEVEL before).
+    leaves the floats (a beta level leaves MAX_LEVEL before); a DomainError
+    is raised again as its own class with a message that names the index.
     """
     if depth < 0:
         raise DomainError("depth must be >= 0")
@@ -369,6 +370,7 @@ def divergence_scan(query, depth=DEFAULT_DEPTH, nu_min=DEFAULT_NU_MIN):
             target, source = _norms_of_plan(next(plans), (tgt, src))
         except OverflowError:
             raise FloatRangeError("the index-%d witness leaves the float range" % i) from None
+        except DomainError as exc:
+            raise type(exc)("index %d: %s" % (i, exc)) from None
         ratios.append(target / source)
-    return DivergenceScan(family=family, indices=tuple(range(len(ratios))),
-                          ratios=tuple(ratios), outcome=verdict.outcome)
+    return DivergenceScan(family=family, ratios=tuple(ratios))

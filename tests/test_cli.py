@@ -421,6 +421,25 @@ def test_witness_past_the_old_cell_cap_scans_to_depth(capsys):
     assert all(a < b for a, b in zip(ratios, ratios[1:]))
 
 
+def test_witness_skips_levels_where_a_profile_overflows(capsys):
+    # powerlog(2,0.5) in d = 2 is inf near 2^1020; the lattice used to keep
+    # that inf, so R(nu) was inf/inf = nan and no level was selected (exit 70)
+    code = main([
+        "witness",
+        "--source", "s=-1.5,p=1,q=inf,phi=powerlog(2,0.5),d=2",
+        "--target", "s=0.25,p=0.5,q=4,phi=powerlog(2,0.5),d=2",
+        "--depth", "30", "--numin", "-1074",
+    ])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert "# family=beta outcome=fails\n" in captured.out
+    rows = [line.split(",") for line in captured.out.splitlines() if not line.startswith("#")]
+    assert [int(index) for index, _ in rows[1:]] == list(range(31))
+    ratios = [float(ratio) for _, ratio in rows[1:]]
+    assert all(math.isfinite(r) for r in ratios)
+    assert all(a < b for a, b in zip(ratios, ratios[1:]))
+
+
 @pytest.mark.parametrize("d", [40, 300])
 def test_witness_in_high_dimension_scans_without_allocating(capsys, d):
     # placement used to list all 2^d children of a cube before any check;
@@ -781,7 +800,7 @@ def test_check_small_q_star_reports_an_infinite_sum(capsys):
                  "--target", "s=0.5,p=2.5,q=1e-3,phi=floorone(1e6),d=1"])
     captured = capsys.readouterr()
     assert (code, captured.err) == (0, "")
-    # the exact verdict holds; constant is that sampled sum's root, not a bound
+    # the exact verdict holds; cond2's value is that sampled sum's root, not a bound
     assert captured.out == (
         "source=s=300.0,p=8.0,q=1.0,phi=power(1000000.0),d=1\n"
         "target=s=0.5,p=2.5,q=0.001,phi=floorone(1000000.0),d=1\n"
@@ -792,7 +811,6 @@ def test_check_small_q_star_reports_an_infinite_sum(capsys):
         "cond0=satisfied value=1.0 (large-cube ratio exponent 0.0, log order gap 0.0)\n"
         "cond2=satisfied value=inf (cross-level decay 2^(-j*299.499999)*(1+j)^0.0"
         " against q*=0.001001001001001001)\n"
-        "constant=inf\n"
         "note=the embedding is not compact\n"
     )
 
@@ -1040,7 +1058,7 @@ def test_witness_coefficient_outside_float_range_exits_66(capsys, source, target
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "witness: the level-4 witness coefficient %s is not finite and positive; "
+        "witness: index 4: the level-4 witness coefficient %s is not finite and positive; "
         "lower --depth\n" % value
     )
 

@@ -1,4 +1,6 @@
 import math
+import random
+from collections import Counter
 
 import pytest
 
@@ -18,7 +20,7 @@ from besovmorrey.embedding import (
     spaces_equal,
 )
 from besovmorrey.errors import DomainError, NotApplicableError
-from besovmorrey.phi import parse_phi, tabulated
+from besovmorrey.phi import asymptotic_profile, parse_phi, tabulated
 
 
 def sp(text, d=1):
@@ -59,7 +61,6 @@ def test_identical_spaces_hold():
     assert v.method == "profile"
     assert v.rho == 1.0
     assert v.q_star == INF
-    assert v.never_compact
     assert "the embedding is not compact" in v.notes
 
 
@@ -260,15 +261,95 @@ def test_lebesgue_targets():
     assert outcome == "holds"
     outcome, _ = decide_lebesgue_targets(sp("s=2,p=0.5,q=inf,phi=power(0.5)"), INF)
     assert outcome == "fails"
-    # finite target exponent
+    # finite target exponent, through the Besov brackets of L_r
     outcome, _ = decide_lebesgue_targets(sp("s=0.5,p=2,q=2,phi=power(2)"), 4.0)
     assert outcome == "holds"
     outcome, _ = decide_lebesgue_targets(sp("s=0.25,p=2,q=2,phi=power(2)"), 4.0)
-    assert outcome == "undetermined"
-    with pytest.raises(NotApplicableError):
-        decide_lebesgue_targets(sp("s=3,p=2,q=2,phi=power(2)"), 1.0)
-    with pytest.raises(NotApplicableError):
-        decide_lebesgue_targets(sp("s=3,p=2,q=2,phi=capped(2)"), 4.0)
+    assert outcome == "holds"
+    # p > r loses integrability on R^d: not even B^0_{1,inf} takes the source
+    outcome, detail = decide_lebesgue_targets(sp("s=3,p=2,q=2,phi=power(2)"), 1.0)
+    assert (outcome, detail) == ("fails", "fails into the upper bracket B^0_{1.0,inf}")
+    # a capped profile is too large on large cubes for L_4
+    outcome, _ = decide_lebesgue_targets(sp("s=3,p=2,q=2,phi=capped(2)"), 4.0)
+    assert outcome == "fails"
+    with pytest.raises(NotApplicableError, match="needs r >= 1"):
+        decide_lebesgue_targets(sp("s=3,p=2,q=2,phi=power(2)"), 0.5)
+
+
+def _lebesgue_rule_before_brackets(src, r):
+    """The finite-r rule decide_lebesgue_targets had before it asked decide
+    about the Besov brackets, kept as an oracle: "holds" or "undetermined"
+    when r >= max(p, 1) and the large-cube power is exactly t^(d/p), and
+    None (refused) otherwise."""
+    prof = asymptotic_profile(src.phi)
+    if not (r >= max(src.p, 1.0) and prof.a_inf == src.d / src.p and prof.b_inf == 0.0):
+        return None
+    qprime = 1.0 if src.q == INF else INF if src.q <= 1.0 else src.q / (src.q - 1.0)
+    e = src.p / r - 1.0
+    gamma, delta = src.s + prof.a_zero * e, prof.b_zero * e
+    if gamma != 0.0:
+        ok = gamma > 0.0
+    else:
+        ok = delta <= 0.0 if qprime == INF else delta * qprime < -1.0
+    return "holds" if ok else "undetermined"
+
+
+def test_lebesgue_brackets_never_contradict_the_old_rule():
+    rng = random.Random(27)
+    seen = Counter()
+    while sum(seen.values()) < 2000:
+        d = rng.choice([1, 2])
+        u = rng.choice([1.0, 2.0, 4.0])
+        p = rng.choice([x for x in (0.5, 1.0, 2.0, 4.0) if x <= u])
+        kind = rng.choice(["power(%r)", "capped(%r)", "floorone(%r)", "powerlog(%r,0.5)",
+                           "cappedlog(%r,0.5)", "twopower(%r,4)"])
+        s, q = rng.randint(-4, 8) / 4.0, rng.choice([0.5, 1.0, 2.0, 3.0, 4.0, INF])
+        try:
+            src = SpaceParams(s=s, p=p, q=q, phi=parse_phi(kind % u, d=d), d=d)
+        except DomainError:
+            continue
+        r = rng.choice([1, 2, 3, 4, 8])
+        before = _lebesgue_rule_before_brackets(src, r)
+        outcome, detail = decide_lebesgue_targets(src, r)
+        assert outcome in ("holds", "fails", "undetermined"), detail
+        if before == "holds":
+            assert outcome == "holds", (src, r, detail)
+        seen[before, outcome] += 1
+    # every outcome shows up, r = 1 included, and whatever the old rule
+    # refused is now decided
+    assert {o for _, o in seen} == {"holds", "fails", "undetermined"}
+    assert seen["holds", "holds"] > 50 and seen[None, "fails"] > 1000
+    assert decide_lebesgue_targets(sp("s=0,p=1,q=1,phi=power(1)"), 1)[0] == "holds"
+    assert decide_lebesgue_targets(sp("s=0,p=1,q=2,phi=power(1)"), 1)[0] == "undetermined"
+    assert decide_lebesgue_targets(sp("s=-0.25,p=1,q=1,phi=power(1)"), 1)[0] == "fails"
+
+
+@pytest.mark.parametrize(
+    "source, outcome, detail",
+    [
+        ("s=0.25,p=2,q=2", "holds", "holds into the lower bracket B^0_{4.0,2.0}"),
+        ("s=0.2,p=2,q=2", "fails", "fails into the upper bracket B^0_{4.0,4.0}"),
+        ("s=0.25,p=2,q=8", "fails", "fails into the upper bracket B^0_{4.0,4.0}"),
+        # on the critical line with 2 < q <= r: the brackets cannot tell
+        ("s=0.25,p=2,q=3", "undetermined", "fails into the lower bracket B^0_{4.0,2.0}, "
+                                           "holds into the upper bracket B^0_{4.0,4.0}"),
+    ],
+)
+def test_lebesgue_critical_line_at_r_4(source, outcome, detail):
+    assert decide_lebesgue_targets(sp(source + ",phi=power(2)"), 4) == (outcome, detail)
+
+
+def test_lebesgue_target_of_a_knot_table_is_sampled():
+    # a table has no asymptotics, so the old rule refused it; decide samples
+    # the brackets, and never contradicts the table's analytic twin
+    ts = [2.0 ** k for k in range(-80, 81)]
+    knots = tabulated(ts, [math.sqrt(t) for t in ts])
+    for s, twin, sampled in ((1.0, "holds", "undetermined"), (-0.5, "fails", "fails")):
+        table = SpaceParams(s=s, p=2.0, q=2.0, phi=knots, d=1)
+        assert decide_lebesgue_targets(table, 4.0)[0] == sampled
+        assert decide_lebesgue_targets(sp("s=%r,p=2,q=2,phi=power(2)" % s), 4.0)[0] == twin
+        bracket = sp("s=0,p=4,q=2,phi=power(4)")
+        assert decide(EmbeddingQuery(source=table, target=bracket)).method == "sampled"
 
 
 def test_spaces_equal():

@@ -32,16 +32,31 @@ DATA = Path(__file__).parent / "data"
 WINDOWS = [(64, -64), (8, -3), (0, 0), (5, 2), (-1, -4), (3, -1030), (1080, -2)]
 
 
+def scalar_phi(spec, nu):
+    """phi(2**-nu), or None where a table is not sampled or the value leaves
+    the positive floats: the contract of phi_lattice."""
+    try:
+        value = eval_phi(spec, 2.0 ** -nu)
+    except (ExtrapolationError, OverflowError):
+        return None
+    return value if 0.0 < value < math.inf else None
+
+
+def scalar_ratio(phi1, phi2, rho, nu):
+    """ratio_R at nu, or None where either profile has no value under the
+    contract of phi_lattice."""
+    if scalar_phi(phi1, nu) is None or scalar_phi(phi2, nu) is None:
+        return None
+    return ratio_R(phi1, phi2, rho, nu)
+
+
 def scalar_alphas(phi1, phi2, rho, j_max, nu_min):
     if j_max < 0 or nu_min > 0:
         raise DomainError("need nu_min <= 0 <= j_max")
     running = None
     alphas = []
     for nu in range(nu_min, j_max + 1):
-        try:
-            r = ratio_R(phi1, phi2, rho, nu)
-        except (ExtrapolationError, OverflowError):
-            r = None
+        r = scalar_ratio(phi1, phi2, rho, nu)
         if r is not None and (running is None or r > running):
             running = r
         if nu >= 0:
@@ -53,21 +68,17 @@ def scalar_alphas(phi1, phi2, rho, j_max, nu_min):
 
 def scalar_pair_samples(phi1, phi2, rho, j_max, nu_min):
     """The pair layer of the diagnostics one scalar evaluation at a time."""
-    rvals = []
-    for nu in range(0, nu_min - 1, -1):
-        try:
-            rvals.append(ratio_R(phi1, phi2, rho, nu))
-        except (ExtrapolationError, OverflowError):
-            rvals.append(None)
+    rvals = [scalar_ratio(phi1, phi2, rho, nu) for nu in range(0, nu_min - 1, -1)]
     try:
         alphas = scalar_alphas(phi1, phi2, rho, j_max, nu_min)
     except DomainError:
         alphas = ()
     damps = []
     for j in range(len(alphas)):
+        f1 = scalar_phi(phi1, j)
         try:
-            damps.append(eval_phi(phi1, 2.0 ** (-j)) ** (rho - 1.0))
-        except (ExtrapolationError, OverflowError):
+            damps.append(None if f1 is None else f1 ** (rho - 1.0))
+        except OverflowError:
             damps.append(None)
     sup_R = max((v for v in rvals if v is not None), default=0.0)
     return alphas, tuple(damps), sup_R, embedding._classify_sup(rvals)
@@ -144,19 +155,19 @@ def random_query(rng):
 
 
 def test_phi_lattice_matches_eval_phi():
+    overflowing = parse_space_params("s=0,p=1,q=2,phi=powerlog(2,0.5),d=2").phi
+    assert eval_phi(overflowing, 2.0 ** 1020) == math.inf
     specs = [
         parse_space_params("s=0,p=2,q=2,phi=twopower(2,4),d=2").phi,
         parse_space_params("s=0,p=1,q=2,phi=cappedlog(2,0.25),d=1").phi,
         table_twin(parse_phi("power(2)"), [2.0 ** k for k in range(-10, 7)]),
+        overflowing,
     ]
     for spec in specs:
         values = phi_lattice(spec, -1030, 40)
         assert len(values) == 1071
         for nu, got in zip(range(-1030, 41), values):
-            try:
-                want = eval_phi(spec, 2.0 ** -nu)
-            except (ExtrapolationError, OverflowError):
-                want = None
+            want = scalar_phi(spec, nu)
             assert got == want and repr(got) == repr(want)
 
 
@@ -303,10 +314,9 @@ def scalar_witness_level(query, i, nu_min):
         raise DomainError("level index must be >= 0")
     ratios = {}
     for nu in range(nu_min, i + 1):
-        try:
-            ratios[nu] = ratio_R(query.source.phi, query.target.phi, query.rho, nu)
-        except (ArithmeticError, ExtrapolationError):
-            pass
+        r = scalar_ratio(query.source.phi, query.target.phi, query.rho, nu)
+        if r is not None:
+            ratios[nu] = r
     threshold = max(ratios.values(), default=math.inf) / 2.0
     for nu in range(i, nu_min - 1, -1):
         if nu in ratios and ratios[nu] >= threshold:

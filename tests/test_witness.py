@@ -226,7 +226,7 @@ def test_divergence_scan_simple_family():
     q = query("s=0,p=2,q=2,phi=capped(2)", "s=0,p=2,q=2,phi=power(2)")
     scan = divergence_scan(q, depth=8)
     assert scan.family == "simple"
-    assert scan.indices == tuple(range(9))
+    assert len(scan.ratios) == 9
     for i, r in enumerate(scan.ratios):
         assert r == pytest.approx(2.0 ** (i / 2.0), rel=1e-9)
 
@@ -385,7 +385,7 @@ def test_divergence_scan_ratios_are_the_built_witnesses(tmp_path, seed):
         }[info["family"]]
         scan = divergence_scan(q, depth=info["depth"])
         assert scan.family == info["family"]
-        norms = [_norms(build(i), (q.target, src)) for i in scan.indices]
+        norms = [_norms(build(i), (q.target, src)) for i in range(len(scan.ratios))]
         assert scan.ratios == tuple(target / source for target, source in norms), call["name"]
 
 
@@ -401,6 +401,6 @@ def test_divergence_scan_plans_each_index_once(monkeypatch):
     del planned[:]
     # 2**1100 / phi(2**-1) leaves the floats at index 1
     q = query("s=-1100,p=0.04,q=2,phi=power(0.04)", "s=-1099,p=0.04,q=2,phi=power(0.04)")
-    with pytest.raises(FloatRangeError, match="level-1 witness coefficient inf"):
+    with pytest.raises(FloatRangeError, match="^index 1: the level-1 witness coefficient inf"):
         divergence_scan(q, depth=6)
     assert planned == [0, 1]
