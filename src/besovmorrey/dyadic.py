@@ -489,21 +489,37 @@ def level_quantity(seq, j, params):
     (``_merge``), with phi evaluated once per round."""
     if j not in seq._levels:
         return 0.0
-    return _supremum(j, params, *_merge(*seq._levels[j], params.p))
+    return _supremum(j, params, *_merge(*seq._levels[j], params.p), _factor_memo())
 
 
-def _supremum(j, params, scale, maxima):
+def _factor_memo():
+    """An empty memo of ``_supremum``'s profile factors for one space:
+    phi(2**-nu) by nu and 2**((nu - j) d/p) by nu - j."""
+    return {}, {}
+
+
+def _supremum(j, params, scale, maxima, memo):
     """The level-j supremum from the result of ``_merge``, or from the cube
-    counts of a witness plan (``witness._norms_of_plan``)."""
+    counts of a witness plan (``witness._norms_of_plan``).
+
+    The profile factors of each candidate are read from ``memo``
+    (``_factor_memo``, kept by the caller for the space of params alone).
+    A missing factor is computed and kept; one that raises is not kept, so
+    every candidate, and every error, is the one a fresh memo gives.  The
+    power top**(1/p) is not kept: a witness scan's cube counts differ from
+    one index to the next, and a memo of them would grow with the square of
+    the depth."""
+    phis, spreads = memo
     p = params.p
     best = 0.0
     for nu, top in zip(itertools.count(j, -1), maxima):
-        candidate = (
-            eval_phi(params.phi, 2.0 ** (-nu))
-            * 2.0 ** ((nu - j) * (params.d / p))
-            * scale
-            * top ** (1.0 / p)
-        )
+        phi = phis.get(nu)
+        if phi is None:
+            phi = phis[nu] = eval_phi(params.phi, 2.0 ** (-nu))
+        spread = spreads.get(nu - j)
+        if spread is None:
+            spread = spreads[nu - j] = 2.0 ** ((nu - j) * (params.d / p))
+        candidate = phi * spread * scale * top ** (1.0 / p)
         if candidate > best:
             best = candidate
     return best

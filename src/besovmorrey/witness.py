@@ -14,7 +14,12 @@ The greedy spreading keeps every intermediate cube's share of cells within
 one unit of the even split, which is what makes the source norm of the
 capacity witnesses uniformly bounded.  A divergence scan norms each witness
 from its plan, on the cell count of its fullest cube at each level, and
-builds none.
+builds none.  Consecutive witnesses share all but one of their levels, so
+the scan keeps one memo of candidate factors per space (``dyadic._supremum``)
+and computes each phi(2**-nu) and 2**((nu - j) d/p) once per scan: a scan
+to index N makes O(N) profile evaluations.  A beta scan reads R(nu) from
+one lattice window per profile and moves its running maximum one level per
+index.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import MAX_LEVEL, DyadicSequence, _lex_order, _lq_of_levels, _supremum
+from .dyadic import MAX_LEVEL, DyadicSequence, _factor_memo, _lex_order, _lq_of_levels, _supremum
 from .dyadic import n_norm  # noqa: F401  (bench/tracer.py's BINDINGS needs it bound here)
 from .embedding import DEFAULT_NU_MIN, _lattice_ratios, _running_maxima, alpha_sequence, decide
 from .embedding import ratio_R  # noqa: F401  (bench/tracer.py traces calls through it)
@@ -100,16 +105,18 @@ def _materialise(d, j, nu, total, value):
     return DyadicSequence(d, cells=(j, m, np.full(len(m), value)))
 
 
-def _norms_of_plan(plan, spaces):
+def _norms_of_plan(plan, spaces, memos):
     """The norms in each of the spaces of a plan's witness, bits and errors,
-    from the cell count of its fullest cube at each level.  All cells hold
-    the same positive value, so every group weight of the merge is an exact
-    integer count: a full block's cubes k levels above its cells hold
-    2**(k d); a spread's whole block holds L_0 cells, and its fullest cube
-    one level finer ceil(L_k / 2**d), since the greedy split gives its
-    first child the full share.  The cells all lie in the first orthant, so
-    the merge ends at level nu, or at once for a single cell.  A count past
-    the floats raises OverflowError."""
+    from the cell count of its fullest cube at each level, with the profile
+    factors of each space's candidates read from its memo in ``memos``
+    (``dyadic._factor_memo``).  All cells hold the same positive value, so
+    every group weight of the merge is an exact integer count: a full
+    block's cubes k levels above its cells hold 2**(k d); a spread's whole
+    block holds L_0 cells, and its fullest cube one level finer
+    ceil(L_k / 2**d), since the greedy split gives its first child the full
+    share.  The cells all lie in the first orthant, so the merge ends at
+    level nu, or at once for a single cell.  A count past the floats raises
+    OverflowError."""
     d, j, nu, total, value = plan
     if j > MAX_LEVEL:
         raise DomainError("levels run from 0 to %d, got j=%d" % (MAX_LEVEL, j))
@@ -120,8 +127,10 @@ def _norms_of_plan(plan, spaces):
         for _ in range(j - nu if total > 1 else 0):
             counts.append(-(-counts[-1] >> d))
         maxima = [float(c) for c in counts[::-1]]
-    return tuple(_lq_of_levels((j,), params, lambda j: _supremum(j, params, value, maxima))
-                 for params in spaces)
+    return tuple(
+        _lq_of_levels((j,), params, lambda j: _supremum(j, params, value, maxima, memo))
+        for params, memo in zip(spaces, memos)
+    )
 
 
 def _cell_count(bits, ratio, p):
@@ -267,15 +276,26 @@ def beta_witness(i, nu_i, query, nu_min=DEFAULT_NU_MIN):
     return _materialise(*_beta_plan(i, nu_i, alphas[i], query))
 
 
-def _beta_plans(query, nu_min):
+def _beta_plans(query, nu_min, depth):
     """The plan of beta_witness(i, select_witness_level(query, i), query) for
-    i = 0, 1, ..., with each R(nu) evaluated once, not once per index."""
+    i = 0..depth, from one lattice window of each profile.
+
+    Past index 0 the running maximum and the level move one level per
+    index: nu_i = i where R(i) >= alpha_i / 2, else nu_{i-1}.  (R(i) below
+    alpha_i / 2 is no new maximum, so the threshold and its largest level
+    stay those of i - 1.)  The window stops at MAX_LEVEL + 1, the first
+    index whose norms are refused."""
     phi1, phi2, rho = query.source.phi, query.target.phi, query.rho
-    ratios = []  # R(nu) for nu = nu_min..i
-    for i in itertools.count():
-        ratios += _lattice_ratios(phi1, phi2, rho, nu_min + len(ratios), i)
-        nu_i = _select_level(ratios, nu_min)
-        yield _beta_plan(i, nu_i, _running_maxima(ratios, nu_min)[i], query)
+    ratios = _lattice_ratios(phi1, phi2, rho, nu_min, min(depth, MAX_LEVEL + 1))
+    nu_i = _select_level(ratios[:1 - nu_min], nu_min)
+    alpha = _running_maxima(ratios[:1 - nu_min], nu_min)[0]
+    yield _beta_plan(0, nu_i, alpha, query)
+    for i, r in enumerate(ratios[1 - nu_min:], start=1):
+        if r is not None:
+            alpha = max(alpha, r)
+            if r >= alpha / 2.0:
+                nu_i = i
+        yield _beta_plan(i, nu_i, alpha, query)
 
 
 def _beta_plan(i, nu_i, alpha_i, query):
@@ -295,6 +315,11 @@ def _beta_plan(i, nu_i, alpha_i, query):
         value = scale * alpha_i / eval_phi(phi2, 2.0 ** (-nu_i))
         return _plan(d, i, nu_i, None, _ldexp(value, whole))
     f1_fine = eval_phi(phi1, 2.0 ** (-i))
+    if f1_fine == 0.0:
+        raise FloatRangeError(
+            "the level-%d witness coefficient leaves the float range: it divides by "
+            "phi1(2^-%d), which underflows to 0" % (i, i)
+        )
     f1_coarse = eval_phi(phi1, 2.0 ** (-nu_i))
     total = _cell_count(span * d, f1_fine / f1_coarse, src.p)
     _check_fit(d, i, nu_i, total)
@@ -343,7 +368,8 @@ def divergence_scan(query, depth=DEFAULT_DEPTH, nu_min=DEFAULT_NU_MIN):
     when the verdict is not a failure.
 
     Each index is planned and its witness normed in both spaces from the
-    cube counts of its plan; no cell is built, so no cell cap applies.  The
+    cube counts of its plan, with one memo of candidate factors per space
+    for the whole scan; no cell is built, so no cell cap applies.  The
     first index that fails raises, at the latest index 1024, where 2**i
     leaves the floats (a beta level leaves MAX_LEVEL before); a DomainError
     is raised again as its own class with a message that names the index.
@@ -357,17 +383,18 @@ def divergence_scan(query, depth=DEFAULT_DEPTH, nu_min=DEFAULT_NU_MIN):
         )
     src, tgt = query.source, query.target
     if verdict.cond0.status != "violated":
-        family, plans = "beta", _beta_plans(query, nu_min)
+        family, plans = "beta", _beta_plans(query, nu_min, depth)
     elif query.rho == 1.0:
         family = "simple"
         plans = (_simple_plan(0, -i, src.phi) for i in itertools.count())
     else:
         family = "capacity"
         plans = (_capacity_plan(src.d, 0, -i, src.phi, src.p) for i in itertools.count())
+    memos = (_factor_memo(), _factor_memo())
     ratios = []
     for i in range(depth + 1):
         try:
-            target, source = _norms_of_plan(next(plans), (tgt, src))
+            target, source = _norms_of_plan(next(plans), (tgt, src), memos)
         except OverflowError:
             raise FloatRangeError("the index-%d witness leaves the float range" % i) from None
         except DomainError as exc:

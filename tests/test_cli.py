@@ -1063,6 +1063,29 @@ def test_witness_coefficient_outside_float_range_exits_66(capsys, source, target
     )
 
 
+@pytest.mark.parametrize(
+    "source, target, depth, index",
+    [
+        ("s=1.25,p=0.5,q=2,phi=power(0.5),d=3",
+         "s=2.0,p=1.0,q=2,phi=capped(2),d=3", "200", 180),
+        ("s=0.5,p=0.25,q=2,phi=power(0.5),d=2",
+         "s=-0.75,p=0.5,q=inf,phi=twopower(2,4),d=2", "300", 269),
+    ],
+    ids=["d3", "d2"],
+)
+def test_witness_source_profile_underflowing_at_a_beta_level_exits_66(
+        capsys, source, target, depth, index):
+    # phi1(2^-i) = 2^(-6 i) or 2^(-4 i) underflows to 0 and the beta
+    # coefficient divides by it: that raised ZeroDivisionError and exited 70
+    assert main(["witness", "--source", source, "--target", target, "--depth", depth]) == 66
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "witness: index %d: the level-%d witness coefficient leaves the float range: it "
+        "divides by phi1(2^-%d), which underflows to 0; lower --depth\n" % (index, index, index)
+    )
+
+
 _USUAL = {
     "s": ["0", "0.5", "-2", "3"],
     "p": ["2", "1", "0.5", "4"],

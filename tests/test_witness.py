@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from besovmorrey import witness
-from besovmorrey.dyadic import MAX_LEVEL, DyadicSequence, n_norm, parse_space_params
+from besovmorrey import dyadic, embedding, phi, witness
+from besovmorrey.dyadic import MAX_LEVEL, DyadicSequence, _factor_memo, n_norm, parse_space_params
 from besovmorrey.embedding import EmbeddingQuery
 from besovmorrey.errors import (
     CapacityError,
@@ -307,7 +308,8 @@ def test_plan_norms_match_the_built_witness(drawn):
     # the scan's route from a plan's cube counts gives the bits, or the
     # error, of n_norm in each space on the witness the plan builds
     plan, spaces = drawn
-    assert _outcome(lambda: witness._norms_of_plan(plan, spaces)) == _oracle(plan, spaces)
+    memos = [_factor_memo() for _ in spaces]
+    assert _outcome(lambda: witness._norms_of_plan(plan, spaces, memos)) == _oracle(plan, spaces)
 
 
 @pytest.mark.parametrize("d, j, nu, total, keyed", [
@@ -339,7 +341,8 @@ def test_plan_norms_fall_back_where_keys_do_not_fit(monkeypatch, d, j, nu, total
     p = max(2, d)
     spaces = [sp("s=0,p=%d,q=2,phi=power(%d)" % (p, p), d),
               sp("s=0,p=%d,q=inf,phi=capped(%d)" % (p, p), d)]
-    norms = _outcome(lambda: witness._norms_of_plan(plan, spaces))
+    memos = [_factor_memo() for _ in spaces]
+    norms = _outcome(lambda: witness._norms_of_plan(plan, spaces, memos))
     assert built == []
     assert norms == _oracle(plan, spaces)
     if j > MAX_LEVEL:
@@ -404,3 +407,92 @@ def test_divergence_scan_plans_each_index_once(monkeypatch):
     with pytest.raises(FloatRangeError, match="^index 1: the level-1 witness coefficient inf"):
         divergence_scan(q, depth=6)
     assert planned == [0, 1]
+
+
+_UNDERFLOW = ("s=1.25,p=0.5,q=2,phi=power(0.5)", "s=2.0,p=1.0,q=2,phi=capped(2)")
+
+
+def test_beta_witness_refuses_an_underflowing_source_profile():
+    # phi1(2^-180) = 2^-1080 underflows to 0; the coefficient divides by it
+    q = query(*_UNDERFLOW, d=3)
+    message = ("the level-180 witness coefficient leaves the float range: it divides by "
+               "phi1(2^-180), which underflows to 0")
+    with pytest.raises(FloatRangeError, match="^%s$" % re.escape(message)):
+        beta_witness(180, select_witness_level(q, 180), q)
+    with pytest.raises(FloatRangeError, match="^index 180: %s$" % re.escape(message)):
+        divergence_scan(q, depth=200)
+    assert len(divergence_scan(q, depth=179).ratios) == 180
+
+
+# one failing pair of each family, each scanned to its end: index 1024 where
+# 2**i leaves the floats, the underflow above, and MAX_LEVEL + 1
+_DEEP = {
+    "simple": ("s=0,p=2,q=2,phi=capped(2)", "s=0,p=2,q=2,phi=power(2)", 1),
+    "capacity": ("s=0,p=1,q=2,phi=capped(1)", "s=0,p=2,q=2,phi=power(2)", 1),
+    "beta": _UNDERFLOW + (3,),
+    "beta-rho-1": ("s=0,p=2,q=2,phi=power(2)", "s=0.5,p=2,q=2,phi=power(2)", 1),
+}
+
+
+def _fresh_scan(q, family, depth):
+    """divergence_scan's ratios and end, each index's plan normed in a
+    fresh memo; a beta level is chosen by select_witness_level."""
+    src, tgt = q.source, q.target
+    plan = {
+        "simple": lambda i: witness._simple_plan(0, -i, src.phi),
+        "capacity": lambda i: witness._capacity_plan(src.d, 0, -i, src.phi, src.p),
+        "beta": lambda i: witness._beta_plan(
+            i, select_witness_level(q, i),
+            witness.alpha_sequence(src.phi, tgt.phi, q.rho, j_max=i)[i], q),
+    }[family]
+    for i in range(depth + 1):
+        try:
+            target, source = witness._norms_of_plan(
+                plan(i), (tgt, src), (_factor_memo(), _factor_memo()))
+        except OverflowError:
+            raise FloatRangeError("the index-%d witness leaves the float range" % i) from None
+        except DomainError as exc:
+            raise type(exc)("index %d: %s" % (i, exc)) from None
+        yield target / source
+
+
+@pytest.mark.parametrize("name", sorted(_DEEP))
+def test_shared_lattice_changes_no_bit(name):
+    # the scan keeps one memo of profile factors per space; the
+    # ratios, to the bit, and the error that ends the scan are those of
+    # norming each index's plan on its own
+    src, tgt, d = _DEEP[name]
+    q = query(src, tgt, d)
+    expected = []
+    with pytest.raises((DomainError, OverflowError)) as end:
+        expected.extend(_fresh_scan(q, "beta" if name.startswith("beta") else name, 2000))
+    assert len(expected) > 170
+    assert divergence_scan(q, depth=len(expected) - 1).ratios == tuple(expected)
+    with pytest.raises(end.type) as got:
+        divergence_scan(q, depth=2000)
+    assert (type(got.value), str(got.value)) == (end.type, str(end.value))
+
+
+def test_deep_scan_makes_o_depth_profile_evaluations(monkeypatch):
+    # each profile value of a cube candidate is computed once per scan:
+    # 3 * 1024 evaluations where every index used to evaluate the profile
+    # at each of its levels (1 050 624 here)
+    calls = []
+    eval_phi = phi.eval_phi
+    for module in (witness, dyadic, phi, embedding):
+        monkeypatch.setattr(module, "eval_phi",
+                            lambda spec, t: calls.append(t) or eval_phi(spec, t))
+    q = query(*_DEEP["simple"][:2])
+    with pytest.raises(FloatRangeError, match="index-1024 "):
+        divergence_scan(q, depth=10 ** 9)
+    assert len(calls) <= 4 * 1024
+    # a beta scan adds one lattice window per profile, not one per index
+    q = query(*_DEEP["beta-rho-1"][:2])
+    phi.phi_lattice.cache_clear()
+    witness.decide(q)
+    before = phi.phi_lattice.cache_info().currsize
+    del calls[:]
+    with pytest.raises(DomainError, match="^index 1023: "):
+        divergence_scan(q, depth=10 ** 9)
+    assert phi.phi_lattice.cache_info().currsize <= before + 2
+    assert len(calls) <= 5 * 1024
