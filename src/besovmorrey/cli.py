@@ -84,9 +84,10 @@ try:  # glibc's malloc_trim(pad); elsewhere a no-op
 except (OSError, AttributeError, TypeError):
     _malloc_trim = lambda pad: 0  # noqa: E731
 
-#: Verdicts whose record members one sweep keeps encoded, cleared when full.
-#: 4096 would hold more of a grid's repeats, but on the sweep benchmark it
-#: raised peak RSS by 0.3 MB over 256 for about 9% more points per second.
+#: Verdicts whose record members one sweep keeps encoded, the least
+#: recently used dropped first.  At 4096 the seed-1 d = 2 bench grid would
+#: miss 516 of its 2880 points instead of 736: at about 0.9 us a miss, some
+#: 0.2 ms a call, for 16 times the entries.
 _ENCODED_VERDICTS = 256
 
 _OUTCOME_CODES = {
@@ -137,8 +138,10 @@ def _load_config(path):
             parser.read_file(fh, source=path)
     except OSError as exc:
         raise _CliError(EXIT_CONFIG, "cannot read config %r: %s" % (path, exc))
-    except configparser.Error as exc:
-        raise _CliError(EXIT_CONFIG, "bad config %r: %s" % (path, exc))
+    except UnicodeDecodeError as exc:
+        raise _CliError(EXIT_CONFIG, "bad config %r: not UTF-8 text (%s)" % (path, exc.reason))
+    except configparser.Error as exc:  # some messages quote the line: one stderr line
+        raise _CliError(EXIT_CONFIG, "bad config %r: %s" % (path, " ".join(str(exc).split())))
     return parser
 
 
@@ -454,42 +457,31 @@ def _cmd_sweep(args):
     # a sweep never repeats a source combination, so each source block is
     # parsed once; the target blocks are parsed once per source dimension,
     # into that dimension's plan, and each distinct profile expression (and
-    # the table file it names) once per dimension; decide returns one
-    # verdict object per distinct question, so a verdict seen lately is not
-    # formatted again
+    # the table file it names) once per dimension.  Equal verdicts share
+    # their record members through one cache per call: no decided verdict
+    # holds a -0.0, so equal ones encode alike
     plans = {}
     phis = {}
-    encoded = {}
+    members = functools.lru_cache(maxsize=_ENCODED_VERDICTS)(_verdict_members)
     targets = list(_side_blocks(base["target"], sides["target"]))
     index = 0
     with _output(args.out) as handle:
         _emit_json(handle, {"command": "sweep", "version": __version__, "count": count,
                             "keys": names, "jmax": jmax, "numin": numin})
         for source_block, source_members in _side_blocks(base["source"], sides["source"]):
-            try:
-                source = _parse_space(source_block, "source", phis=phis)
+            source = _sweep_space(source_block, "source", phis)
+            if isinstance(source, tuple):
+                plan = [source] * len(targets)
+            else:
                 plan = plans.setdefault(source.d, [])
-            except _CliError as err:
-                if err.code == EXIT_DATA:
-                    raise
-                plan = [_error_members(err.message)] * len(targets)
             records = []
             try:
                 for at, (target_block, target_members) in enumerate(targets):
                     if at == len(plan):
-                        plan.append(_plan_entry(source, target_block, phis))
-                    target = plan[at]
-                    if isinstance(target, tuple):
-                        before, after = target
-                    else:
-                        verdict = decide(EmbeddingQuery(source, target), j_max=jmax,
-                                         nu_min=numin)
-                        if id(verdict) not in encoded:
-                            if len(encoded) >= _ENCODED_VERDICTS:
-                                encoded.clear()
-                            # the verdict rides along so that its id stays its own
-                            encoded[id(verdict)] = verdict, *_verdict_members(verdict)
-                        _, before, after = encoded[id(verdict)]
+                        plan.append(_sweep_space(target_block, "target", phis, source))
+                    entry = plan[at]
+                    before, after = entry if isinstance(entry, tuple) else members(
+                        decide(EmbeddingQuery(source, entry), j_max=jmax, nu_min=numin))
                     records.append('{%s, "index": %d, %s%s%s}\n'
                                    % (before, index, after, source_members, target_members))
                     index += 1
@@ -539,13 +531,14 @@ def _error_members(message):
     return '"error": %s' % encode_basestring_ascii(message), '"outcome": "error"'
 
 
-def _plan_entry(source, block, phis):
-    """A target block's entry in the sweep plan of the source's dimension:
-    the parsed target, or the members of the error record every point
-    with that target and a source of that dimension gets.  A bad data
-    file ends the sweep."""
+def _sweep_space(block, label, phis, source=None):
+    """A space block of the sweep grid, parsed, or the members of the error
+    record every point with it gets.  A target takes the source's dimension
+    and must pair with it.  A bad data file ends the sweep."""
     try:
-        return _query(source, _parse_space(block, "target", d=source.d, phis=phis)).target
+        if source is None:
+            return _parse_space(block, label, phis=phis)
+        return _query(source, _parse_space(block, label, d=source.d, phis=phis)).target
     except _CliError as err:
         if err.code == EXIT_DATA:
             raise

@@ -352,27 +352,27 @@ def parse_space_params(text, d=None, *, _phis=None):
     Commas inside parentheses belong to the profile expression.  A ``d``
     passed by the caller fills in when the block omits it.  ``_phis`` is
     a caller's memo of parsed profiles by (expression, dimension), so a
-    knot table several blocks name is read once.
+    knot table several blocks name is read once.  ``sweep`` keeps one per
+    call, so each table is read once per call and afresh on the next;
+    collecting a grid's profiles ahead of its points instead would take a
+    second block parser beside this one.
     """
     fields = {}
-    depth = 0
-    piece = []
     pieces = []
-    for ch in text:
+    depth = start = 0
+    for at, ch in enumerate(text):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
             if depth < 0:
                 raise DomainError("unbalanced parentheses in %r" % (text,))
-        if ch == "," and depth == 0:
-            pieces.append("".join(piece))
-            piece = []
-        else:
-            piece.append(ch)
+        elif ch == "," and depth == 0:
+            pieces.append(text[start:at])
+            start = at + 1
     if depth != 0:
         raise DomainError("unbalanced parentheses in %r" % (text,))
-    pieces.append("".join(piece))
+    pieces.append(text[start:])
     for item in pieces:
         if not item.strip():
             continue

@@ -25,6 +25,7 @@ a constructor.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 import math
@@ -200,14 +201,9 @@ def _table_eval(spec, t):
         raise ExtrapolationError(
             "t=%g outside the sampled interval [%g, %g]" % (t, ts[0], ts[-1])
         )
-    # binary search for the segment
-    lo, hi = 0, len(ts) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if ts[mid] <= t:
-            lo = mid
-        else:
-            hi = mid
+    # the segment [ts[lo], ts[hi]] holding t, the last one for t == ts[-1]
+    lo = min(bisect.bisect_right(ts, t) - 1, len(ts) - 2)
+    hi = lo + 1
     if t == ts[lo]:
         return vals[lo]
     if t == ts[hi]:
@@ -296,8 +292,6 @@ def _grid_check(spec, p, grid):
         try:
             f = eval_phi(spec, t)
             h = f * t ** (-dp)
-        except ExtrapolationError:
-            continue
         except OverflowError:
             h = math.inf
         if not math.isfinite(h):  # also when phi(t) itself is inf

@@ -100,6 +100,55 @@ def test_check_rejects_bad_input(tmp_path, capsys):
     assert err.strip()
 
 
+_BAD_CONFIGS = {
+    "no section header": b"[source\ns = 0\n",
+    "a parse error": b"[source]\nfoo\n",
+    "a duplicate section": b"[source]\ns = 0\n[source]\ns = 1\n",
+    "a duplicate option": b"[source]\ns = 0\ns = 1\n",
+    "bytes that are not UTF-8": b"[source]\ns=0\xff\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_CONFIGS))
+def test_bad_config_file_exits_64_with_one_line(name, tmp_path, monkeypatch, capsys):
+    (tmp_path / "bad.ini").write_bytes(_BAD_CONFIGS[name])
+    monkeypatch.chdir(tmp_path)
+    for argv in (["check"], ["sweep"], ["norm", "--seq", "x.csv"], ["witness"],
+                 ["analyze", "--samples", "x.csv"]):
+        assert main(argv + ["--config", "bad.ini"]) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("bad config 'bad.ini': ") and err.count("\n") == 1, (argv, err)
+        if name == "bytes that are not UTF-8":
+            assert err == "bad config 'bad.ini': not UTF-8 text (invalid start byte)\n"
+
+
+_PAIR_CONFIG = ("[source]\ns=1\np=2\nq=2\nphi=power(2)\nd=1\n"
+                "[target]\ns=0\np=2\nq=2\nphi=power(2)\nd=1\n")
+
+
+@pytest.mark.parametrize("argv, config, line", [
+    (["check"], "[source]\nbogus = 1\n", "unknown key(s) bogus in [source]"),
+    (["witness"], _PAIR_CONFIG + "[run]\ndepth = x\n", "[run] depth must be an integer"),
+    (["sweep"], _PAIR_CONFIG, "config has no [sweep] section"),
+    (["sweep"], "[source]\ns = 1\n[sweep]\nsource.s = 1\n",
+     "config is missing the [target] section"),
+    (["check", "--source", "s=0,p=2,q=2,phi=power(2,d=1"], _PAIR_CONFIG,
+     "source space: unbalanced parentheses in 's=0,p=2,q=2,phi=power(2,d=1'"),
+    (["check", "--source", "s=0,p=2,q=2,phi=power(2)),d=1"], _PAIR_CONFIG,
+     "source space: unbalanced parentheses in 's=0,p=2,q=2,phi=power(2)),d=1'"),
+    (["check", "--source", "s=0,p=2,q,phi=power(2),d=1"], _PAIR_CONFIG,
+     "source space: expected key=value, got 'q'"),
+    (["check", "--source", "s=x,p=2,q=2,phi=power(2),d=1"], _PAIR_CONFIG,
+     "source space: expected a number or inf, got 'x'"),
+])
+def test_config_and_block_errors_exit_64_with_their_line(argv, config, line, tmp_path,
+                                                         monkeypatch, capsys):
+    (tmp_path / "run.ini").write_text(config, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--config", "run.ini"]) == 64
+    assert capsys.readouterr().err == line + "\n"
+
+
 def test_norm_command(tmp_path, capsys):
     path = tmp_path / "seq.csv"
     save_csv(DyadicSequence(1, {(0, (0,)): 1.0}), str(path))
@@ -1383,7 +1432,9 @@ def _sweep_configs(draw):
     """A sweep config: [source] and [target] from two space blocks (the
     target's d sometimes left to inherit), a [sweep] of one to three keys
     with one to three alternatives each (an odd key or an empty one now
-    and then), and a window from [run] or the flags at their edges."""
+    and then), a window from [run] or the flags at their edges, and now
+    and then a byte that is not UTF-8."""
+    bad_byte = draw(_RARELY)  # drawn first: drawn last, it was False in all 150 examples
     d = draw(st.sampled_from(["1", "2", "3"]))
     lines = ["[source]"] + _ini_lines(draw(_block())) + ["d = " + d]
     lines += ["[target]"] + _ini_lines(draw(_block()))
@@ -1404,7 +1455,11 @@ def _sweep_configs(draw):
             lines.append("%s = %s" % (key, "x" if draw(_RARELY) else edge))
         elif where == "flag":
             argv += ["--" + key, edge]
-    return "\n".join(lines) + "\n", argv
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    if bad_byte:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data, argv
 
 
 @pytest.fixture(scope="module")
@@ -1417,10 +1472,10 @@ def sweep_config_path(tmp_path_factory):
 def test_fuzz_sweep_command_lines(sweep_config_path, config):
     # the grid cap is lowered so that small grids reach it; every decided
     # point must follow the outcome rule from its two condition statuses
-    text, argv = config
+    data, argv = config
     # a fresh file each time: rewriting one in place can be slow on some file systems
     sweep_config_path.unlink(missing_ok=True)
-    sweep_config_path.write_text(text, encoding="utf-8")
+    sweep_config_path.write_bytes(data)
     with mock.patch.object(cli, "MAX_SWEEP", 12):
         out, err = io.StringIO(), io.StringIO()
         tracemalloc.start()
@@ -1431,13 +1486,13 @@ def test_fuzz_sweep_command_lines(sweep_config_path, config):
         finally:
             tracemalloc.stop()
     err = err.getvalue()
-    assert code in (0, 64, 65, 66), (text, argv, err)
+    assert code in (0, 64, 65, 66), (data, argv, err)
     assert "Traceback" not in err
-    assert err == "" if code == 0 else err.endswith("\n") and err.count("\n") == 1, (text, err)
-    assert peak < 1 << 24, (text, argv, peak)
+    assert err == "" if code == 0 else err.endswith("\n") and err.count("\n") == 1, (data, err)
+    assert peak < 1 << 24, (data, argv, peak)
     for line in out.getvalue().splitlines()[1:]:
         record = json.loads(line)
         assert line == json.dumps(record, sort_keys=True), line  # a spliced record
         if record["outcome"] != "error":
             rule = _outcome_by_rule(record["cond0_status"], record["cond2_status"])
-            assert record["outcome"] == rule, (text, record)
+            assert record["outcome"] == rule, (data, record)

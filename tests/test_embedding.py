@@ -261,6 +261,9 @@ def test_lebesgue_targets():
     assert outcome == "holds"
     outcome, _ = decide_lebesgue_targets(sp("s=2,p=0.5,q=inf,phi=power(0.5)"), INF)
     assert outcome == "fails"
+    # where the decay does not hold, only a pure power profile fails
+    outcome, _ = decide_lebesgue_targets(sp("s=0,p=2,q=2,phi=capped(2)"), INF)
+    assert outcome == "undetermined"
     # finite target exponent, through the Besov brackets of L_r
     outcome, _ = decide_lebesgue_targets(sp("s=0.5,p=2,q=2,phi=power(2)"), 4.0)
     assert outcome == "holds"

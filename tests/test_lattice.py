@@ -15,6 +15,7 @@ import random
 import shutil
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -420,3 +421,11 @@ def test_sweep_crosses_every_family(tmp_path, monkeypatch, capsys):
     that is not admissible at one p; the output is the one the per-kind
     branches of the profile module wrote."""
     _sweep_golden("sweep_families", tmp_path, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("name", ["sweep_small", "sweep_families"])
+def test_sweep_keeping_one_encoded_verdict_writes_the_same_bytes(name, tmp_path, monkeypatch,
+                                                                  capsys):
+    """A record-member cache of one verdict evicts at nearly every point."""
+    monkeypatch.setattr(cli, "_ENCODED_VERDICTS", 1)
+    _sweep_golden(name, tmp_path, monkeypatch, capsys)

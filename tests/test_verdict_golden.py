@@ -144,3 +144,34 @@ def test_sweep_record_members_are_the_encoders(values, words, message):
     )
     assert cli._verdict_members(verdict) == _split_at_index(cli._verdict_summary(verdict))
     assert cli._error_members(message) == _split_at_index({"outcome": "error", "error": message})
+
+
+def _negative_zeros(verdict):
+    """The member floats of a verdict that are -0.0.  sweep shares one
+    encoding between equal verdicts, and -0.0 == 0.0 would hand a verdict
+    the members of one that prints 0.0."""
+    floats = {"rho": verdict.rho, "q_star": verdict.q_star,
+              "cond0.value": verdict.cond0.value, "cond2.value": verdict.cond2.value}
+    return [name for name, x in floats.items() if x == 0.0 and math.copysign(1.0, x) < 0.0]
+
+
+def test_no_decided_verdict_of_the_grid_holds_a_negative_zero():
+    decided = 0
+    for label, call in _calls():
+        if label.startswith("decide("):
+            assert not _negative_zeros(call()), label
+            decided += 1
+    assert decided == 2 * len(SPACES) ** 2
+
+
+_SMOOTHNESS = st.sampled_from(["-0", "0", "-0.0", "0.0", "0.5", "-0.5", "1", "-2", "300"])
+_REST = st.sampled_from([text.split(",", 1)[1] for text in SPACES])  # p, q and a profile
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(source=st.tuples(_SMOOTHNESS, _REST), target=st.tuples(_SMOOTHNESS, _REST),
+       jmax=st.sampled_from([0, 1, 8, 64, 1074]), numin=st.sampled_from([0, -1, -8, -64, -1074]))
+def test_no_drawn_decided_verdict_holds_a_negative_zero(source, target, jmax, numin):
+    query = EmbeddingQuery(_space("s=%s,%s" % source), _space("s=%s,%s" % target))
+    verdict = decide(query, j_max=jmax, nu_min=numin)
+    assert not _negative_zeros(verdict), (source, target, jmax, numin)

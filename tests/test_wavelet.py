@@ -634,6 +634,9 @@ def test_kappa_dominate_validation():
     assert len(kappa_dominate(DyadicSequence(1, {}), 1.0, 1.5, 1.0)) == 0
     with pytest.raises(DomainError):
         kappa_dominate(mu, kappa=1.0, b=1.5, c1=1.0, j_max=28)
+    # no level-0 cell is within reach of a small fine cell: its index range is empty
+    dom = kappa_dominate(DyadicSequence(1, {(3, (5,)): 1.0}), kappa=1, b=1.01, c1=0.1, j_max=6)
+    assert dom.levels() == [1, 2, 3, 4, 5, 6]
 
 
 def test_mpmath_loads_only_with_the_first_filter():
