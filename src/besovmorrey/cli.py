@@ -54,7 +54,15 @@ from .dyadic import (
     n_norm,
     parse_space_params,
 )
-from .embedding import DEFAULT_J_MAX, DEFAULT_NU_MIN, FINEST_NU, EmbeddingQuery, decide
+from .embedding import (
+    DEFAULT_J_MAX,
+    DEFAULT_NU_MIN,
+    FINEST_NU,
+    VERDICT_MEMO_SIZE,
+    EmbeddingQuery,
+    decide,
+    question,
+)
 from .errors import DomainError, FloatRangeError, InsufficientMomentsError, TableFormatError
 from .wavelet import (
     analyze as wavelet_analyze,
@@ -84,11 +92,12 @@ try:  # glibc's malloc_trim(pad); elsewhere a no-op
 except (OSError, AttributeError, TypeError):
     _malloc_trim = lambda pad: 0  # noqa: E731
 
-#: Verdicts whose record members one sweep keeps encoded, the least
-#: recently used dropped first.  At 4096 the seed-1 d = 2 bench grid would
-#: miss 516 of its 2880 points instead of 736: at about 0.9 us a miss, some
-#: 0.2 ms a call, for 16 times the entries.
-_ENCODED_VERDICTS = 256
+#: Embedding questions whose record members one sweep keeps encoded, the
+#: least recently used dropped first: as many as decide's memo keeps.  A
+#: hit skips decide and the encoding; at 256 a seed-1..3 bench grid missed
+#: 600-1800 of its 2880 points, at 1024 or more only its 300-1440 distinct
+#: questions.
+_ENCODED_QUESTIONS = VERDICT_MEMO_SIZE
 
 _OUTCOME_CODES = {
     "holds": EXIT_HOLDS,
@@ -457,12 +466,13 @@ def _cmd_sweep(args):
     # a sweep never repeats a source combination, so each source block is
     # parsed once; the target blocks are parsed once per source dimension,
     # into that dimension's plan, and each distinct profile expression (and
-    # the table file it names) once per dimension.  Equal verdicts share
-    # their record members through one cache per call: no decided verdict
-    # holds a -0.0, so equal ones encode alike
+    # the table file it names) once per dimension.  Equal questions share
+    # their record members through one cache per call, keyed as decide's
+    # memo keys them, so decide runs only where that cache misses
     plans = {}
     phis = {}
-    members = functools.lru_cache(maxsize=_ENCODED_VERDICTS)(_verdict_members)
+    members = functools.lru_cache(maxsize=_ENCODED_QUESTIONS)(
+        lambda key: _verdict_members(decide(key, j_max=jmax, nu_min=numin)))
     targets = list(_side_blocks(base["target"], sides["target"]))
     index = 0
     with _output(args.out) as handle:
@@ -481,7 +491,7 @@ def _cmd_sweep(args):
                         plan.append(_sweep_space(target_block, "target", phis, source))
                     entry = plan[at]
                     before, after = entry if isinstance(entry, tuple) else members(
-                        decide(EmbeddingQuery(source, entry), j_max=jmax, nu_min=numin))
+                        question(source, entry))
                     records.append('{%s, "index": %d, %s%s%s}\n'
                                    % (before, index, after, source_members, target_members))
                     index += 1

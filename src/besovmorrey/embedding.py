@@ -24,8 +24,11 @@ geometric envelope counts as convergent, partial sums beyond 1e12 count as
 divergent, anything else is undetermined.
 
 ``decide`` answers from a memo of verdicts, keyed by everything a verdict
-depends on: the two profiles, rho, q*, the smoothness gap s1 - s2 (with
-the sign of a zero gap) and the sampled window (j_max, nu_min).  It keeps
+depends on: the tuple ``question(source, target)`` returns (the two
+profiles, rho, q*, the smoothness gap s1 - s2 and the sign of a zero gap)
+and the sampled window (j_max, nu_min).  ``decide`` takes that tuple in
+place of an EmbeddingQuery too, so a caller that keys its own cache by the
+question can never key it coarser than the memo.  It keeps
 the VERDICT_MEMO_SIZE = 4096 verdicts used last, so a distinct question is
 decided once per process while it stays among them.  A miss reads two
 more bounded caches: ``_pair_diagnostics`` keeps, per (phi1, phi2, rho,
@@ -98,8 +101,11 @@ class EmbeddingVerdict:
     Where decide reaches the cross-level condition, cond2's value is the
     sampled partial quantity of the cross-level sequence over the window
     (j_max, nu_min): the q*-th root of its partial ell_{q*} sum, or its
-    sampled sup when q* = inf.  It is not an embedding constant, and it is
-    inf when that root leaves the float range."""
+    sampled sup when q* = inf, and inf when that root leaves the float
+    range.  When an exact ("profile") verdict holds, it is an embedding
+    constant on the window: ||lam||_target <= cond2.value * ||lam||_source
+    for every lam on levels 0..j_max whose cells lie in one dyadic cube of
+    side 2**-nu_min."""
 
     outcome: str  # "holds" | "fails" | "undetermined"
     rho: float
@@ -346,7 +352,7 @@ def _sampled_cross_level(alphas, damps, gap, qs):
     sequence 2**(j gap) * alpha_j * phi1(2**-j)**(rho-1) in ell_{q*}, where
     gap = s2 - s1."""
     terms = [
-        None if damp is None else _cross_term(j * gap, alpha, damp)
+        None if damp is None else _cross_term(j * gap if j else 0.0, alpha, damp)
         for j, (alpha, damp) in enumerate(zip(alphas, damps))
     ]
     return _classify_lq(terms, qs)
@@ -366,26 +372,34 @@ def _cross_term(w, alpha, damp):
             return math.inf
 
 
+def question(source, target):
+    """The embedding question of a pair of spaces, as decide's memo keys it:
+    (phi1, phi2, rho, q*, gap, gap_negative) with gap = s1 - s2.
+    gap_negative only keys: -0.0 == 0.0 as a key, yet the sign of a zero
+    gap can show in the exponents a detail prints."""
+    if source.d != target.d:
+        raise DomainError("source and target dimensions differ")
+    gap = source.s - target.s
+    return (source.phi, target.phi, min(1.0, source.p / target.p), q_star(source.q, target.q),
+            gap, math.copysign(1.0, gap) < 0.0)
+
+
 def decide(query, j_max=DEFAULT_J_MAX, nu_min=DEFAULT_NU_MIN):
-    """Decide the embedding question for a pair of spaces.
+    """Decide the embedding question for a pair of spaces: an EmbeddingQuery,
+    or the tuple question() returns for it.
 
     Exact when both profiles have power-log asymptotics; otherwise sampled
     with a three-way verdict.  The depth arguments only affect the sampled
     diagnostics, never an exact decision.  Equal questions get the same
-    verdict object, from the memo.
+    verdict object, from the memo, in either form.
     """
-    src, tgt = query.source, query.target
-    gap = src.s - tgt.s
-    return _decided(src.phi, tgt.phi, query.rho, q_star(src.q, tgt.q), gap,
-                    math.copysign(1.0, gap) < 0.0, j_max, nu_min)
+    key = query if isinstance(query, tuple) else question(query.source, query.target)
+    return _decided(*key, j_max, nu_min)
 
 
 @functools.lru_cache(maxsize=VERDICT_MEMO_SIZE)
 def _decided(phi1, phi2, rho, qs, gap, gap_negative, j_max, nu_min):
-    """decide's memo: the verdict from the profiles, rho, q*, the
-    smoothness gap s1 - s2 and the window.  gap_negative only keys the
-    memo: -0.0 == 0.0 as a key, yet the sign of a zero gap can show in the
-    exponents a detail prints."""
+    """decide's memo: the verdict from a question() tuple and the window."""
     alphas, damps, profiles, cond0 = _pair_diagnostics(phi1, phi2, rho, j_max, nu_min)
     if profiles is None:
         st2, v2 = _sampled_cross_level(alphas, damps, -gap, qs)

@@ -814,3 +814,73 @@ def test_ac13_separated_family():
         "100 members on a holding pair, %d norm deviations, min pairwise target distance %r"
         % (bad_norm, min_gap),
     )
+
+
+# ---------------------------------------------------------------------------
+# AC17: a holding verdict's cond2 value bounds the norm ratio on its window
+
+#: The random pair grid: each family's profile and the largest p at which it
+#: is admissible.
+_GRID_PROFILES = ["power(2)", "power(4)", "capped(2)", "capped(4)", "floorone(1)",
+                  "twopower(2,4)", "const(1)", "powerlog(2,0.5)", "cappedlog(2,1)"]
+_GRID_MAX_P = [2, 4, 2, 4, 1, 2, INF, 2, 2]
+
+
+def _random_pair_grid():
+    """The 2485 admissible pairs of 3000 seeded draws, in draw order."""
+    rng = random.Random(1)
+    pairs = []
+    for _ in range(3000):
+        d = rng.choice([1, 2])
+        blocks = []
+        for _side in ("source", "target"):
+            k = _GRID_PROFILES.index(rng.choice(_GRID_PROFILES))
+            s = rng.randrange(-6, 9) / 4
+            p = rng.choice([x for x in (0.5, 1, 2, 4) if x <= _GRID_MAX_P[k]])
+            q = rng.choice(["0.5", "1", "2", "4", "inf"])
+            blocks.append("s=%r,p=%r,q=%s,phi=%s,d=%d" % (s, p, q, _GRID_PROFILES[k], d))
+        try:
+            pairs.append(EmbeddingQuery(*map(parse_space_params, blocks)))
+        except DomainError:
+            pass
+    return pairs
+
+
+def test_ac17_holding_constant_bounds_the_window():
+    # AC06's per-level inequality and Hoelder's inequality across levels give
+    # ||lam||_target <= W ||lam||_source, W = cond2.value, for every lam on
+    # levels 0..jmax inside one dyadic cube of side 2**-numin
+    jmax, numin = 7, -64
+    rng = random.Random(17)
+    pairs = _random_pair_grid()
+    holding = []
+    for qq in pairs:
+        verdict = decide(qq, j_max=jmax, nu_min=numin)
+        if verdict.outcome == "holds":
+            holding.append((qq, verdict.cond2.value))
+    sample = rng.sample(holding, 100)
+    worst = 0.0
+    bad = 0
+    close = 0
+    for qq, bound in sample:
+        best = 0.0
+        for _ in range(20):
+            entries = {}
+            for _ in range(rng.randrange(1, 24)):
+                m = tuple(rng.randrange(0, 48) for _ in range(qq.source.d))
+                entries[(rng.randrange(0, jmax + 1), m)] = rng.uniform(-2.0, 2.0)
+            lam = DyadicSequence(qq.source.d, entries)
+            ratio = n_norm(lam, qq.target) / n_norm(lam, qq.source)
+            best = max(best, ratio / bound)
+            if ratio > bound * (1.0 + 1e-9):
+                bad += 1
+        worst = max(worst, best)
+        close += best >= 0.999
+    ok = (len(pairs), len(holding)) == (2485, 681) and bad == 0 and worst <= 1.0 + 1e-9
+    _report(
+        "AC17",
+        "holding constant bounds the window",
+        ok,
+        "%d of %d holding pairs, 20 sequences each, worst ratio/W %.16f, %d pairs within 0.1%%, "
+        "%d violations" % (len(sample), len(holding), worst, close, bad),
+    )

@@ -23,7 +23,7 @@ from besovmorrey import cli, embedding
 from besovmorrey import phi as phi_module
 from besovmorrey.cli import main
 from besovmorrey.dyadic import SpaceParams, parse_space_params
-from besovmorrey.embedding import EmbeddingQuery, alpha_sequence, decide, q_star, ratio_R
+from besovmorrey.embedding import EmbeddingQuery, alpha_sequence, decide, ratio_R
 from besovmorrey.errors import DomainError, ExtrapolationError, WitnessSelectionError
 from besovmorrey.phi import eval_phi, parse_phi, phi_lattice, tabulated
 from besovmorrey.witness import select_witness_level
@@ -381,6 +381,27 @@ def test_tabulated_verdict_never_contradicts_its_twin(case):
     assert sampled.outcome in ("undetermined", exact.outcome)
 
 
+@pytest.mark.parametrize("s1, s2", [(1e308, -1e308), (-1e308, 1e308), (1e308, 0.0),
+                                    (0.0, 1e308), (-1e308, -1e308)])
+@pytest.mark.parametrize("q1, q2", [("2", "2"), ("2", "1"), ("inf", "2")])
+def test_overflowing_gap_never_splits_a_table_from_its_twin(s1, s2, q1, q2):
+    """s1 - s2 beyond the float range at q* = inf and finite: the knot table
+    t^(1/2) never contradicts its analytic twin power(2), and a satisfied
+    cross-level report has a finite value."""
+    table = DATA / "sweep_small" / "sqrt_table.csv"
+    target = parse_space_params("s=%r,p=2,q=%s,phi=power(2),d=1" % (s2, q2))
+    verdicts = [
+        decide(EmbeddingQuery(parse_space_params("s=%r,p=2,q=%s,phi=%s,d=1" % (s1, q1, phi)),
+                              target))
+        for phi in ("power(2)", "table(%s)" % table)
+    ]
+    exact, sampled = verdicts
+    assert exact.method == "profile" and sampled.method == "sampled"
+    assert sampled.outcome in ("undetermined", exact.outcome)
+    for verdict in verdicts:
+        assert verdict.cond2.status != "satisfied" or math.isfinite(verdict.cond2.value)
+
+
 def _sweep_golden(name, tmp_path, monkeypatch, capsys):
     for path in (DATA / name).iterdir():
         shutil.copy(path, tmp_path / path.name)
@@ -397,23 +418,21 @@ def test_sweep_matches_golden_file(tmp_path, monkeypatch, capsys):
 
 
 def test_sweep_decides_each_distinct_question_once(tmp_path, monkeypatch, capsys):
-    """decide is still called at each of the grid's 54 decided points, and
-    its memo misses once per distinct key: profiles, rho, q*, the gap with
-    its sign, and the window."""
+    """decide is called once per distinct question of the grid's 54 decided
+    points, and is handed that question: profiles, rho, q*, and the gap
+    with its sign; every call misses decide's memo."""
     keys = []
 
     def counting(query, j_max, nu_min):
-        src, tgt = query.source, query.target
-        keys.append((src.phi, tgt.phi, query.rho, q_star(src.q, tgt.q), repr(src.s - tgt.s),
-                     j_max, nu_min))
+        keys.append(query)
         return decide(query, j_max=j_max, nu_min=nu_min)
 
     monkeypatch.setattr(cli, "decide", counting)
     embedding._decided.cache_clear()
     _sweep_golden("sweep_small", tmp_path, monkeypatch, capsys)
     info = embedding._decided.cache_info()
-    assert len(keys) == 54 and len(set(keys)) < 54
-    assert (info.misses, info.hits) == (len(set(keys)), 54 - len(set(keys)))
+    assert len(keys) == len(set(keys)) == 36
+    assert (info.misses, info.hits) == (36, 0)
 
 
 def test_sweep_crosses_every_family(tmp_path, monkeypatch, capsys):
@@ -424,8 +443,8 @@ def test_sweep_crosses_every_family(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("name", ["sweep_small", "sweep_families"])
-def test_sweep_keeping_one_encoded_verdict_writes_the_same_bytes(name, tmp_path, monkeypatch,
-                                                                  capsys):
-    """A record-member cache of one verdict evicts at nearly every point."""
-    monkeypatch.setattr(cli, "_ENCODED_VERDICTS", 1)
+def test_sweep_keeping_one_encoded_question_writes_the_same_bytes(name, tmp_path, monkeypatch,
+                                                                   capsys):
+    """A record-member cache of one question evicts at nearly every point."""
+    monkeypatch.setattr(cli, "_ENCODED_QUESTIONS", 1)
     _sweep_golden(name, tmp_path, monkeypatch, capsys)

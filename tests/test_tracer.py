@@ -60,9 +60,10 @@ def test_tracer_counts_the_norms_of_a_witness_scan(capsys):
     assert calls["witness.divergence_scan"] == 1 and calls["embedding.decide"] >= 1
 
 
-def test_tracer_counts_one_decide_per_sweep_point(tmp_path, monkeypatch, capsys):
-    # tests/data/sweep_small has 72 grid points, 18 of them error records; a
-    # table source is decided inside decide too, so the trace sees every point
+def test_tracer_counts_one_decide_per_sweep_question(tmp_path, monkeypatch, capsys):
+    # tests/data/sweep_small has 72 grid points, 18 of them error records,
+    # and its 54 decided points ask 36 distinct questions; a table source is
+    # decided inside decide too, so the trace sees every decision sweep makes
     monkeypatch.chdir(Path(__file__).parent / "data" / "sweep_small")
     out = tmp_path / "out.jsonl"
     tracer = _load_tracer().Tracer()
@@ -78,7 +79,7 @@ def test_tracer_counts_one_decide_per_sweep_point(tmp_path, monkeypatch, capsys)
     assert (len(records), len(decided)) == (72, 54)
     assert any(r["method"] == "sampled" for r in decided)
     calls = dict(zip(tracer.names, (row[0] for row in tracer.agg)))
-    assert calls["embedding.decide"] == 54
+    assert calls["embedding.decide"] == 36
 
 
 def test_tracer_sees_every_wavelet_layer_of_an_analyze_run(tmp_path, capsys):

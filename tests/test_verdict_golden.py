@@ -14,6 +14,7 @@ import dataclasses
 import math
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +29,9 @@ from besovmorrey.embedding import (
     decide_into_besov,
     decide_same_phi,
     decide_under_IS,
+    question,
 )
+from besovmorrey.errors import DomainError
 
 DATA = Path(__file__).parent / "data"
 EXPECTED = DATA / "verdicts" / "expected.txt"
@@ -104,6 +107,28 @@ def test_verdicts_match_golden_file():
         assert got == want
 
 
+def test_decide_gives_a_question_the_verdict_of_its_query():
+    """decide(question(s, t)) is the very verdict object that
+    decide(EmbeddingQuery(s, t)) returns, on every pair of the grid at both
+    of its windows, and a zero gap keeps its sign in the question."""
+    spaces = [_space(text) for text in SPACES]
+    for source in spaces:
+        for target in spaces:
+            for window in ((), (8, -8)):
+                verdict = decide(EmbeddingQuery(source, target), *window)
+                assert decide(question(source, target), *window) is verdict
+    # the sign of this zero gap shows in the cross-level exponents
+    target = _space("s=0.0,p=4,q=2,phi=const(1)")
+    zeros = [_space("s=%s,p=1,q=2,phi=const(1)" % s) for s in ("0.0", "-0.0")]
+    keys = [question(source, target) for source in zeros]
+    verdicts = [decide(key) for key in keys]
+    assert keys[0] != keys[1] and verdicts[0] != verdicts[1]
+    for source, verdict in zip(zeros, verdicts):
+        assert decide(EmbeddingQuery(source, target)) is verdict
+    with pytest.raises(DomainError, match="dimensions differ"):
+        question(zeros[0], parse_space_params("s=0,p=4,q=2,phi=const(1),d=2"))
+
+
 def _split_at_index(record):
     """The JSON members of a record that sort before an "index" member and
     those that sort after it, as the encoder writes them."""
@@ -147,9 +172,8 @@ def test_sweep_record_members_are_the_encoders(values, words, message):
 
 
 def _negative_zeros(verdict):
-    """The member floats of a verdict that are -0.0.  sweep shares one
-    encoding between equal verdicts, and -0.0 == 0.0 would hand a verdict
-    the members of one that prints 0.0."""
+    """The member floats of a verdict that are -0.0, which compares equal
+    to 0.0 yet prints apart from it."""
     floats = {"rho": verdict.rho, "q_star": verdict.q_star,
               "cond0.value": verdict.cond0.value, "cond2.value": verdict.cond2.value}
     return [name for name, x in floats.items() if x == 0.0 and math.copysign(1.0, x) < 0.0]
