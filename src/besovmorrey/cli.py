@@ -61,7 +61,8 @@ from .embedding import (
     VERDICT_MEMO_SIZE,
     EmbeddingQuery,
     decide,
-    question,
+    gap_key,
+    pair_key,
 )
 from .errors import DomainError, FloatRangeError, InsufficientMomentsError, TableFormatError
 from .wavelet import (
@@ -92,11 +93,10 @@ try:  # glibc's malloc_trim(pad); elsewhere a no-op
 except (OSError, AttributeError, TypeError):
     _malloc_trim = lambda pad: 0  # noqa: E731
 
-#: Embedding questions whose record members one sweep keeps encoded, the
-#: least recently used dropped first: as many as decide's memo keeps.  A
-#: hit skips decide and the encoding; at 256 a seed-1..3 bench grid missed
-#: 600-1800 of its 2880 points, at 1024 or more only its 300-1440 distinct
-#: questions.
+#: Embedding questions whose record members one sweep keeps encoded, keyed
+#: by (pair id, gap key) and the least recently used dropped first: as many
+#: as decide's memo keeps.  A hit skips decide and the encoding; a seed-1..3
+#: bench grid of 2880 points asks 300-1440 distinct questions.
 _ENCODED_QUESTIONS = VERDICT_MEMO_SIZE
 
 _OUTCOME_CODES = {
@@ -464,55 +464,75 @@ def _cmd_sweep(args):
         )
 
     # a sweep never repeats a source combination, so each source block is
-    # parsed once; the target blocks are parsed once per source dimension,
-    # into that dimension's plan, and each distinct profile expression (and
-    # the table file it names) once per dimension.  Equal questions share
-    # their record members through one cache per call, keyed as decide's
-    # memo keys them, so decide runs only where that cache misses
-    plans = {}
-    phis = {}
+    # parsed once.  The target blocks are parsed once per source dimension,
+    # into that dimension's plan, which is filled whole before its first row,
+    # and each distinct profile expression (and the table file it names) once
+    # per dimension.  A row reads its pair ids, kept per source class, and
+    # its gap keys, kept per signed source s; both are per dimension.  The
+    # record members of a question are cached by (pair id, gap key), so
+    # decide runs once per distinct question while the cache keeps it
+    plans, phis, pair_ids, pair_rows, gap_rows = {}, {}, {}, {}, {}
+    pair_keys = []
     members = functools.lru_cache(maxsize=_ENCODED_QUESTIONS)(
-        lambda key: _verdict_members(decide(key, j_max=jmax, nu_min=numin)))
-    targets = list(_side_blocks(base["target"], sides["target"]))
+        lambda pid, gap: _verdict_members(decide(pair_keys[pid] + gap, j_max=jmax, nu_min=numin)))
+    target_blocks, target_members = zip(*_side_blocks(base["target"], sides["target"]))
     index = 0
     with _output(args.out) as handle:
         _emit_json(handle, {"command": "sweep", "version": __version__, "count": count,
                             "keys": names, "jmax": jmax, "numin": numin})
         for source_block, source_members in _side_blocks(base["source"], sides["source"]):
             source = _sweep_space(source_block, "source", phis)
+            failure = None
             if isinstance(source, tuple):
-                plan = [source] * len(targets)
+                points = [source] * len(target_blocks)
             else:
                 plan = plans.setdefault(source.d, [])
-            records = []
-            try:
-                for at, (target_block, target_members) in enumerate(targets):
-                    if at == len(plan):
+                try:
+                    for target_block in target_blocks[len(plan):]:
                         plan.append(_sweep_space(target_block, "target", phis, source))
-                    entry = plan[at]
-                    before, after = entry if isinstance(entry, tuple) else members(
-                        question(source, entry))
-                    records.append('{%s, "index": %d, %s%s%s}\n'
-                                   % (before, index, after, source_members, target_members))
-                    index += 1
-            finally:
-                # one write per source block, also when a bad data file ends
-                # the sweep inside it
-                handle.write("".join(records))
+                except _CliError as err:  # a bad data file: write the points before it
+                    failure = err
+                pair = source.phi, source.p, source.q, source.d
+                if pair not in pair_rows:
+                    pair_rows[pair] = [entry if isinstance(entry, tuple) else pair_ids.setdefault(
+                        pair_key(source, entry), len(pair_ids)) for entry in plan]
+                    pair_keys[:] = pair_ids
+                signed = source.s, math.copysign(1.0, source.s), source.d
+                if signed not in gap_rows:
+                    gap_rows[signed] = [None if isinstance(entry, tuple)
+                                        else gap_key(source.s, entry.s) for entry in plan]
+                points = [pid if gap is None else members(pid, gap)
+                          for pid, gap in zip(pair_rows[pair], gap_rows[signed])]
+            # one write per source block, also when a bad data file ends the
+            # sweep inside it
+            handle.write("".join([
+                f'{{{before}, "index": {at}, {after}{source_members}{members_of_target}}}\n'
+                for at, (before, after), members_of_target
+                in zip(itertools.count(index), points, target_members)]))
+            index += len(target_blocks)
+            if failure:
+                raise failure
     return EXIT_HOLDS
 
 
 def _side_blocks(items, side):
     """Per combination of one side's sweep values, in grid order: the space
     block with those values over the section's items, and the record's
-    JSON members for them."""
-    keys = [key for key, _, _ in side]
+    JSON members for them.  The side's keys are sorted and its values are
+    strings, so joining the members encoded once per value gives the bytes
+    _JSON.encode gives for the combination's dict."""
     fieldnames = [fieldname for _, fieldname, _ in side]
-    for combo in itertools.product(*(values for _, _, values in side)):
+    encoded = [[f", {encode_basestring_ascii(key)}: {encode_basestring_ascii(value)}"
+                for value in values] for key, _, values in side]
+    for combo, members in zip(itertools.product(*(values for _, _, values in side)),
+                              itertools.product(*encoded)):
         block = dict(items)
         block.update(zip(fieldnames, combo))
-        members = _JSON.encode(dict(zip(keys, combo)))[1:-1]
-        yield _format_block(block), members and ", " + members
+        yield _format_block(block), "".join(members)
+
+
+def _json_float(x):
+    return float.__repr__(x) if math.isfinite(x) else '"%s"' % _jsonable(x)
 
 
 # A sweep record is spliced from the members that sort before its "index",
@@ -520,21 +540,12 @@ def _side_blocks(items, side):
 # members, which sort last since every sweep key starts with "source." or
 # "target.".  The members are the ones _JSON.encode writes for
 # _verdict_summary, or for {"outcome": "error", "error": message}.
-_VERDICT_BEFORE = '"cond0_status": %s, "cond0_value": %s, "cond2_status": %s, "cond2_value": %s'
-_VERDICT_AFTER = '"method": %s, "outcome": %s, "q_star": %s, "rho": %s'
-
-
-def _json_float(x):
-    return float.__repr__(x) if math.isfinite(x) else '"%s"' % _jsonable(x)
-
-
 def _verdict_members(verdict):
-    cond0, cond2 = verdict.cond0, verdict.cond2
-    return (_VERDICT_BEFORE % (encode_basestring_ascii(cond0.status), _json_float(cond0.value),
-                               encode_basestring_ascii(cond2.status), _json_float(cond2.value)),
-            _VERDICT_AFTER % (encode_basestring_ascii(verdict.method),
-                              encode_basestring_ascii(verdict.outcome),
-                              _json_float(verdict.q_star), _json_float(verdict.rho)))
+    enc, cond0, cond2 = encode_basestring_ascii, verdict.cond0, verdict.cond2
+    return (f'"cond0_status": {enc(cond0.status)}, "cond0_value": {_json_float(cond0.value)}, '
+            f'"cond2_status": {enc(cond2.status)}, "cond2_value": {_json_float(cond2.value)}',
+            f'"method": {enc(verdict.method)}, "outcome": {enc(verdict.outcome)}, '
+            f'"q_star": {_json_float(verdict.q_star)}, "rho": {_json_float(verdict.rho)}')
 
 
 def _error_members(message):

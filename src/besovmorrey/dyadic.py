@@ -359,20 +359,21 @@ def parse_space_params(text, d=None, *, _phis=None):
     """
     fields = {}
     pieces = []
-    depth = start = 0
-    for at, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise DomainError("unbalanced parentheses in %r" % (text,))
-        elif ch == "," and depth == 0:
-            pieces.append(text[start:at])
-            start = at + 1
+    depth = 0  # of the parentheses open before each comma-split piece
+    for piece in text.split(","):
+        if depth:  # the comma lies inside parentheses
+            pieces[-1] += "," + piece
+        else:
+            pieces.append(piece)
+        closes = piece.count(")")
+        # the depth can drop below zero inside a piece only where it closes
+        # more than were open before it
+        if closes > depth and min(itertools.accumulate(
+                ((ch == "(") - (ch == ")") for ch in piece), initial=depth)) < 0:
+            raise DomainError("unbalanced parentheses in %r" % (text,))
+        depth += piece.count("(") - closes
     if depth != 0:
         raise DomainError("unbalanced parentheses in %r" % (text,))
-    pieces.append(text[start:])
     for item in pieces:
         if not item.strip():
             continue

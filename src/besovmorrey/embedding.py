@@ -26,16 +26,17 @@ divergent, anything else is undetermined.
 ``decide`` answers from a memo of verdicts, keyed by everything a verdict
 depends on: the tuple ``question(source, target)`` returns (the two
 profiles, rho, q*, the smoothness gap s1 - s2 and the sign of a zero gap)
-and the sampled window (j_max, nu_min).  ``decide`` takes that tuple in
-place of an EmbeddingQuery too, so a caller that keys its own cache by the
-question can never key it coarser than the memo.  It keeps
-the VERDICT_MEMO_SIZE = 4096 verdicts used last, so a distinct question is
-decided once per process while it stays among them.  A miss reads two
-more bounded caches: ``_pair_diagnostics`` keeps, per (phi1, phi2, rho,
-j_max, nu_min) and up to 256 pairs, alpha_j and phi1(2**-j)**(rho-1)
-(j_max + 1 values each) and the large-cube report that every verdict of
-the pair shares; ``phi_lattice`` keeps one value per level per (profile,
-nu window), up to 512 windows.
+and the sampled window (j_max, nu_min).  The tuple is ``pair_key(source,
+target) + gap_key(s1, s2)``, so a caller may key tables by either half.
+``decide`` takes that tuple in place of an EmbeddingQuery too, so a caller
+that keys its own cache by the question can never key it coarser than the
+memo.  It keeps the VERDICT_MEMO_SIZE = 4096 verdicts used last, so a
+distinct question is decided once per process while it stays among them.
+A miss reads two more bounded caches: ``_pair_diagnostics`` keeps, per
+(phi1, phi2, rho, j_max, nu_min) and up to 256 pairs, alpha_j and
+phi1(2**-j)**(rho-1) (j_max + 1 values each) and the large-cube report
+that every verdict of the pair shares; ``phi_lattice`` keeps one value
+per level per (profile, nu window), up to 512 windows.
 
 A holding embedding between distinct spaces of this family is never compact;
 an exact holding verdict says so in its notes.
@@ -372,16 +373,28 @@ def _cross_term(w, alpha, damp):
             return math.inf
 
 
-def question(source, target):
-    """The embedding question of a pair of spaces, as decide's memo keys it:
-    (phi1, phi2, rho, q*, gap, gap_negative) with gap = s1 - s2.
-    gap_negative only keys: -0.0 == 0.0 as a key, yet the sign of a zero
-    gap can show in the exponents a detail prints."""
+def pair_key(source, target):
+    """The part of question() fixed by the profiles and exponents:
+    (phi1, phi2, rho, q*)."""
     if source.d != target.d:
         raise DomainError("source and target dimensions differ")
-    gap = source.s - target.s
-    return (source.phi, target.phi, min(1.0, source.p / target.p), q_star(source.q, target.q),
-            gap, math.copysign(1.0, gap) < 0.0)
+    return source.phi, target.phi, min(1.0, source.p / target.p), q_star(source.q, target.q)
+
+
+def gap_key(s1, s2):
+    """The part of question() fixed by the smoothness: (gap, gap_negative)
+    with gap = s1 - s2.  gap_negative only keys: -0.0 == 0.0 as a key, yet
+    the sign of a zero gap can show in the exponents a detail prints."""
+    gap = s1 - s2
+    return gap, math.copysign(1.0, gap) < 0.0
+
+
+def question(source, target):
+    """The embedding question of a pair of spaces, as decide's memo keys it:
+    pair_key(source, target) + gap_key(s1, s2), that is (phi1, phi2, rho,
+    q*, gap, gap_negative).  sweep keys its tables by the two halves, so
+    this is their one definition."""
+    return pair_key(source, target) + gap_key(source.s, target.s)
 
 
 def decide(query, j_max=DEFAULT_J_MAX, nu_min=DEFAULT_NU_MIN):

@@ -5,6 +5,7 @@ so a red run still shows the line for the criterion that broke.  Run with
 ``pytest tests/test_acceptance.py -v -s`` to watch the lines go by; a plain
 pytest run captures them and replays them only for failures.
 """
+import itertools
 import math
 import random
 import time
@@ -46,6 +47,7 @@ from besovmorrey.wavelet import (
     synthesize,
 )
 from besovmorrey.witness import (
+    beta_witness,
     capacity_witness,
     divergence_scan,
     greedy_distribution,
@@ -876,11 +878,36 @@ def test_ac17_holding_constant_bounds_the_window():
                 bad += 1
         worst = max(worst, best)
         close += best >= 0.999
-    ok = (len(pairs), len(holding)) == (2485, 681) and bad == 0 and worst <= 1.0 + 1e-9
+    # the witness families of the same pairs at every level 0..jmax, each in
+    # a cube Q_{nu,0} with numin <= nu <= j drawn among those of at most 2**8
+    # level-j cells; a capacity witness fits its cube only where nu <= 0
+    builders = {
+        "simple": lambda qq, j, nu: simple_witness(j, nu, qq.source.phi),
+        "capacity": lambda qq, j, nu: capacity_witness(qq.source.d, j, nu, qq.source.phi,
+                                                       qq.source.p),
+        "beta": lambda qq, j, nu: beta_witness(j, nu, qq, nu_min=numin),
+    }
+    cubes = random.Random(71)
+    families = {name: [0, 0.0] for name in builders}  # witnesses built, worst ratio/W
+    for (qq, bound), j, (name, build) in itertools.product(sample, range(jmax + 1),
+                                                           builders.items()):
+        lo, hi = max(numin, j - 8 // qq.source.d), j if name != "capacity" else min(j, 0)
+        if lo > hi:
+            continue
+        lam = build(qq, j, cubes.randrange(lo, hi + 1))
+        ratio = n_norm(lam, qq.target) / n_norm(lam, qq.source)
+        families[name][0] += 1
+        families[name][1] = max(families[name][1], ratio / bound)
+        bad += ratio > bound * (1.0 + 1e-9)
+    ok = (len(pairs), len(holding)) == (2485, 681) and bad == 0 and max(
+        [worst] + [w for _, w in families.values()]) <= 1.0 + 1e-9
     _report(
         "AC17",
         "holding constant bounds the window",
         ok,
-        "%d of %d holding pairs, 20 sequences each, worst ratio/W %.16f, %d pairs within 0.1%%, "
-        "%d violations" % (len(sample), len(holding), worst, close, bad),
+        "%d of %d holding pairs, 20 sequences each, worst ratio/W %.16f, %d pairs within 0.1%%; "
+        "witnesses on levels 0..%d, %s; %d violations"
+        % (len(sample), len(holding), worst, close, jmax,
+           ", ".join("%s %d, worst ratio/W %.16f" % (name, count, w)
+                     for name, (count, w) in families.items()), bad),
     )

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -341,6 +342,63 @@ def test_sweep_bad_target_table_keeps_the_records_before_it(tmp_path, monkeypatc
     ]
     assert len({r["error"] for r in lines[1:5]}) == 1
     assert captured.err == "target space: bad.csv:2: malformed row '1,abc'\n"
+
+
+def _sweep_exit_65(cfg, out_path, capsys):
+    """A sweep that a bad data file ends: its output records and stderr."""
+    argv = ["sweep", "--config", str(cfg)] + (["--out", str(out_path)] if out_path else [])
+    assert main(argv) == 65
+    captured = capsys.readouterr()
+    text = out_path.read_text(encoding="utf-8") if out_path else captured.out
+    assert text.endswith("\n")
+    return [json.loads(line) for line in text.splitlines()], captured.err
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_sweep_bad_first_target_table_after_error_sources(tmp_path, monkeypatch, capsys,
+                                                         to_file):
+    # two source blocks that are not spaces write their error records and
+    # parse no target; the first decided source then meets the bad table at
+    # its first target, so its block writes no record before the one line
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.csv").write_text("t,value\n1,abc\n", encoding="utf-8")
+    cfg = _sweep_config(tmp_path, ["source.p = -1; 0; 2",
+                                   "target.phi = table(bad.csv); power(2)", "target.s = 0; 0.5"])
+    lines, err = _sweep_exit_65(cfg, tmp_path / "grid.jsonl" if to_file else None, capsys)
+    assert (lines[0]["command"], lines[0]["count"]) == ("sweep", 12)
+    assert [(r["index"], r["source.p"], r["outcome"]) for r in lines[1:]] \
+        == [(i, "-1" if i < 4 else "0", "error") for i in range(8)]
+    assert err == "target space: bad.csv:2: malformed row '1,abc'\n"
+
+
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_sweep_bad_table_in_the_second_dimensions_plan(tmp_path, monkeypatch, capsys, to_file):
+    # the target takes the source's dimension, so d = 2 has a plan of its
+    # own, filled only after every d = 1 block was written; the table goes
+    # missing after the d = 1 plan read it, so the d = 2 plan cannot
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(_SQRT_TABLE, tmp_path / "tab.csv")
+    load_table = phimod.load_table
+
+    def read_once(path, d=1):
+        table = load_table(path, d=d)
+        os.remove(path)
+        return table
+
+    monkeypatch.setattr(phimod, "load_table", read_once)
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text("[source]\ns = 1\np = 2\nq = 2\nphi = power(2)\nd = 1\n"
+                   "[target]\ns = 0\np = 2\nq = 2\nphi = power(2)\n"
+                   "[sweep]\nsource.d = 1; 2\nsource.s = 1; 0.5\n"
+                   "target.phi = power(2); table(tab.csv)\ntarget.s = 0; 0.5\n")
+    lines, err = _sweep_exit_65(cfg, tmp_path / "grid.jsonl" if to_file else None, capsys)
+    assert (lines[0]["command"], lines[0]["count"]) == ("sweep", 16)
+    assert [(r["index"], r["source.d"], r["target.phi"], r["target.s"]) for r in lines[1:]] == [
+        (i, "1", ("power(2)", "table(tab.csv)")[i % 4 // 2], ("0", "0.5")[i % 2])
+        for i in range(8)] + [(8, "2", "power(2)", "0"), (9, "2", "power(2)", "0.5")]
+    assert all(r["outcome"] in ("holds", "fails", "undetermined") for r in lines[1:])
+    assert err.startswith("target space: cannot read table 'tab.csv': ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_sweep_reads_each_table_once_per_call(tmp_path, monkeypatch, capsys):

@@ -6,10 +6,13 @@ the cross-level report per (pair, s2 - s1, q*).  These tests hold it, and
 the witness level selection, to a scalar reference built here from
 ``eval_phi``/``ratio_R`` (bit for bit, field for field), hold warm caches to
 cold ones, check that a tabulated verdict never contradicts the exact
-verdict of its analytic twin, and pin two ``sweep`` grids to golden files.
+verdict of its analytic twin, and pin three ``sweep`` grids to golden files.
 """
 
+import configparser
 import dataclasses
+import itertools
+import json
 import math
 import random
 import shutil
@@ -23,7 +26,7 @@ from besovmorrey import cli, embedding
 from besovmorrey import phi as phi_module
 from besovmorrey.cli import main
 from besovmorrey.dyadic import SpaceParams, parse_space_params
-from besovmorrey.embedding import EmbeddingQuery, alpha_sequence, decide, ratio_R
+from besovmorrey.embedding import EmbeddingQuery, alpha_sequence, decide, question, ratio_R
 from besovmorrey.errors import DomainError, ExtrapolationError, WitnessSelectionError
 from besovmorrey.phi import eval_phi, parse_phi, phi_lattice, tabulated
 from besovmorrey.witness import select_witness_level
@@ -442,7 +445,67 @@ def test_sweep_crosses_every_family(tmp_path, monkeypatch, capsys):
     _sweep_golden("sweep_families", tmp_path, monkeypatch, capsys)
 
 
-@pytest.mark.parametrize("name", ["sweep_small", "sweep_families"])
+def _grid_points(name):
+    """The points of a sweep grid, from its config alone, in grid order:
+    (source block, target block, the record's sweep members)."""
+    cfg = configparser.ConfigParser(interpolation=None)
+    cfg.read(DATA / name / "grid.ini", encoding="utf-8")
+    sides = []
+    for side in ("source", "target"):
+        keys = sorted(key for key in cfg["sweep"] if key.startswith(side + "."))
+        combos = []
+        for combo in itertools.product(*([v.strip() for v in cfg["sweep"][key].split(";")]
+                                         for key in keys)):
+            fields = dict(cfg[side], **{key.partition(".")[2]: v for key, v in zip(keys, combo)})
+            block = ",".join("%s=%s" % (k, fields[k]) for k in ("s", "p", "q", "phi", "d")
+                             if k in fields)
+            combos.append((block, dict(zip(keys, combo))))
+        sides.append(combos)
+    for (source, smembers), (target, tmembers) in itertools.product(*sides):
+        yield source, target, json.dumps(dict(smembers, **tmembers), sort_keys=True)[1:-1]
+
+
+def test_sweep_decides_the_grids_questions_with_the_sign_of_zero(tmp_path, monkeypatch, capsys):
+    """tests/data/sweep_zeros: source and target s of 0 and -0.0, so one gap
+    in four is -0.0; power(2) and power(2.0), two texts of one profile; a
+    target block that does not parse; source dimensions 1 and 2.  decide is
+    handed every question of the decided points once, a gap of -0.0
+    included, and the output is the one built point by point from
+    decide(question(source, target))."""
+    keys = []
+
+    def recording(query, j_max, nu_min):
+        keys.append(query)
+        return decide(query, j_max=j_max, nu_min=nu_min)
+
+    monkeypatch.setattr(cli, "decide", recording)
+    _sweep_golden("sweep_zeros", tmp_path, monkeypatch, capsys)
+
+    def signed(key):
+        return key[:4], math.copysign(1.0, key[4]), key[4], key[5]
+
+    questions = set()
+    lines = [(DATA / "sweep_zeros" / "expected.jsonl").read_text(encoding="utf-8")
+             .splitlines(keepends=True)[0]]
+    points = _grid_points("sweep_zeros")
+    for index, (source_block, target_block, sweep_members) in enumerate(points):
+        source = parse_space_params(source_block)
+        try:
+            target = parse_space_params(target_block, d=source.d)
+        except DomainError as exc:
+            before, after = cli._error_members("target space: %s" % exc)
+        else:
+            key = question(source, target)
+            questions.add(signed(key))
+            before, after = cli._verdict_members(decide(key))
+        lines.append('{%s, "index": %d, %s, %s}\n' % (before, index, after, sweep_members))
+    assert len(keys) == len({signed(key) for key in keys}) == 4
+    assert {signed(key) for key in keys} == questions
+    assert (-1.0, -0.0, True) in {key[1:] for key in questions}
+    assert (tmp_path / "out.jsonl").read_text(encoding="utf-8") == "".join(lines)
+
+
+@pytest.mark.parametrize("name", ["sweep_small", "sweep_families", "sweep_zeros"])
 def test_sweep_keeping_one_encoded_question_writes_the_same_bytes(name, tmp_path, monkeypatch,
                                                                    capsys):
     """A record-member cache of one question evicts at nearly every point."""
