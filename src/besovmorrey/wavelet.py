@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .csvio import read_rows, source_name, write_dense, write_header
-from .dyadic import MAX_COORD, MAX_LEVEL, DyadicSequence, tilde_norm
+from .dyadic import MAX_COORD, MAX_LEVEL, DyadicSequence, _group_rows, tilde_norm
 from .errors import (
     DomainError,
     FloatRangeError,
@@ -630,7 +630,10 @@ def kappa_dominate(mu, kappa, b, c1, j_max=None):
     of the cells whose b-dilated cube meets the c1-dilated cube of (j, m),
     damped by 2**(-kappa |J-j|) and by the volume ratio 2**(-d (J-j)+), the
     whole sum scaled by c1.  Levels run up to j_max (default: eight past the
-    deepest source level).
+    deepest source level).  The terms of an entry are added from +0.0 in
+    the order they are made: J ascending, then the source cells in
+    lexicographic order.  Each (J, j) block of cells is built as arrays,
+    after its cell count is checked against a budget of 2,000,000 cells.
     """
     if kappa <= 0:
         raise DomainError("kappa must be positive")
@@ -646,40 +649,52 @@ def kappa_dominate(mu, kappa, b, c1, j_max=None):
     if j_max < 0:
         raise DomainError("j_max must be >= 0")
     d = mu.d
-    acc = {}
+    src_j, src_m, src_w = mu.cells()
+    blocks = []
     budget = _DOMINATE_BUDGET
+    too_large = False
     for bigj in levels:
         side_j = 2.0 ** (-bigj)
-        for bigm, w in mu.level(bigj).items():
-            weight = abs(w)
-            centers = [side_j * (c + 0.5) for c in bigm]
-            half_src = b * side_j / 2.0
-            for j in range(j_max + 1):
-                damp = 2.0 ** (-kappa * abs(bigj - j)) * 2.0 ** (-d * max(bigj - j, 0))
-                half_sum = half_src + c1 * 2.0 ** (-j) / 2.0
-                scale = 2.0 ** j
-                ranges = []
-                for r in range(d):
-                    xlo = (centers[r] - half_sum) * scale - 0.5
-                    xhi = (centers[r] + half_sum) * scale - 0.5
-                    lo = math.ceil(xlo)
-                    hi = math.floor(xhi)
-                    if hi < lo:
-                        ranges = None
-                        break
-                    ranges.append(range(lo, hi + 1))
-                if ranges is None:
-                    continue
-                count = 1
-                for rng in ranges:
-                    count *= len(rng)
-                budget -= count
-                if budget < 0:
-                    raise DomainError(
-                        "domination output too large; restrict j_max or the input"
-                    )
-                contribution = damp * weight
-                for m in itertools.product(*ranges):
-                    key = (j, m)
-                    acc[key] = acc.get(key, 0.0) + contribution
-    return DyadicSequence(mu.d, {key: c1 * val for key, val in acc.items()})
+        centers = side_j * (src_m[src_j == bigj] + 0.5)
+        weight = np.abs(src_w[src_j == bigj])
+        half_src = b * side_j / 2.0
+        for j in range(j_max + 1):
+            damp = 2.0 ** (-kappa * abs(bigj - j)) * 2.0 ** (-d * max(bigj - j, 0))
+            half_sum = half_src + c1 * 2.0 ** (-j) / 2.0
+            scale = 2.0 ** j
+            with np.errstate(over="ignore"):  # counted in floats, a box past them is over budget
+                lo = np.ceil((centers - half_sum) * scale - 0.5)
+                hi = np.floor((centers + half_sum) * scale - 0.5)
+                sides = np.maximum(hi - lo + 1.0, 0.0)
+                counts = sides.prod(axis=1)
+                budget -= counts.sum()
+            if budget < 0:
+                raise DomainError("domination output too large; restrict j_max or the input")
+            full = counts > 0
+            # a cell past int64 is refused, but only once the whole budget holds
+            too_large = too_large or bool(
+                (lo[full] < -(2.0 ** 63)).any() or (hi[full] >= 2.0 ** 63).any())
+            if too_large:
+                continue
+            lo, sides = lo[full].astype(np.int64), sides[full].astype(np.int64)
+            counts = sides.prod(axis=1)
+            cell = np.repeat(np.arange(len(counts)), counts)
+            k = np.arange(len(cell)) - np.repeat(np.cumsum(counts) - counts, counts)
+            rows = np.full((len(cell), d + 1), j)
+            for r in range(d, 0, -1):  # a box's cells in lexicographic order
+                k, rows[:, r] = np.divmod(k, sides[cell, r - 1])
+            rows[:, 1:] += lo[cell]
+            blocks.append((rows, np.repeat(damp * weight[full], counts)))
+    if too_large:
+        raise DomainError("a level or cell coordinate is too large (levels run from 0 to %d, "
+                          "coordinates within +-2^62)" % MAX_LEVEL)
+    rows, order, starts = _group_rows(np.concatenate([r for r, _ in blocks]))
+    terms = np.concatenate([t for _, t in blocks])
+    order = np.arange(len(terms)) if order is None else order
+    starts = np.arange(len(terms)) if starts is None else starts
+    group = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(terms)))
+    sums = np.zeros(len(starts))
+    np.add.at(sums, group, terms[order])
+    # the cells in the order they were first made: a cell past +-2^62 is named in that order
+    first = np.argsort(order[starts])
+    return DyadicSequence(d, cells=(rows[first, 0], rows[first, 1:], c1 * sums[first]))

@@ -101,7 +101,7 @@ def _materialise(d, j, nu, total, value):
         digits = (j - nu) * np.arange(d - 1, -1, -1)
         m = (np.arange(1 << ((j - nu) * d))[:, None] >> digits) & ((1 << (j - nu)) - 1)
     else:
-        m = greedy_distribution(d, j, nu, total).m
+        m = greedy_distribution(d, j, nu, total)
     return DyadicSequence(d, cells=(j, m, np.full(len(m), value)))
 
 
@@ -145,25 +145,6 @@ def _cell_count(bits, ratio, p):
     return max(1, math.ceil(raw - _CEIL_DUST))
 
 
-@dataclass(frozen=True, eq=False)
-class GreedyDistribution:
-    """Placement of ``total`` unit cells at level j0 inside Q_{nu0, 0}.
-
-    ``m`` holds the cells as a read-only (total, d) int64 array in
-    lexicographic order; ``cells`` is the same list as sorted tuples.
-    """
-
-    d: int
-    j0: int
-    nu0: int
-    total: int
-    m: np.ndarray
-
-    @property
-    def cells(self):
-        return tuple(map(tuple, self.m.tolist()))
-
-
 def _check_fit(d, j0, nu0, total):
     """Refuse ``total`` cells that do not fit the block."""
     _check_block(d, j0, nu0)
@@ -186,7 +167,9 @@ def greedy_distribution(d, j0, nu0, total):
     Consequences, tested exhaustively: every dyadic cube between the two
     levels holds at most ceil(parent/2**d) of its parent's cells, hence at
     most 2**(d(nu0-nu)) * total + 2 cells overall.  Memory grows with
-    total * d, whatever the dimension.
+    total * d, whatever the dimension.  Returns the cells as a read-only
+    (total, d) int64 array in lexicographic order, as DyadicSequence stores
+    them.
     """
     _check_fit(d, j0, nu0, total)
     if total > MAX_CELLS:
@@ -213,7 +196,7 @@ def greedy_distribution(d, j0, nu0, total):
         m = 2 * m[parent] + ((i[:, None] >> shifts) & 1)
     m = m[_lex_order(m.T)[0]]
     m.flags.writeable = False
-    return GreedyDistribution(d=d, j0=j0, nu0=nu0, total=total, m=m)
+    return m
 
 
 def capacity_witness(d, j0, nu0, phi1, p1):

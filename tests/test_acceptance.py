@@ -35,7 +35,7 @@ from besovmorrey.embedding import (
     spaces_equal,
 )
 from besovmorrey.errors import DomainError, NotApplicableError
-from besovmorrey.phi import eval_phi, parse_phi
+from besovmorrey.phi import eval_phi, parse_phi, tabulated
 from besovmorrey.wavelet import (
     SampledFunction,
     analyze,
@@ -297,7 +297,7 @@ def test_ac05_greedy_placement_exhaustive():
             span = j0 - nu0
             capacity = 2 ** (span * d)
             for total in range(1, capacity + 1):
-                cells = greedy_distribution(d, j0, nu0, total).cells
+                cells = tuple(map(tuple, greedy_distribution(d, j0, nu0, total).tolist()))
                 if len(cells) != total or len(set(cells)) != total:
                     bad.append(("count", d, j0, nu0, total))
                 if any(not all(0 <= c < 2 ** span for c in m) for m in cells):
@@ -848,6 +848,16 @@ def _random_pair_grid():
     return pairs
 
 
+def _window_sequence(rng, d, jmax):
+    """1 to 23 entries uniform in (-2, 2) on levels 0..jmax, with coordinates
+    in [0, 48)^d: inside one dyadic cube of side 2**64."""
+    entries = {}
+    for _ in range(rng.randrange(1, 24)):
+        m = tuple(rng.randrange(0, 48) for _ in range(d))
+        entries[(rng.randrange(0, jmax + 1), m)] = rng.uniform(-2.0, 2.0)
+    return DyadicSequence(d, entries)
+
+
 def test_ac17_holding_constant_bounds_the_window():
     # AC06's per-level inequality and Hoelder's inequality across levels give
     # ||lam||_target <= W ||lam||_source, W = cond2.value, for every lam on
@@ -867,11 +877,7 @@ def test_ac17_holding_constant_bounds_the_window():
     for qq, bound in sample:
         best = 0.0
         for _ in range(20):
-            entries = {}
-            for _ in range(rng.randrange(1, 24)):
-                m = tuple(rng.randrange(0, 48) for _ in range(qq.source.d))
-                entries[(rng.randrange(0, jmax + 1), m)] = rng.uniform(-2.0, 2.0)
-            lam = DyadicSequence(qq.source.d, entries)
+            lam = _window_sequence(rng, qq.source.d, jmax)
             ratio = n_norm(lam, qq.target) / n_norm(lam, qq.source)
             best = max(best, ratio / bound)
             if ratio > bound * (1.0 + 1e-9):
@@ -910,4 +916,45 @@ def test_ac17_holding_constant_bounds_the_window():
         % (len(sample), len(holding), worst, close, jmax,
            ", ".join("%s %d, worst ratio/W %.16f" % (name, count, w)
                      for name, (count, w) in families.items()), bad),
+    )
+
+
+def test_ac17_knot_table_sources_keep_the_bound():
+    # each grid source's knot table at t = 2**k, three knots past the
+    # window's cube sides at each end, is decided from samples: its verdict
+    # never contradicts the analytic source's, and a holding table's cond2
+    # value bounds the norm ratio on the window as AC17's does
+    jmax, numin = 7, -64
+    knots = [2.0 ** k for k in range(-(jmax + 3), -numin + 4)]
+    tables = {}
+    outcomes = {}
+    holding = []
+    for qq in _random_pair_grid():
+        src = qq.source
+        if src.phi not in tables:  # the grid's 2485 sources share 17 profiles
+            tables[src.phi] = tabulated(knots, [eval_phi(src.phi, t) for t in knots], d=src.d)
+        twin = EmbeddingQuery(SpaceParams(src.s, src.p, src.q, tables[src.phi], src.d), qq.target)
+        verdict = decide(twin, j_max=jmax, nu_min=numin)
+        key = (decide(qq, j_max=jmax, nu_min=numin).outcome, verdict.outcome)
+        outcomes[key] = outcomes.get(key, 0) + 1
+        if verdict.outcome == "holds":
+            holding.append((twin, verdict.cond2.value))
+    contradictions = outcomes.get(("holds", "fails"), 0) + outcomes.get(("fails", "holds"), 0)
+    rng = random.Random(173)
+    worst = 0.0
+    bad = 0
+    for qq, bound in rng.sample(holding, 60):
+        for _ in range(10):
+            lam = _window_sequence(rng, qq.source.d, jmax)
+            ratio = n_norm(lam, qq.target) / n_norm(lam, qq.source)
+            worst = max(worst, ratio / bound)
+            bad += ratio > bound * (1.0 + 1e-9)
+    ok = contradictions == 0 and bad == 0 and worst <= 1.0 + 1e-9
+    _report(
+        "AC17",
+        "knot-table sources keep the bound",
+        ok,
+        "(analytic, table) outcomes %s; 60 of %d holding tables, 10 sequences each, "
+        "worst ratio/W %.16f; %d contradictions, %d violations"
+        % (sorted(outcomes.items()), len(holding), worst, contradictions, bad),
     )

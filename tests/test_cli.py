@@ -552,7 +552,7 @@ def test_witness_in_high_dimension_scans_without_allocating(capsys, d):
     # placement used to list all 2^d children of a cube before any check;
     # the cells array `m` marks the placement that makes only the children
     # receiving load, so this never runs the old allocation
-    assert greedy_distribution(1, 1, 0, 1).m.shape == (1, 1)
+    assert greedy_distribution(1, 1, 0, 1).shape == (1, 1)
     tracemalloc.start()
     try:
         code = main([

@@ -142,8 +142,8 @@ def test_capacity_witness_matches_cellwise(block, p1, phi):
     except CapacityError:
         assume(False)
     total = len(got)
-    cells = greedy_distribution(d, j0, nu0, total).cells
-    assert got == DyadicSequence(d, {(j0, m): 1.0 for m in cells})
+    cells = greedy_distribution(d, j0, nu0, total).tolist()
+    assert got == DyadicSequence(d, {(j0, tuple(m)): 1.0 for m in cells})
 
 
 BETA_PAIRS = [
@@ -176,8 +176,8 @@ def test_beta_witness_matches_cellwise(pair, d, i, span):
         2.0 ** (-i * src.s) * alpha_i / eval_phi(phi2, 2.0 ** (-nu_i))
         * f1_coarse ** query.rho / f1_fine
     )
-    cells = greedy_distribution(d, i, nu_i, total).cells
-    assert got == DyadicSequence(d, {(i, m): value for m in cells})
+    cells = greedy_distribution(d, i, nu_i, total).tolist()
+    assert got == DyadicSequence(d, {(i, tuple(m)): value for m in cells})
 
 
 @pytest.mark.parametrize("value", [1.1308673418524387e-181, 1e200])

@@ -1,4 +1,6 @@
+import hashlib
 import io
+import json
 import math
 import os
 import subprocess
@@ -637,6 +639,64 @@ def test_kappa_dominate_validation():
     # no level-0 cell is within reach of a small fine cell: its index range is empty
     dom = kappa_dominate(DyadicSequence(1, {(3, (5,)): 1.0}), kappa=1, b=1.01, c1=0.1, j_max=6)
     assert dom.levels() == [1, 2, 3, 4, 5, 6]
+
+
+def _digest(seq):
+    """sha256 of a sequence's levels, coordinates and value bits, in storage order."""
+    h = hashlib.sha256()
+    for column, dtype in zip(seq.cells(), ("<i8", "<i8", "<f8")):
+        h.update(column.astype(dtype).tobytes())
+    return h.hexdigest()
+
+
+def test_kappa_dominate_matches_golden():
+    # digests written by a per-cell kernel that added each entry's terms to a
+    # dict from 0.0 in the order it made them: seeded d = 1, 2 and 3 draws
+    # with values over 24 orders of magnitude, and the 1,572,901 cells of one
+    # level-0 cell at the largest j_max the budget allows
+    golden = json.loads((Path(__file__).parent / "data" / "kappa" / "expected.json").read_text())
+    for case in golden["cases"]:
+        mu = DyadicSequence(case["d"], {(j, tuple(m)): v for j, m, v in case["cells"]})
+        got = kappa_dominate(mu, case["kappa"], case["b"], case["c1"], case["j_max"])
+        assert (len(got), _digest(got)) == (case["cells_out"], case["sha256"]), case["cells"]
+
+
+_BUDGET = "domination output too large; restrict j_max or the input"
+
+
+@pytest.mark.parametrize("cells, b, j_max, message", [
+    ({(0, (0,)): 1.0}, 1.5, 20, _BUDGET),
+    ({(0, (2 ** 62 - 1,)): 1.0}, 1.5, 1, "a level or cell coordinate is too large (levels run "
+                                          "from 0 to 1022, coordinates within +-2^62)"),
+    ({(0, (-(2 ** 62),)): 1.0}, 1.5, 1,
+     "cell (-9223372036854775808,) at level 1 lies outside +-2^62"),
+    # the first of the far cells made is named, not the lexicographically first
+    ({(0, (0, 2 ** 60 + 2 ** 50)): 1.0, (1, (-10, 2 ** 61 + 2 ** 40)): 1.0}, 1.5, 2,
+     "cell (-2, 4616189618054758400) at level 2 lies outside +-2^62"),
+    # a cell past int64 at level 1, and the budget spent by level 20
+    ({(0, (0,)): 1.0, (0, (2 ** 62 - 1,)): 1.0}, 1.5, 28, _BUDGET),
+    # boxes of 1e300 cells a side, whose count leaves the floats
+    ({(0, (0, 0)): 1.0}, 1e300, 3, _BUDGET),
+], ids=["budget", "past-int64", "past-2^62", "first-made", "budget-before-int64", "past-floats"])
+def test_kappa_dominate_edges(cells, b, j_max, message):
+    # warnings are errors in this suite, so an overflow or a cast past int64 fails here too
+    mu = DyadicSequence(len(next(iter(cells))[1]), cells)
+    with pytest.raises(DomainError) as err:
+        kappa_dominate(mu, kappa=1.0, b=b, c1=1.0, j_max=j_max)
+    assert str(err.value) == message
+
+
+def test_kappa_dominate_refuses_in_bounded_memory():
+    # each block's count is taken from the budget before the block is built:
+    # the 1.57M cells of levels 0..19 are held, level 20's 1.57M never made
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="^domination output too large"):
+            kappa_dominate(DyadicSequence(1, {(0, (0,)): 1.0}), 1.0, 1.5, 1.0, j_max=28)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
 
 
 def test_mpmath_loads_only_with_the_first_filter():

@@ -54,15 +54,17 @@ def test_simple_witness_norms():
         simple_witness(0, 1, src.phi)
 
 
+def _cells(m):
+    """A greedy placement's cell array as a tuple of coordinate tuples."""
+    return tuple(map(tuple, m.tolist()))
+
+
 def test_greedy_distribution_frozen():
-    dist = greedy_distribution(1, 3, 0, 5)
-    assert dist.cells == ((0,), (1,), (2,), (4,), (6,))
-    dist = greedy_distribution(2, 1, 0, 3)
-    assert dist.cells == ((0, 0), (0, 1), (1, 0))
+    assert _cells(greedy_distribution(1, 3, 0, 5)) == ((0,), (1,), (2,), (4,), (6,))
+    assert _cells(greedy_distribution(2, 1, 0, 3)) == ((0, 0), (0, 1), (1, 0))
     # a full block fills every cell
-    dist = greedy_distribution(1, 2, 0, 4)
-    assert dist.cells == ((0,), (1,), (2,), (3,))
-    assert greedy_distribution(1, 3, 3, 1).cells == ((0,),)
+    assert _cells(greedy_distribution(1, 2, 0, 4)) == ((0,), (1,), (2,), (3,))
+    assert _cells(greedy_distribution(1, 3, 3, 1)) == ((0,),)
 
 
 def test_greedy_distribution_matches_golden():
@@ -74,7 +76,7 @@ def test_greedy_distribution_matches_golden():
         d, j0, nu0 = block["d"], block["j0"], block["nu0"]
         h = hashlib.sha256()
         for total in range(2 ** ((j0 - nu0) * d) + 1):
-            h.update((repr(greedy_distribution(d, j0, nu0, total).cells) + "\n").encode())
+            h.update((repr(_cells(greedy_distribution(d, j0, nu0, total))) + "\n").encode())
         assert h.hexdigest() == block["sha256"], (d, j0, nu0)
 
 
@@ -82,7 +84,7 @@ def test_greedy_distribution_loads():
     # every intermediate cube keeps close to its even share of cells
     d, j0, nu0 = 1, 4, 0
     for total in range(1, 17):
-        cells = greedy_distribution(d, j0, nu0, total).cells
+        cells = _cells(greedy_distribution(d, j0, nu0, total))
         assert len(cells) == total
         assert len(set(cells)) == total
         for nu in range(nu0 + 1, j0):
@@ -145,12 +147,12 @@ def test_greedy_distribution_any_dimension():
     # a block 64 levels deep has cells past int64 unless it holds one cell
     with pytest.raises(DomainError, match="int64"):
         greedy_distribution(1, 0, -64, 2)
-    assert greedy_distribution(1, 0, -64, 1).cells == ((0,),)
+    assert _cells(greedy_distribution(1, 0, -64, 1)) == ((0,),)
     # only the children that receive load are made, so d=300 is cheap
-    dist = greedy_distribution(300, 2, 0, 5)
-    assert dist.m.shape == (5, 300) and dist.m.dtype == np.int64
+    m = greedy_distribution(300, 2, 0, 5)
+    assert m.shape == (5, 300) and m.dtype == np.int64
     # child i of a cube takes the bits of i as its offset, axis 0 first
-    assert dist.cells == tuple(
+    assert _cells(m) == tuple(
         tuple(2 * int(bit) for bit in np.binary_repr(i, 300)) for i in range(5)
     )
 
@@ -170,7 +172,7 @@ def test_greedy_cells_of_wide_blocks_in_lexicographic_order(
     calls = []
     lexsort = np.lexsort
     monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
-    m = greedy_distribution(d, j0, nu0, total).m
+    m = greedy_distribution(d, j0, nu0, total)
     assert m.shape == (total, d) and calls == ([] if packed else [1])
     assert np.array_equal(m, m[lexsort(m.T[::-1])])
     assert (np.diff(m, axis=0) != 0).any(axis=1).all()  # distinct cells
@@ -356,7 +358,7 @@ def test_greedy_cube_counts_follow_the_ceiling_recurrence():
     for d in range(1, 4):
         for span in range(13 // d + 1):
             for total in sorted({*range(1, min(1 << (span * d), 200) + 1), 1 << (span * d)}):
-                m = greedy_distribution(d, span, 0, total).m
+                m = greedy_distribution(d, span, 0, total)
                 load = total
                 for k in range(span + 1):
                     _, counts = np.unique(m >> (span - k), axis=0, return_counts=True)
