@@ -1554,3 +1554,20 @@ def test_fuzz_sweep_command_lines(sweep_config_path, config):
         if record["outcome"] != "error":
             rule = _outcome_by_rule(record["cond0_status"], record["cond2_status"])
             assert record["outcome"] == rule, (data, record)
+
+
+def test_witness_goldens_match_byte_for_byte(tmp_path, monkeypatch, capsys):
+    # the argv list CI runs: one pair per family in d = 1 and d = 2, a
+    # table pair, and two depths that end with exit 66 and write no file
+    data = Path(__file__).parent / "data" / "witness_scans"
+    monkeypatch.chdir(data)
+    for line in (data / "argv.txt").read_text().splitlines():
+        name, *args = line.split()
+        out = tmp_path / (name + ".csv")
+        code = cli.main(["witness", *args, "--out", str(out)])
+        assert "%d\n" % code == (data / (name + ".code")).read_text(), name
+        assert capsys.readouterr().err == (data / (name + ".err")).read_text(), name
+        expected = data / (name + ".csv")
+        assert out.exists() == expected.exists(), name
+        if expected.exists():
+            assert out.read_bytes() == expected.read_bytes(), name

@@ -498,3 +498,44 @@ def test_deep_scan_makes_o_depth_profile_evaluations(monkeypatch):
         divergence_scan(q, depth=10 ** 9)
     assert phi.phi_lattice.cache_info().currsize <= before + 2
     assert len(calls) <= 5 * 1024
+
+
+_SCANS = Path(__file__).parent / "data" / "witness_scans"
+
+
+def _knot_twin(params, knots):
+    """params with its profile tabulated at the knots 2**k, k in knots."""
+    ts = [2.0 ** k for k in range(knots[0], knots[1] + 1)]
+    table = phi.tabulated(ts, [phi.eval_phi(params.phi, t) for t in ts], d=params.d)
+    return dyadic.SpaceParams(params.s, params.p, params.q, table, params.d)
+
+
+def _scan_end(q, depth):
+    """divergence_scan's ratios as float.hex, or the class and message of
+    the error that ends it."""
+    try:
+        return [r.hex() for r in divergence_scan(q, depth=depth).ratios]
+    except Exception as exc:
+        return [type(exc).__name__, str(exc)]
+
+
+def test_scans_match_golden():
+    # failing pairs of the random pair grid and their knot-table twins
+    # (both profiles tabulated on 2^-8..2^8 or 2^-70..2^70), scanned to
+    # depth 30 or to the index that ends them, and one pair of each family
+    # and dimension scanned to its end; every ratio, class and message is
+    # the one written before the scan normed each index in one loop
+    golden = json.loads((_SCANS / "expected.json").read_text())
+    for case in golden["scans"]:
+        q = EmbeddingQuery(sp(case["source"]), sp(case["target"]))
+        if case["knots"]:
+            q = EmbeddingQuery(_knot_twin(q.source, case["knots"]),
+                               _knot_twin(q.target, case["knots"]))
+        if case["end"] is None:
+            assert _scan_end(q, golden["depth"]) == case["ratios"], case
+        else:
+            assert _scan_end(q, golden["depth"]) == case["end"], case
+            assert _scan_end(q, len(case["ratios"]) - 1) == (case["ratios"] or case["end"]), case
+    for case in golden["deep"]:
+        q = EmbeddingQuery(sp(case["source"]), sp(case["target"]))
+        assert _scan_end(q, golden["deep_depth"]) == case["end"], case
