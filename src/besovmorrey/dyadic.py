@@ -36,8 +36,8 @@ stays lexicographic either way.
 The groups depend on the coordinates alone; only the weights |value|**p
 depend on the space, and only through p.  ``_merge`` runs for one p and
 returns plain numbers, the largest group weight of each round, which
-``_supremum`` turns into the level's supremum; nothing of a merge is cached
-on the sequence or kept after it.
+``level_quantity`` turns into the level's supremum; nothing of a merge is
+cached on the sequence or kept after it.
 """
 
 from __future__ import annotations
@@ -445,16 +445,7 @@ def lq_norm(values, q, log2_weights=None):
         raise DomainError("q must be positive")
     if log2_weights is None:
         log2_weights = itertools.repeat(0)
-    parts = []
-    for x, w in zip(values, log2_weights):
-        if x == 0.0:
-            continue
-        if not (math.isfinite(x) and math.isfinite(w)):
-            raise DomainError("the term 2^%r * %r is not finite" % (w, x))
-        whole = math.floor(w)
-        mant, exp = math.frexp(abs(x))
-        mant, shift = math.frexp(mant * 2.0 ** (w - whole))
-        parts.append((mant, exp + shift + whole))
+    parts = [_split_term(x, w) for x, w in zip(values, log2_weights) if x != 0.0]
     if not parts:
         return 0.0
     top = max(exp for _, exp in parts)
@@ -467,14 +458,46 @@ def lq_norm(values, q, log2_weights=None):
             largest = max(scaled)
             total = largest * sum((x / largest) ** q for x in scaled) ** (1.0 / q)
         else:
-            try:
-                total **= 1.0 / q
-            except OverflowError:
-                # for small q the power leaves the floats before 2**top
-                # applies: move its whole binary orders into top
-                shift = math.log2(total) / q
-                top += math.floor(shift)
-                total = 2.0 ** (shift - math.floor(shift))
+            total, top = _qth_root(total, q, top)
+    return _scaled_back(total, top)
+
+
+def _lq_term(x, q, w):
+    """lq_norm((x,), q, (w,)) for one positive term x, without its lists.
+    The scaled terms are the mantissa alone, so the sum is its q-th power,
+    and where that is below the normal floats the sum relative to the
+    largest term gives the mantissa back."""
+    mant, top = _split_term(x, w)
+    if q != INF:
+        total = mant ** q
+        if total >= sys.float_info.min:
+            mant, top = _qth_root(total, q, top)
+    return _scaled_back(mant, top)
+
+
+def _split_term(x, w):
+    """The term 2**w * x as a mantissa in [0.5, 1) and a power of two."""
+    if not (math.isfinite(x) and math.isfinite(w)):
+        raise DomainError("the term 2^%r * %r is not finite" % (w, x))
+    whole = math.floor(w)
+    mant, exp = math.frexp(abs(x))
+    mant, shift = math.frexp(mant * 2.0 ** (w - whole))
+    return mant, exp + shift + whole
+
+
+def _qth_root(total, q, top):
+    """(total**(1/q), top), with whole binary orders of the root moved into
+    top where the root alone leaves the floats."""
+    try:
+        return total ** (1.0 / q), top
+    except OverflowError:
+        # for small q the power leaves the floats before 2**top applies
+        shift = math.log2(total) / q
+        return 2.0 ** (shift - math.floor(shift)), top + math.floor(shift)
+
+
+def _scaled_back(total, top):
+    """The norm 2**top * total, refused outside the positive floats."""
     try:
         norm = math.ldexp(total, top)
     except OverflowError:
@@ -490,37 +513,12 @@ def level_quantity(seq, j, params):
     (``_merge``), with phi evaluated once per round."""
     if j not in seq._levels:
         return 0.0
-    return _supremum(j, params, *_merge(*seq._levels[j], params.p), _factor_memo())
-
-
-def _factor_memo():
-    """An empty memo of ``_supremum``'s profile factors for one space:
-    phi(2**-nu) by nu and 2**((nu - j) d/p) by nu - j."""
-    return {}, {}
-
-
-def _supremum(j, params, scale, maxima, memo):
-    """The level-j supremum from the result of ``_merge``, or from the cube
-    counts of a witness plan (``witness._norms_of_plan``).
-
-    The profile factors of each candidate are read from ``memo``
-    (``_factor_memo``, kept by the caller for the space of params alone).
-    A missing factor is computed and kept; one that raises is not kept, so
-    every candidate, and every error, is the one a fresh memo gives.  The
-    power top**(1/p) is not kept: a witness scan's cube counts differ from
-    one index to the next, and a memo of them would grow with the square of
-    the depth."""
-    phis, spreads = memo
+    scale, maxima = _merge(*seq._levels[j], params.p)
     p = params.p
     best = 0.0
     for nu, top in zip(itertools.count(j, -1), maxima):
-        phi = phis.get(nu)
-        if phi is None:
-            phi = phis[nu] = eval_phi(params.phi, 2.0 ** (-nu))
-        spread = spreads.get(nu - j)
-        if spread is None:
-            spread = spreads[nu - j] = 2.0 ** ((nu - j) * (params.d / p))
-        candidate = phi * spread * scale * top ** (1.0 / p)
+        phi = eval_phi(params.phi, 2.0 ** (-nu))
+        candidate = phi * 2.0 ** ((nu - j) * (params.d / p)) * scale * top ** (1.0 / p)
         if candidate > best:
             best = candidate
     return best
@@ -642,11 +640,21 @@ def _lq_of_levels(levels, params, quantity):
         try:
             value = quantity(j)
         except ExtrapolationError as exc:
-            raise ExtrapolationError("level %d: %s" % (j, exc))
-        if not 0.0 < value < INF:
-            raise FloatRangeError("level %d: the Morrey supremum is outside the float range" % j)
-        quantities.append(value)
+            raise _named_level(j, exc)
+        quantities.append(_checked_supremum(j, value))
     return lq_norm(quantities, params.q, [j * params.s for j in levels])
+
+
+def _named_level(j, exc):
+    """The ExtrapolationError of a level-j supremum, naming the level."""
+    return ExtrapolationError("level %d: %s" % (j, exc))
+
+
+def _checked_supremum(j, value):
+    """A level-j supremum, refused outside the positive floats."""
+    if not 0.0 < value < INF:
+        raise FloatRangeError("level %d: the Morrey supremum is outside the float range" % j)
+    return value
 
 
 def n_norm_via_morrey(seq, params):

@@ -630,9 +630,9 @@ def kappa_dominate(mu, kappa, b, c1, j_max=None):
     of the cells whose b-dilated cube meets the c1-dilated cube of (j, m),
     damped by 2**(-kappa |J-j|) and by the volume ratio 2**(-d (J-j)+), the
     whole sum scaled by c1.  Levels run up to j_max (default: eight past the
-    deepest source level).  The terms of an entry are added from +0.0 in
-    the order they are made: J ascending, then the source cells in
-    lexicographic order.  Each (J, j) block of cells is built as arrays,
+    deepest source level), which may not pass MAX_LEVEL.  The terms of an
+    entry are added from +0.0 in the order they are made: J ascending, then
+    the source cells in lexicographic order.  Each (J, j) block of cells is built as arrays,
     after its cell count is checked against a budget of 2,000,000 cells.
     """
     if kappa <= 0:
@@ -648,6 +648,8 @@ def kappa_dominate(mu, kappa, b, c1, j_max=None):
         j_max = max(levels) + 8
     if j_max < 0:
         raise DomainError("j_max must be >= 0")
+    if j_max > MAX_LEVEL:
+        raise DomainError("levels run from 0 to %d, got j_max=%d" % (MAX_LEVEL, j_max))
     d = mu.d
     src_j, src_m, src_w = mu.cells()
     blocks = []

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from besovmorrey import dyadic
@@ -578,6 +578,31 @@ def test_lq_norm_with_a_large_q_sums_relative_to_the_largest_term(q):
     seq = DyadicSequence(1, {(0, (0,)): 1.0, (1, (0,)): 0.5})
     params = parse_space_params("s=0,p=2,q=%r,phi=power(2),d=1" % q)
     assert n_norm(seq, params) == 1.0
+
+
+def _hex_or_error(norm):
+    try:
+        return norm().hex()
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(x=st.one_of(st.floats(5e-324, 2.0 ** -1022, exclude_max=True),
+                   st.floats(5e-324, 1.7976931348623157e308)),
+       q=st.sampled_from([5e-324, 1e-300, 0.5, 1.0, 2.0, 1100.0, INF]),
+       w=st.floats(-1e4, 1e4))
+@example(x=5e-324, q=2.0, w=0.0)       # 2^-1074 itself
+@example(x=5e-324, q=1.0, w=-1.0)      # half of it: refused
+@example(x=1.0, q=0.5, w=1024.0)       # 2^1024: refused
+@example(x=0.75, q=5e-324, w=1023.5)
+@example(x=0.5, q=1100.0, w=0.0)       # x**q underflows to 0: the norm is x
+@example(x=0.51, q=1100.0, w=0.0)      # x**q is subnormal: the norm is x
+def test_one_term_level_norm_is_lq_norm_bit_for_bit(x, q, w):
+    # the witness scan's level norm: lq_norm of one term, to the bit, and
+    # its FloatRangeError where the norm leaves the floats
+    assert _hex_or_error(lambda: dyadic._lq_term(x, q, w)) == _hex_or_error(
+        lambda: lq_norm((x,), q, (w,)))
 
 
 def test_n_norm_at_extreme_levels_and_values():

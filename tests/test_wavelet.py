@@ -677,7 +677,11 @@ _BUDGET = "domination output too large; restrict j_max or the input"
     ({(0, (0,)): 1.0, (0, (2 ** 62 - 1,)): 1.0}, 1.5, 28, _BUDGET),
     # boxes of 1e300 cells a side, whose count leaves the floats
     ({(0, (0, 0)): 1.0}, 1e300, 3, _BUDGET),
-], ids=["budget", "past-int64", "past-2^62", "first-made", "budget-before-int64", "past-floats"])
+    # 2**j leaves the floats past MAX_LEVEL: refused before any block
+    ({(1010, (0,)): 1.0}, 1.5, 1030, "levels run from 0 to 1022, got j_max=1030"),
+    ({(0, (0,)): 1.0}, 1.5, 1023, "levels run from 0 to 1022, got j_max=1023"),
+], ids=["budget", "past-int64", "past-2^62", "first-made", "budget-before-int64", "past-floats",
+        "past-max-level", "one-past-max-level"])
 def test_kappa_dominate_edges(cells, b, j_max, message):
     # warnings are errors in this suite, so an overflow or a cast past int64 fails here too
     mu = DyadicSequence(len(next(iter(cells))[1]), cells)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from besovmorrey import dyadic, embedding, phi, witness
-from besovmorrey.dyadic import MAX_LEVEL, DyadicSequence, _factor_memo, n_norm, parse_space_params
+from besovmorrey.dyadic import MAX_LEVEL, DyadicSequence, n_norm, parse_space_params
 from besovmorrey.embedding import EmbeddingQuery
 from besovmorrey.errors import (
     CapacityError,
@@ -310,8 +310,8 @@ def test_plan_norms_match_the_built_witness(drawn):
     # the scan's route from a plan's cube counts gives the bits, or the
     # error, of n_norm in each space on the witness the plan builds
     plan, spaces = drawn
-    memos = [_factor_memo() for _ in spaces]
-    assert _outcome(lambda: witness._norms_of_plan(plan, spaces, memos)) == _oracle(plan, spaces)
+    states = [witness._ScanSpace(params) for params in spaces]
+    assert _outcome(lambda: witness._norms_of_plan(plan, states)) == _oracle(plan, spaces)
 
 
 @pytest.mark.parametrize("d, j, nu, total, keyed", [
@@ -343,8 +343,8 @@ def test_plan_norms_fall_back_where_keys_do_not_fit(monkeypatch, d, j, nu, total
     p = max(2, d)
     spaces = [sp("s=0,p=%d,q=2,phi=power(%d)" % (p, p), d),
               sp("s=0,p=%d,q=inf,phi=capped(%d)" % (p, p), d)]
-    memos = [_factor_memo() for _ in spaces]
-    norms = _outcome(lambda: witness._norms_of_plan(plan, spaces, memos))
+    states = [witness._ScanSpace(params) for params in spaces]
+    norms = _outcome(lambda: witness._norms_of_plan(plan, states))
     assert built == []
     assert norms == _oracle(plan, spaces)
     if j > MAX_LEVEL:
@@ -437,8 +437,8 @@ _DEEP = {
 
 
 def _fresh_scan(q, family, depth):
-    """divergence_scan's ratios and end, each index's plan normed in a
-    fresh memo; a beta level is chosen by select_witness_level."""
+    """divergence_scan's ratios and end, each index's plan normed in
+    fresh scan states; a beta level is chosen by select_witness_level."""
     src, tgt = q.source, q.target
     plan = {
         "simple": lambda i: witness._simple_plan(0, -i, src.phi),
@@ -450,7 +450,7 @@ def _fresh_scan(q, family, depth):
     for i in range(depth + 1):
         try:
             target, source = witness._norms_of_plan(
-                plan(i), (tgt, src), (_factor_memo(), _factor_memo()))
+                plan(i), (witness._ScanSpace(tgt), witness._ScanSpace(src)))
         except OverflowError:
             raise FloatRangeError("the index-%d witness leaves the float range" % i) from None
         except DomainError as exc:
@@ -460,7 +460,7 @@ def _fresh_scan(q, family, depth):
 
 @pytest.mark.parametrize("name", sorted(_DEEP))
 def test_shared_lattice_changes_no_bit(name):
-    # the scan keeps one memo of profile factors per space; the
+    # the scan keeps one state of candidate factors per space; the
     # ratios, to the bit, and the error that ends the scan are those of
     # norming each index's plan on its own
     src, tgt, d = _DEEP[name]
