@@ -458,20 +458,27 @@ def lq_norm(values, q, log2_weights=None):
             largest = max(scaled)
             total = largest * sum((x / largest) ** q for x in scaled) ** (1.0 / q)
         else:
-            total, top = _qth_root(total, q, top)
+            try:
+                total **= 1.0 / q
+            except OverflowError:
+                # for small q the power leaves the floats before 2**top
+                # applies: move its whole binary orders into top
+                shift = math.log2(total) / q
+                top += math.floor(shift)
+                total = 2.0 ** (shift - math.floor(shift))
     return _scaled_back(total, top)
 
 
 def _lq_term(x, q, w):
     """lq_norm((x,), q, (w,)) for one positive term x, without its lists.
     The scaled terms are the mantissa alone, so the sum is its q-th power,
-    and where that is below the normal floats the sum relative to the
-    largest term gives the mantissa back."""
+    whose q-th root stays at most 1; where that power is below the normal
+    floats, the sum relative to the largest term gives the mantissa back."""
     mant, top = _split_term(x, w)
     if q != INF:
         total = mant ** q
         if total >= sys.float_info.min:
-            mant, top = _qth_root(total, q, top)
+            mant = total ** (1.0 / q)
     return _scaled_back(mant, top)
 
 
@@ -483,17 +490,6 @@ def _split_term(x, w):
     mant, exp = math.frexp(abs(x))
     mant, shift = math.frexp(mant * 2.0 ** (w - whole))
     return mant, exp + shift + whole
-
-
-def _qth_root(total, q, top):
-    """(total**(1/q), top), with whole binary orders of the root moved into
-    top where the root alone leaves the floats."""
-    try:
-        return total ** (1.0 / q), top
-    except OverflowError:
-        # for small q the power leaves the floats before 2**top applies
-        shift = math.log2(total) / q
-        return 2.0 ** (shift - math.floor(shift)), top + math.floor(shift)
 
 
 def _scaled_back(total, top):
