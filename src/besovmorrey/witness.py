@@ -124,7 +124,7 @@ def _norms_of_plan(plan, spaces):
         raise DomainError("levels run from 0 to %d, got j=%d" % (MAX_LEVEL, j))
     if total is None:
         tops = None
-        2.0 ** ((j - nu) * d)  # the whole block's count, the largest
+        2.0 ** ((j - nu) * d)  # the largest count: OverflowError before any profile value
     else:
         counts = [total]
         for _ in range(j - nu if total > 1 else 0):
