@@ -49,6 +49,7 @@ import numpy as np
 from . import __version__
 from .csvio import write_header, write_rows
 from .dyadic import (
+    _SPACE_KEYS,
     format_space_params,
     load_csv,
     n_norm,
@@ -104,8 +105,6 @@ _OUTCOME_CODES = {
     "fails": EXIT_FAILS,
     "undetermined": EXIT_UNDETERMINED,
 }
-
-_SPACE_KEYS = ("s", "p", "q", "phi", "d")
 
 
 class _CliError(Exception):
@@ -280,7 +279,9 @@ def _conditions(verdict):
 
 
 def _verdict_summary(verdict):
-    """The verdict fields that check --json and every sweep record share."""
+    """The verdict fields of a check --json record.  A sweep record has
+    the same members, spliced as text by _verdict_members, which the tests
+    check against this dict."""
     record = {
         "outcome": verdict.outcome,
         "method": verdict.method,

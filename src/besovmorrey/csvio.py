@@ -168,11 +168,10 @@ def write_header(fh, comments, columns):
     fh.write("".join("# %s\n" % line for line in comments) + ",".join(columns) + "\n")
 
 
-def write_rows(fh, ints, values, prefix=""):
-    """Write one line per row: ``prefix``, the row of the (n, k) integer
-    array ``ints`` and the matching entry of ``values`` as repr, separated
-    by commas."""
-    line = prefix.replace("%", "%%") + "%d," * ints.shape[1] + "%r\n"
+def write_rows(fh, ints, values):
+    """Write one line per row: the row of the (n, k) integer array ``ints``
+    and the matching entry of ``values`` as repr, separated by commas."""
+    line = "%d," * ints.shape[1] + "%r\n"
     fh.writelines(line % row for row in zip(*ints.T.tolist(), values.tolist()))
 
 

@@ -34,15 +34,18 @@ shifts the coordinates and sorts them lexicographically instead.  Storage
 stays lexicographic either way.
 
 The groups depend on the coordinates alone; only the weights |value|**p
-depend on the space, and only through p.  ``_merge`` runs for one p and
-returns plain numbers, the largest group weight of each round, which
-``level_quantity`` turns into the level's supremum; nothing of a merge is
-cached on the sequence or kept after it.
+depend on the space, and only through p.  ``level_quantity`` merges for one
+p and keeps plain numbers, the largest group weight of each round; nothing
+of a merge is cached on the sequence or kept after it.  The candidates of
+the rounds are formed and compared in one place, ``_CandidateFactors``, a
+space's factors phi(2**-nu), 2**((nu-j)d/p) and the roots of full blocks,
+kept as they are computed.  ``level_quantity`` takes a fresh one per call;
+the witness scan runs the same loop on the cube counts of its plans and
+keeps one per space for the whole scan.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import sys
@@ -63,6 +66,8 @@ MAX_LEVEL = 1022
 #: Bound on the magnitude of a cell coordinate, so the int64 arithmetic of
 #: the cube merge never wraps.
 MAX_COORD = 1 << 62
+#: The keys of a space block, in the order format_space_params writes them.
+_SPACE_KEYS = ("s", "p", "q", "phi", "d")
 
 
 class DyadicSequence:
@@ -349,7 +354,8 @@ class SpaceParams:
 def parse_space_params(text, d=None, *, _phis=None):
     """Parse an inline block like ``s=1,p=2,q=inf,phi=twopower(1,2),d=1``.
 
-    Commas inside parentheses belong to the profile expression.  A ``d``
+    Commas inside parentheses belong to the profile expression.  Keys are
+    s, p, q, phi and d, in any case and order, each at most once.  A ``d``
     passed by the caller fills in when the block omits it.  ``_phis`` is
     a caller's memo of parsed profiles by (expression, dimension), so a
     knot table several blocks name is read once.  ``sweep`` keeps one per
@@ -380,7 +386,11 @@ def parse_space_params(text, d=None, *, _phis=None):
         if "=" not in item:
             raise DomainError("expected key=value, got %r" % (item.strip(),))
         key, _, value = item.partition("=")
-        fields[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key in fields or key not in _SPACE_KEYS:
+            raise DomainError("%s key %r in space block %r"
+                              % ("repeated" if key in fields else "unknown", key, text))
+        fields[key] = value.strip()
 
     if "d" in fields:
         dim = _parse_dimension(fields["d"])
@@ -505,40 +515,59 @@ def _scaled_back(total, top):
 
 def level_quantity(seq, j, params):
     """Per-level Morrey supremum of the level-j slice of the sequence: the
-    largest candidate of the rounds nu = j, j-1, ... of its merge
-    (``_merge``), with phi evaluated once per round."""
+    largest candidate of the rounds nu = j, j-1, ... of its merge, from a
+    fresh ``_CandidateFactors``.  The weights |value|**p are scaled by the
+    largest magnitude, so they neither overflow nor underflow."""
     if j not in seq._levels:
         return 0.0
-    scale, maxima = _merge(*seq._levels[j], params.p)
-    p = params.p
-    best = 0.0
-    for nu, top in zip(itertools.count(j, -1), maxima):
-        phi = eval_phi(params.phi, 2.0 ** (-nu))
-        candidate = phi * 2.0 ** ((nu - j) * (params.d / p)) * scale * top ** (1.0 / p)
-        if candidate > best:
-            best = candidate
-    return best
-
-
-def _merge(coords, values, p):
-    """Merge one level's cells into their groups in each coarser level of
-    cubes.
-
-    Returns the largest |value| and the largest group weight sum
-    (|value|/largest)**p of each round nu = j, j-1, ...
-
-    Rounds run on Z-order keys once they fit (see the module docstring),
-    on shifted coordinates sorted lexicographically before.  Both routes sum
-    each group's children in lexicographic order, so the result is the same
-    to the bit whichever route ran.
-    """
-    # scaled by the largest magnitude so |value|**p neither overflows nor
-    # underflows
+    coords, values = seq._levels[j]
     weights = np.abs(values)
     scale = float(weights.max())
     weights /= scale
-    weights **= p
-    return scale, list(_merged_weights(coords, weights))
+    weights **= params.p
+    maxima = list(_merged_weights(coords, weights))
+    return _CandidateFactors(params).supremum(j, len(maxima), scale, maxima)
+
+
+class _CandidateFactors:
+    """One space's factors of the level-supremum candidates: phi(2**-nu)
+    by nu, 2**((nu - j) d/p) by j - nu and, for full blocks,
+    (2**(k d))**(1/p) by k.  A factor is computed where first needed and
+    kept, so a state kept across calls (as the witness scan keeps one per
+    space) computes each once; one that raises is not kept, so every
+    candidate, and every error, is the one a fresh state gives."""
+
+    def __init__(self, params):
+        self.params = params
+        self.phis, self.spreads, self.roots = {}, [], []
+
+    def supremum(self, j, rounds, value, tops):
+        """The largest candidate phi * spread * value * top**(1/p),
+        multiplied in that order, of the rounds nu = j, j - 1, ...,
+        j - rounds + 1, or 0.0 where none is positive.  ``top`` is the
+        largest group weight k = j - nu levels above the cells: tops[k], or
+        2**(k d) where tops is None (a full block)."""
+        params = self.params
+        phis, spreads, roots = self.phis, self.spreads, self.roots
+        d, p = params.d, params.p
+        while len(spreads) < rounds:  # no spread raises: 2**-x underflows to 0
+            spreads.append(2.0 ** (-len(spreads) * (d / p)))
+        best = 0.0
+        for k in range(rounds):
+            phi = phis.get(j - k)
+            if phi is None:
+                phi = phis[j - k] = eval_phi(params.phi, 2.0 ** (k - j))
+            if tops is not None:
+                root = tops[k] ** (1.0 / p)
+            elif k < len(roots):
+                root = roots[k]
+            else:
+                root = (2.0 ** (k * d)) ** (1.0 / p)
+                roots.append(root)
+            candidate = phi * spreads[k] * value * root
+            if candidate > best:
+                best = candidate
+        return best
 
 
 def _merged_weights(coords, weights):
@@ -625,16 +654,11 @@ def n_norm(seq, params):
         raise DomainError(
             "sequence dimension %d does not match space dimension %d" % (seq.d, params.d)
         )
-    quantity = functools.partial(level_quantity, seq, params=params)
-    return _lq_of_levels(seq.levels(), params, quantity)
-
-
-def _lq_of_levels(levels, params, quantity):
-    """n_norm's ell_q sum over levels of the suprema ``quantity(j)``."""
+    levels = seq.levels()
     quantities = []
     for j in levels:
         try:
-            value = quantity(j)
+            value = level_quantity(seq, j, params)
         except ExtrapolationError as exc:
             raise _named_level(j, exc)
         quantities.append(_checked_supremum(j, value))

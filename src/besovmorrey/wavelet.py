@@ -629,18 +629,19 @@ def kappa_dominate(mu, kappa, b, c1, j_max=None):
     Entry (j, m) collects, over all source levels J, the values |mu_{J,M}|
     of the cells whose b-dilated cube meets the c1-dilated cube of (j, m),
     damped by 2**(-kappa |J-j|) and by the volume ratio 2**(-d (J-j)+), the
-    whole sum scaled by c1.  Levels run up to j_max (default: eight past the
+    whole sum scaled by c1; kappa and c1 are positive, b > 1, and all three
+    finite.  Levels run up to j_max (default: eight past the
     deepest source level), which may not pass MAX_LEVEL.  The terms of an
     entry are added from +0.0 in the order they are made: J ascending, then
     the source cells in lexicographic order.  Each (J, j) block of cells is built as arrays,
     after its cell count is checked against a budget of 2,000,000 cells.
     """
-    if kappa <= 0:
-        raise DomainError("kappa must be positive")
-    if b <= 1.0:
-        raise DomainError("the source dilation must satisfy b > 1")
-    if c1 <= 0.0:
-        raise DomainError("the target dilation must be positive")
+    if not 0.0 < kappa < math.inf:
+        raise DomainError("kappa must be positive and finite, got %r" % (kappa,))
+    if not 1.0 < b < math.inf:
+        raise DomainError("b, the source dilation, must be finite and > 1, got %r" % (b,))
+    if not 0.0 < c1 < math.inf:
+        raise DomainError("c1, the target dilation, must be positive and finite, got %r" % (c1,))
     levels = mu.levels()
     if not levels:
         return DyadicSequence(mu.d, {})

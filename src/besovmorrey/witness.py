@@ -14,14 +14,15 @@ The greedy spreading keeps every intermediate cube's share of cells within
 one unit of the even split, which is what makes the source norm of the
 capacity witnesses uniformly bounded.  A divergence scan norms each witness
 from its plan, on the cell count of its fullest cube at each level, and
-builds none.  Consecutive witnesses share all but one of their levels, so
-the scan keeps one state per space (``_ScanSpace``) with the factors of
-its candidates: phi(2**-nu) by nu, 2**((nu - j) d/p) by j - nu and, for
-full blocks, (2**(k d))**(1/p) by k, each computed once per scan.  A scan
-to index N makes O(N) profile evaluations, and an index costs one loop per
-space over its candidate levels, O(j - nu) multiplications, and a
-one-term ell_q norm.  A beta scan reads R(nu) from one lattice window per
-profile and moves its running maximum one level per index.
+builds none.  Its counts go through the candidate loop of
+``level_quantity`` (``dyadic._CandidateFactors``), and since consecutive
+witnesses share all but one of their levels, the scan keeps one such state
+per space, so each factor phi(2**-nu), 2**((nu - j) d/p) and full-block
+root (2**(k d))**(1/p) is computed once per scan.  A scan to index N makes
+O(N) profile evaluations, and an index costs one loop per space over its
+candidate levels, O(j - nu) multiplications, and a one-term ell_q norm.
+A beta scan reads R(nu) from one lattice window per profile and moves its
+running maximum one level per index.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import MAX_LEVEL, DyadicSequence, _checked_supremum, _lex_order, _lq_term, _named_level
+from .dyadic import MAX_LEVEL, DyadicSequence, _CandidateFactors, _lex_order
+from .dyadic import _checked_supremum, _lq_term, _named_level
 from .dyadic import n_norm  # noqa: F401  (bench/tracer.py's BINDINGS needs it bound here)
 from .embedding import DEFAULT_NU_MIN, _lattice_ratios, _running_maxima, alpha_sequence, decide
 from .embedding import ratio_R  # noqa: F401  (bench/tracer.py traces calls through it)
@@ -109,72 +111,37 @@ def _materialise(d, j, nu, total, value):
 
 
 def _norms_of_plan(plan, spaces):
-    """The norms of a plan's witness in each of the spaces (``_ScanSpace``
-    states), bits and errors, from the cell count of its fullest cube at
-    each level.  All cells hold the same positive value, so every group
-    weight of the merge is an exact integer count: a full block's cubes k
-    levels above its cells hold 2**(k d); a spread's whole block holds L_0
-    cells, and its fullest cube one level finer ceil(L_k / 2**d), since the
-    greedy split gives its first child the full share.  The cells all lie
-    in the first orthant, so the merge ends at level nu, or at once for a
-    single cell.  A count past the floats raises OverflowError, before any
-    profile value is computed."""
+    """The norms of a plan's witness in each of the spaces (their
+    ``_CandidateFactors`` states), bits and errors, from the cell count of
+    its fullest cube at each level.  All cells hold the same positive
+    value, so every group weight of the merge is an exact integer count: a
+    full block's cubes k levels above its cells hold 2**(k d); a spread's
+    whole block holds L_0 cells, and its fullest cube one level finer
+    ceil(L_k / 2**d), since the greedy split gives its first child the full
+    share.  The cells all lie in the first orthant, so the merge ends at
+    level nu, or at once for a single cell.  A count past the floats raises
+    OverflowError, before any profile value is computed.  Each norm is the
+    one-level ell_q norm of the level's supremum, as n_norm takes it."""
     d, j, nu, total, value = plan
     if j > MAX_LEVEL:
         raise DomainError("levels run from 0 to %d, got j=%d" % (MAX_LEVEL, j))
     if total is None:
-        tops = None
+        tops, rounds = None, j - nu + 1
         2.0 ** ((j - nu) * d)  # the largest count: OverflowError before any profile value
     else:
         counts = [total]
         for _ in range(j - nu if total > 1 else 0):
             counts.append(-(-counts[-1] >> d))
         tops = [float(c) for c in counts[::-1]]
-    return tuple([space.norm(j, nu, value, tops) for space in spaces])
-
-
-class _ScanSpace:
-    """One space's side of a divergence scan: the candidate factors every
-    index of the scan shares, phi(2**-nu) by nu, 2**((nu - j) d/p) by
-    j - nu and, for full blocks, (2**(k d))**(1/p) by k.  A factor is
-    computed where first needed and kept; one that raises is not kept, so
-    every candidate, and every error, is the one a fresh state gives."""
-
-    def __init__(self, params):
-        self.params = params
-        self.phis, self.spreads, self.roots = {}, [], []
-
-    def norm(self, j, nu, value, tops):
-        """n_norm of the witness of a plan (j, nu, value) whose fullest
-        cube k levels above its cells holds tops[k] cells, or 2**(k d)
-        cells where tops is None: level_quantity's loop over the rounds
-        nu' = j, j - 1, ..., each candidate phi * spread * value *
-        top**(1/p) in that order, and the one-level ell_q norm."""
-        params = self.params
-        phis, spreads, roots = self.phis, self.spreads, self.roots
-        d, p = params.d, params.p
-        rounds = j - nu + 1 if tops is None else len(tops)
-        while len(spreads) < rounds:  # no spread raises: 2**-x underflows to 0
-            spreads.append(2.0 ** (-len(spreads) * (d / p)))
-        best = 0.0
+        rounds = len(tops)
+    norms = []
+    for space in spaces:
         try:
-            for k in range(rounds):
-                phi = phis.get(j - k)
-                if phi is None:
-                    phi = phis[j - k] = eval_phi(params.phi, 2.0 ** (k - j))
-                if tops is not None:
-                    root = tops[k] ** (1.0 / p)
-                elif k < len(roots):
-                    root = roots[k]
-                else:
-                    root = (2.0 ** (k * d)) ** (1.0 / p)
-                    roots.append(root)
-                candidate = phi * spreads[k] * value * root
-                if candidate > best:
-                    best = candidate
+            best = space.supremum(j, rounds, value, tops)
         except ExtrapolationError as exc:
             raise _named_level(j, exc)
-        return _lq_term(_checked_supremum(j, best), params.q, j * params.s)
+        norms.append(_lq_term(_checked_supremum(j, best), space.params.q, j * space.params.s))
+    return tuple(norms)
 
 
 def _cell_count(bits, ratio, p):
@@ -395,8 +362,8 @@ def divergence_scan(query, depth=DEFAULT_DEPTH, nu_min=DEFAULT_NU_MIN):
     when the verdict is not a failure.
 
     Each index is planned and its witness normed in both spaces from the
-    cube counts of its plan, with one ``_ScanSpace`` of candidate factors
-    per space for the whole scan; no cell is built, so no cell cap
+    cube counts of its plan, with one ``_CandidateFactors`` state per
+    space for the whole scan; no cell is built, so no cell cap
     applies.  The first index that fails raises, at the latest index 1024,
     where 2**i leaves the floats (a beta level leaves MAX_LEVEL before); a
     DomainError is raised again as its own class with a message that names
@@ -418,7 +385,7 @@ def divergence_scan(query, depth=DEFAULT_DEPTH, nu_min=DEFAULT_NU_MIN):
     else:
         family = "capacity"
         plans = (_capacity_plan(src.d, 0, -i, src.phi, src.p) for i in itertools.count())
-    spaces = (_ScanSpace(tgt), _ScanSpace(src))
+    spaces = (_CandidateFactors(tgt), _CandidateFactors(src))
     ratios = []
     for i in range(depth + 1):
         try:

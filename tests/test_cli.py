@@ -141,6 +141,12 @@ _PAIR_CONFIG = ("[source]\ns=1\np=2\nq=2\nphi=power(2)\nd=1\n"
      "source space: expected key=value, got 'q'"),
     (["check", "--source", "s=x,p=2,q=2,phi=power(2),d=1"], _PAIR_CONFIG,
      "source space: expected a number or inf, got 'x'"),
+    (["check", "--source", "s=1,p=2,q=2,phi=power(2),d=1,s=-5"], _PAIR_CONFIG,
+     "source space: repeated key 's' in space block 's=1,p=2,q=2,phi=power(2),d=1,s=-5'"),
+    (["check", "--source", "s=1,p=2,q=2,phi=power(2),d=1,sigma=9"], _PAIR_CONFIG,
+     "source space: unknown key 'sigma' in space block 's=1,p=2,q=2,phi=power(2),d=1,sigma=9'"),
+    (["check"], _PAIR_CONFIG.replace("d=1\n", "d = 1,s=-5\n", 1),
+     "source space: repeated key 's' in space block 's=1,p=2,q=2,phi=power(2),d=1,s=-5'"),
 ])
 def test_config_and_block_errors_exit_64_with_their_line(argv, config, line, tmp_path,
                                                          monkeypatch, capsys):

@@ -173,8 +173,8 @@ def test_knot_tables(tmp_path):
 def test_write_rows():
     out = io.StringIO()
     ints = np.array([[0, -3], [1022, 7]], dtype=np.int64)
-    write_rows(out, ints, np.array([0.1, -1e-300]), prefix="M%,")
-    assert out.getvalue() == "M%,0,-3,0.1\nM%,1022,7,-1e-300\n"
+    write_rows(out, ints, np.array([0.1, -1e-300]))
+    assert out.getvalue() == "0,-3,0.1\n1022,7,-1e-300\n"
     write_rows(out, np.zeros((0, 2), np.int64), np.zeros(0))
     assert out.getvalue().count("\n") == 2
 

@@ -64,6 +64,16 @@ def test_space_params_validation():
     # d supplied by the caller
     params = parse_space_params("s=1,p=1,q=2,phi=capped(1)", d=2)
     assert params.d == 2
+    # a key is one of s, p, q, phi, d, in any case, and comes at most once
+    assert parse_space_params("S=1,P=1,Q=2,PHI=capped(1),D=2") == params
+    for text, message in [
+        ("s=1,p=1,q=2,phi=capped(1),d=2,s=-5", "repeated key 's'"),
+        ("s=1,p=1,q=2,phi=capped(1),d=2,D=2", "repeated key 'd'"),
+        ("s=1,p=1,q=2,phi=capped(1),d=2,sigma=9", "unknown key 'sigma'"),
+        ("s=1,p=1,q=2,phi=capped(1),=2", "unknown key ''"),
+    ]:
+        with pytest.raises(DomainError, match="^%s in space block " % message):
+            parse_space_params(text)
 
 
 def test_space_params_normalizes_phi():

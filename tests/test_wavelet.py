@@ -185,14 +185,18 @@ def test_written_bands_are_the_detail_sequences(monkeypatch):
         d = coeffs.d
         got = io.StringIO()
         write_bands(got, coeffs.bands())
-        want = io.StringIO()
+        want = []
         scaling = coeffs.scaling_values()
         cells = np.array([(0, *cell) for cell in scaling], dtype=np.int64).reshape(-1, d + 1)
-        write_rows(want, cells, np.array(list(scaling.values())), prefix="F" * d + ",")
+        bands = [("F" * d, cells, np.array(list(scaling.values())))]
         for gender, seq in sorted(coeffs.detail_sequences().items()):
             j, m, vals = seq.cells()
-            write_rows(want, np.column_stack((j, m)), vals, prefix=gender + ",")
-        assert got.getvalue() == want.getvalue() and len(want.getvalue().splitlines()) > 50
+            bands.append((gender, np.column_stack((j, m)), vals))
+        for gender, ints, vals in bands:
+            rows = io.StringIO()
+            write_rows(rows, ints, vals)
+            want += [gender + "," + line for line in rows.getvalue().splitlines(keepends=True)]
+        assert got.getvalue() == "".join(want) and len(want) > 50
     details = [per.values() for coeffs in cases[1:] for per in coeffs.details.values()]
     assert all(np.signbit(a[a == 0]).any() for bands in details for _, a in bands)
 
@@ -626,13 +630,12 @@ def test_kappa_dominate_is_additive():
 
 def test_kappa_dominate_validation():
     mu = DyadicSequence(1, {(0, (0,)): 1.0})
-    for bad in [
-        dict(kappa=0.0, b=1.5, c1=1.0),
-        dict(kappa=1.0, b=1.0, c1=1.0),
-        dict(kappa=1.0, b=1.5, c1=0.0),
-    ]:
-        with pytest.raises(DomainError):
-            kappa_dominate(mu, **bad)
+    good = dict(kappa=1.0, b=1.5, c1=1.0)
+    for key, bad in [("kappa", 0.0), ("b", 1.0), ("c1", 0.0), ("kappa", math.nan),
+                     ("kappa", math.inf), ("b", math.nan), ("b", math.inf), ("c1", math.nan)]:
+        # refused up front, by a message that names the parameter
+        with pytest.raises(DomainError, match=r"^%s\b" % key):
+            kappa_dominate(mu, **{**good, key: bad})
     assert len(kappa_dominate(DyadicSequence(1, {}), 1.0, 1.5, 1.0)) == 0
     with pytest.raises(DomainError):
         kappa_dominate(mu, kappa=1.0, b=1.5, c1=1.0, j_max=28)

@@ -310,7 +310,7 @@ def test_plan_norms_match_the_built_witness(drawn):
     # the scan's route from a plan's cube counts gives the bits, or the
     # error, of n_norm in each space on the witness the plan builds
     plan, spaces = drawn
-    states = [witness._ScanSpace(params) for params in spaces]
+    states = [dyadic._CandidateFactors(params) for params in spaces]
     assert _outcome(lambda: witness._norms_of_plan(plan, states)) == _oracle(plan, spaces)
 
 
@@ -343,7 +343,7 @@ def test_plan_norms_fall_back_where_keys_do_not_fit(monkeypatch, d, j, nu, total
     p = max(2, d)
     spaces = [sp("s=0,p=%d,q=2,phi=power(%d)" % (p, p), d),
               sp("s=0,p=%d,q=inf,phi=capped(%d)" % (p, p), d)]
-    states = [witness._ScanSpace(params) for params in spaces]
+    states = [dyadic._CandidateFactors(params) for params in spaces]
     norms = _outcome(lambda: witness._norms_of_plan(plan, states))
     assert built == []
     assert norms == _oracle(plan, spaces)
@@ -450,7 +450,7 @@ def _fresh_scan(q, family, depth):
     for i in range(depth + 1):
         try:
             target, source = witness._norms_of_plan(
-                plan(i), (witness._ScanSpace(tgt), witness._ScanSpace(src)))
+                plan(i), (dyadic._CandidateFactors(tgt), dyadic._CandidateFactors(src)))
         except OverflowError:
             raise FloatRangeError("the index-%d witness leaves the float range" % i) from None
         except DomainError as exc:
