@@ -25,7 +25,12 @@ Exit codes are part of the interface:
       the float range, by index 1024 at the latest (a coefficient, cell
       count or norm outside the floats, or a level past 1022),
 * 70 an internal error: an exception no handler maps to a code above, reported
-      as one line naming its type.
+      as one line naming its type; also an error writing stdout, such as a
+      full disk.
+
+A reader that closes stdout early (``| head``, ``| true``) changes no exit
+code and adds nothing to stderr: the rest of the output is dropped, with
+stdout buffered or not (``PYTHONUNBUFFERED``).
 
 All output is deterministic: floats are printed via repr, JSON keys are
 sorted, and no timestamps or machine identifiers appear.
@@ -41,6 +46,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -133,6 +139,37 @@ _JSON = json.JSONEncoder(sort_keys=True)
 
 def _emit_json(handle, record):
     handle.write(_JSON.encode(record) + "\n")
+
+
+class _Stdout:
+    """sys.stdout, as the commands write it.  Once the reader has closed it
+    (a broken pipe), the rest of the output goes to os.devnull: the exit
+    code stays the command's, and the interpreter's final flush raises
+    nothing.  Any other write error is raised after the same switch, so it
+    is reported once."""
+
+    def write(self, text):
+        self._guarded(sys.stdout.write, text)
+
+    def writelines(self, lines):
+        self._guarded(sys.stdout.writelines, lines)
+
+    def flush(self):
+        self._guarded(sys.stdout.flush)
+
+    @staticmethod
+    def _guarded(method, *args):
+        try:
+            method(*args)
+        except OSError as exc:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            if not isinstance(exc, BrokenPipeError):
+                raise
+
+
+_STDOUT = _Stdout()
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +297,7 @@ def _read_data(load, path, what, params):
 def _output(path):
     """The --out file, closed on leaving; stdout for none or "-"."""
     if path is None or path == "-":
-        yield sys.stdout
+        yield _STDOUT
         return
     try:
         handle = open(path, "w", encoding="utf-8")
@@ -299,7 +336,7 @@ def _cmd_check(args):
     jmax, numin = _window(args, cfg)
     verdict = decide(query, j_max=jmax, nu_min=numin)
     source, target = format_space_params(query.source), format_space_params(query.target)
-    out = sys.stdout
+    out = _STDOUT
     if args.json:
         _emit_json(out, {"command": "check", "version": __version__, "jmax": jmax, "numin": numin})
         record = _verdict_summary(verdict)
@@ -336,9 +373,9 @@ def _cmd_norm(args):
         value = n_norm(seq, params)
     except DomainError as exc:
         raise _CliError(EXIT_DATA, "%s: %s" % (args.seq, exc))
-    sys.stdout.write("space=%s\n" % format_space_params(params))
-    sys.stdout.write("entries=%d\n" % len(seq))
-    sys.stdout.write("norm=%r\n" % value)
+    _STDOUT.write("space=%s\n" % format_space_params(params))
+    _STDOUT.write("entries=%d\n" % len(seq))
+    _STDOUT.write("norm=%r\n" % value)
     return EXIT_HOLDS
 
 
@@ -422,7 +459,7 @@ def _cmd_analyze(args):
     del f, coeffs, bands  # and hand their heap back: the next call's peak is then its own
     _malloc_trim(0)
     if params is not None:
-        sys.stdout.write("norm_estimate=%r\n" % estimate)
+        _STDOUT.write("norm_estimate=%r\n" % estimate)
     return EXIT_HOLDS
 
 
@@ -636,13 +673,14 @@ def _build_parser():
 
 def main(argv=None):
     try:
-        args = _build_parser().parse_args(argv)
-        return globals()[args.handler](args)
+        try:
+            args = _build_parser().parse_args(argv)
+            return globals()[args.handler](args)
+        finally:  # a write error of the buffered output is reported here, once
+            _STDOUT.flush()
     except _CliError as err:
         sys.stderr.write(err.message + "\n")
         return err.code
-    except BrokenPipeError:
-        return EXIT_HOLDS
     except Exception as exc:  # the exit-code contract: one stderr line, no traceback
         words = " ".join(str(exc).split())
         sys.stderr.write("internal error: %s%s\n" % (type(exc).__name__, words and ": " + words))

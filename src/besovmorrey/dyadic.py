@@ -541,22 +541,27 @@ class _CandidateFactors:
         self.params = params
         self.phis, self.spreads, self.roots = {}, [], []
 
+    def phi(self, nu):
+        """phi(2**-nu), the one place the module computes a profile value."""
+        if nu not in self.phis:
+            self.phis[nu] = eval_phi(self.params.phi, 2.0 ** (-nu))
+        return self.phis[nu]
+
     def supremum(self, j, rounds, value, tops):
         """The largest candidate phi * spread * value * top**(1/p),
         multiplied in that order, of the rounds nu = j, j - 1, ...,
         j - rounds + 1, or 0.0 where none is positive.  ``top`` is the
         largest group weight k = j - nu levels above the cells: tops[k], or
         2**(k d) where tops is None (a full block)."""
-        params = self.params
         phis, spreads, roots = self.phis, self.spreads, self.roots
-        d, p = params.d, params.p
+        d, p = self.params.d, self.params.p
         while len(spreads) < rounds:  # no spread raises: 2**-x underflows to 0
             spreads.append(2.0 ** (-len(spreads) * (d / p)))
         best = 0.0
         for k in range(rounds):
             phi = phis.get(j - k)
             if phi is None:
-                phi = phis[j - k] = eval_phi(params.phi, 2.0 ** (k - j))
+                phi = self.phi(j - k)
             if tops is not None:
                 root = tops[k] ** (1.0 / p)
             elif k < len(roots):
@@ -655,23 +660,17 @@ def n_norm(seq, params):
             "sequence dimension %d does not match space dimension %d" % (seq.d, params.d)
         )
     levels = seq.levels()
-    quantities = []
-    for j in levels:
-        try:
-            value = level_quantity(seq, j, params)
-        except ExtrapolationError as exc:
-            raise _named_level(j, exc)
-        quantities.append(_checked_supremum(j, value))
+    quantities = [_checked_supremum(j, level_quantity, seq, j, params) for j in levels]
     return lq_norm(quantities, params.q, [j * params.s for j in levels])
 
 
-def _named_level(j, exc):
-    """The ExtrapolationError of a level-j supremum, naming the level."""
-    return ExtrapolationError("level %d: %s" % (j, exc))
-
-
-def _checked_supremum(j, value):
-    """A level-j supremum, refused outside the positive floats."""
+def _checked_supremum(j, supremum, *args):
+    """The level-j supremum supremum(*args), refused outside the positive
+    floats; its ExtrapolationError is raised again naming the level."""
+    try:
+        value = supremum(*args)
+    except ExtrapolationError as exc:
+        raise ExtrapolationError("level %d: %s" % (j, exc))
     if not 0.0 < value < INF:
         raise FloatRangeError("level %d: the Morrey supremum is outside the float range" % j)
     return value

@@ -18,9 +18,11 @@ builds none.  Its counts go through the candidate loop of
 ``level_quantity`` (``dyadic._CandidateFactors``), and since consecutive
 witnesses share all but one of their levels, the scan keeps one such state
 per space, so each factor phi(2**-nu), 2**((nu - j) d/p) and full-block
-root (2**(k d))**(1/p) is computed once per scan.  A scan to index N makes
-O(N) profile evaluations, and an index costs one loop per space over its
-candidate levels, O(j - nu) multiplications, and a one-term ell_q norm.
+root (2**(k d))**(1/p) is computed once per scan; the plans read their
+profile values from the same states.  So a scan computes each profile value
+once, in its space's state, O(N) of them to index N, and an index costs one
+loop per space over its candidate levels, O(j - nu) multiplications, and a
+one-term ell_q norm.
 A beta scan reads R(nu) from one lattice window per profile and moves its
 running maximum one level per index.
 """
@@ -34,14 +36,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import MAX_LEVEL, DyadicSequence, _CandidateFactors, _lex_order
-from .dyadic import _checked_supremum, _lq_term, _named_level
+from .dyadic import _checked_supremum, _lq_term
 from .dyadic import n_norm  # noqa: F401  (bench/tracer.py's BINDINGS needs it bound here)
 from .embedding import DEFAULT_NU_MIN, _lattice_ratios, _running_maxima, alpha_sequence, decide
 from .embedding import ratio_R  # noqa: F401  (bench/tracer.py traces calls through it)
 from .errors import (
     CapacityError,
     DomainError,
-    ExtrapolationError,
     FloatRangeError,
     WitnessSelectionError,
     WitnessTooLargeError,
@@ -74,13 +75,8 @@ def simple_witness(j0, nu0, phi1):
     admissible space with profile phi2 is exactly
     2**(j0 s2) * phi2(2**-nu0) / phi1(2**-nu0).
     """
-    return _materialise(*_simple_plan(j0, nu0, phi1))
-
-
-def _simple_plan(j0, nu0, phi1):
-    d = phi1.d
-    _check_block(d, j0, nu0)
-    return _plan(d, j0, nu0, None, 1.0 / eval_phi(phi1, 2.0 ** (-nu0)))
+    _check_block(phi1.d, j0, nu0)
+    return _materialise(*_plan(phi1.d, j0, nu0, None, 1.0 / eval_phi(phi1, 2.0 ** (-nu0))))
 
 
 def _plan(d, j, nu, total, value):
@@ -136,11 +132,8 @@ def _norms_of_plan(plan, spaces):
         rounds = len(tops)
     norms = []
     for space in spaces:
-        try:
-            best = space.supremum(j, rounds, value, tops)
-        except ExtrapolationError as exc:
-            raise _named_level(j, exc)
-        norms.append(_lq_term(_checked_supremum(j, best), space.params.q, j * space.params.s))
+        best = _checked_supremum(j, space.supremum, j, rounds, value, tops)
+        norms.append(_lq_term(best, space.params.q, j * space.params.s))
     return tuple(norms)
 
 
@@ -157,11 +150,8 @@ def _cell_count(bits, ratio, p):
 
 
 def _check_fit(d, j0, nu0, total):
-    """Refuse ``total`` cells that do not fit the block."""
-    _check_block(d, j0, nu0)
+    """Refuse ``total`` >= 0 cells that do not fit a checked block."""
     capacity_bits = (j0 - nu0) * d
-    if total < 0:
-        raise DomainError("cannot place a negative number of cells")
     # 2**capacity_bits is formed only below total's bit length, so it stays small
     if capacity_bits < int(total).bit_length() and total > (1 << capacity_bits):
         raise CapacityError(
@@ -182,6 +172,9 @@ def greedy_distribution(d, j0, nu0, total):
     (total, d) int64 array in lexicographic order, as DyadicSequence stores
     them.
     """
+    _check_block(d, j0, nu0)
+    if total < 0:
+        raise DomainError("cannot place a negative number of cells")
     _check_fit(d, j0, nu0, total)
     if total > MAX_CELLS:
         raise WitnessTooLargeError(
@@ -219,16 +212,17 @@ def capacity_witness(d, j0, nu0, phi1, p1):
     while the norm in a target space with profile phi2 grows at least like
     phi2(2**-nu0) / phi1(2**-nu0)**(p1/p2).
     """
-    return _materialise(*_capacity_plan(d, j0, nu0, phi1, p1))
-
-
-def _capacity_plan(d, j0, nu0, phi1, p1):
     _check_block(d, j0, nu0)
     if phi1.d != d:
         raise DomainError("profile dimension %d does not match d=%d" % (phi1.d, d))
     if p1 <= 0:
         raise DomainError("p1 must be positive")
-    total = _cell_count((j0 - nu0) * d, eval_phi(phi1, 2.0 ** (-nu0)), -p1)
+    return _materialise(*_capacity_plan(d, j0, nu0, eval_phi(phi1, 2.0 ** (-nu0)), p1))
+
+
+def _capacity_plan(d, j0, nu0, f1, p1):
+    """capacity_witness's plan from f1 = phi1(2**-nu0)."""
+    total = _cell_count((j0 - nu0) * d, f1, -p1)
     _check_fit(d, j0, nu0, total)
     return _plan(d, j0, nu0, total, 1.0)
 
@@ -265,38 +259,42 @@ def beta_witness(i, nu_i, query, nu_min=DEFAULT_NU_MIN):
     distribution.  Its target quasi-norm is at least
     2**(i(s2-s1)) * alpha_i * phi1(2**-i)**(rho-1) up to a bounded factor.
     """
-    _check_block(query.source.d, i, nu_i)
-    alphas = alpha_sequence(query.source.phi, query.target.phi, query.rho, j_max=i, nu_min=nu_min)
-    return _materialise(*_beta_plan(i, nu_i, alphas[i], query))
+    src, tgt = query.source, query.target
+    _check_block(src.d, i, nu_i)
+    alphas = alpha_sequence(src.phi, tgt.phi, query.rho, j_max=i, nu_min=nu_min)
+    phi2, phi1 = _CandidateFactors(tgt).phi, _CandidateFactors(src).phi
+    return _materialise(*_beta_plan(i, nu_i, alphas[i], query, phi2, phi1))
 
 
-def _beta_plans(query, nu_min, depth):
+def _beta_plans(query, nu_min, depth, phi2, phi1):
     """The plan of beta_witness(i, select_witness_level(query, i), query) for
-    i = 0..depth, from one lattice window of each profile.
+    i = 0..depth, from one lattice window of each profile and the profile
+    values phi2(nu) = phi2(2**-nu) and phi1(nu).
 
     Past index 0 the running maximum and the level move one level per
     index: nu_i = i where R(i) >= alpha_i / 2, else nu_{i-1}.  (R(i) below
     alpha_i / 2 is no new maximum, so the threshold and its largest level
     stay those of i - 1.)  The window stops at MAX_LEVEL + 1, the first
     index whose norms are refused."""
-    phi1, phi2, rho = query.source.phi, query.target.phi, query.rho
-    ratios = _lattice_ratios(phi1, phi2, rho, nu_min, min(depth, MAX_LEVEL + 1))
+    window = min(depth, MAX_LEVEL + 1)
+    ratios = _lattice_ratios(query.source.phi, query.target.phi, query.rho, nu_min, window)
     nu_i = _select_level(ratios[:1 - nu_min], nu_min)
     alpha = _running_maxima(ratios[:1 - nu_min], nu_min)[0]
-    yield _beta_plan(0, nu_i, alpha, query)
+    yield _beta_plan(0, nu_i, alpha, query, phi2, phi1)
     for i, r in enumerate(ratios[1 - nu_min:], start=1):
         if r is not None:
             alpha = max(alpha, r)
             if r >= alpha / 2.0:
                 nu_i = i
-        yield _beta_plan(i, nu_i, alpha, query)
+        yield _beta_plan(i, nu_i, alpha, query, phi2, phi1)
 
 
-def _beta_plan(i, nu_i, alpha_i, query):
-    src, tgt = query.source, query.target
+def _beta_plan(i, nu_i, alpha_i, query, phi2, phi1):
+    """beta_witness's plan; phi2(nu) = phi2(2**-nu) and phi1(nu) are asked
+    for in the order the checks need them."""
+    src = query.source
     d = src.d
     rho = query.rho
-    phi1, phi2 = src.phi, tgt.phi
     span = i - nu_i
     w = -i * src.s
     try:
@@ -306,18 +304,18 @@ def _beta_plan(i, nu_i, alpha_i, query):
         whole = math.floor(w)
         scale = 2.0 ** (w - whole)
     if rho == 1.0:
-        value = scale * alpha_i / eval_phi(phi2, 2.0 ** (-nu_i))
+        value = scale * alpha_i / phi2(nu_i)
         return _plan(d, i, nu_i, None, _ldexp(value, whole))
-    f1_fine = eval_phi(phi1, 2.0 ** (-i))
+    f1_fine = phi1(i)
     if f1_fine == 0.0:
         raise FloatRangeError(
             "the level-%d witness coefficient leaves the float range: it divides by "
             "phi1(2^-%d), which underflows to 0" % (i, i)
         )
-    f1_coarse = eval_phi(phi1, 2.0 ** (-nu_i))
+    f1_coarse = phi1(nu_i)
     total = _cell_count(span * d, f1_fine / f1_coarse, src.p)
     _check_fit(d, i, nu_i, total)
-    value = scale * alpha_i / eval_phi(phi2, 2.0 ** (-nu_i)) * f1_coarse ** rho / f1_fine
+    value = scale * alpha_i / phi2(nu_i) * f1_coarse ** rho / f1_fine
     return _plan(d, i, nu_i, total, _ldexp(value, whole))
 
 
@@ -363,11 +361,11 @@ def divergence_scan(query, depth=DEFAULT_DEPTH, nu_min=DEFAULT_NU_MIN):
 
     Each index is planned and its witness normed in both spaces from the
     cube counts of its plan, with one ``_CandidateFactors`` state per
-    space for the whole scan; no cell is built, so no cell cap
-    applies.  The first index that fails raises, at the latest index 1024,
-    where 2**i leaves the floats (a beta level leaves MAX_LEVEL before); a
-    DomainError is raised again as its own class with a message that names
-    the index.
+    space for the whole scan, which also gives the plans their profile
+    values; no cell is built, so no cell cap applies.  The first index that
+    fails raises, at the latest index 1024, where 2**i leaves the floats (a
+    beta level leaves MAX_LEVEL before); a DomainError is raised again as
+    its own class with a message that names the index.
     """
     if depth < 0:
         raise DomainError("depth must be >= 0")
@@ -376,16 +374,17 @@ def divergence_scan(query, depth=DEFAULT_DEPTH, nu_min=DEFAULT_NU_MIN):
         raise WitnessSelectionError(
             "nothing to certify: the embedding verdict is %r" % verdict.outcome
         )
-    src, tgt = query.source, query.target
+    src = query.source
+    spaces = (_CandidateFactors(query.target), _CandidateFactors(src))
+    phi2, phi1 = spaces[0].phi, spaces[1].phi
     if verdict.cond0.status != "violated":
-        family, plans = "beta", _beta_plans(query, nu_min, depth)
+        family, plans = "beta", _beta_plans(query, nu_min, depth, phi2, phi1)
     elif query.rho == 1.0:
         family = "simple"
-        plans = (_simple_plan(0, -i, src.phi) for i in itertools.count())
+        plans = (_plan(src.d, 0, -i, None, 1.0 / phi1(-i)) for i in itertools.count())
     else:
         family = "capacity"
-        plans = (_capacity_plan(src.d, 0, -i, src.phi, src.p) for i in itertools.count())
-    spaces = (_CandidateFactors(tgt), _CandidateFactors(src))
+        plans = (_capacity_plan(src.d, 0, -i, phi1(-i), src.p) for i in itertools.count())
     ratios = []
     for i in range(depth + 1):
         try:

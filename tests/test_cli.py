@@ -1061,6 +1061,40 @@ def test_analyze_runs_without_malloc_trim(tmp_path, cdll):
     assert proc.stdout.startswith("# besovmorrey analyze\n")
 
 
+def test_closed_stdout_keeps_the_exit_code(tmp_path, capsys):
+    # a reader that has closed stdout before anything is written (as
+    # `| true` does) changes neither the exit code nor stderr, with stdout
+    # unbuffered or buffered
+    table = tmp_path / "profile.csv"
+    table.write_text("t,value\n" + "".join(
+        "%r,%r\n" % (2.0 ** k, math.sqrt(2.0 ** k)) for k in range(-48, 9)))
+    sqrt = "s=0.5,p=2,q=2,phi=table(%s),d=1" % table
+    calls = [
+        ["check", "--source", HOLD_SRC, "--target", HOLD_TGT],
+        ["check", "--source", HOLD_TGT, "--target", HOLD_SRC],
+        ["check", "--source", sqrt, "--target", sqrt],
+        ["witness", "--source", HOLD_TGT, "--target", HOLD_SRC, "--depth", "3"],
+        ["sweep", "--config", str(_sweep_config(tmp_path, ["target.s = 0;2"]))],
+    ]
+    expected = [main(argv) for argv in calls]
+    capsys.readouterr()
+    assert expected == [0, 1, 2, 0, 0]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    for unbuffered in ({"PYTHONUNBUFFERED": "1"}, {}):
+        procs = []
+        for argv in calls:
+            read, write = os.pipe()
+            os.close(read)
+            procs.append(subprocess.Popen(
+                [sys.executable, "-m", "besovmorrey.cli", *argv], stdout=write,
+                stderr=subprocess.PIPE, env=dict(env, **unbuffered)))
+            os.close(write)
+        errs = [proc.communicate(timeout=60)[1] for proc in procs]
+        got = [(proc.returncode, err) for proc, err in zip(procs, errs)]
+        assert got == [(code, b"") for code in expected], unbuffered
+
+
 def test_one_parser_serves_every_call(tmp_path):
     # the parser is built once per process; a second run of the same calls,
     # an argparse error and --version among them, prints the same

@@ -436,16 +436,23 @@ _DEEP = {
 }
 
 
+def _at(spec):
+    """nu -> spec(2**-nu), from eval_phi on every call."""
+    return lambda nu: phi.eval_phi(spec, 2.0 ** (-nu))
+
+
 def _fresh_scan(q, family, depth):
-    """divergence_scan's ratios and end, each index's plan normed in
-    fresh scan states; a beta level is chosen by select_witness_level."""
+    """divergence_scan's ratios and end, each index's plan built from
+    eval_phi directly and normed in fresh scan states; a beta level is
+    chosen by select_witness_level."""
     src, tgt = q.source, q.target
     plan = {
-        "simple": lambda i: witness._simple_plan(0, -i, src.phi),
-        "capacity": lambda i: witness._capacity_plan(src.d, 0, -i, src.phi, src.p),
+        "simple": lambda i: witness._plan(src.d, 0, -i, None, 1.0 / _at(src.phi)(-i)),
+        "capacity": lambda i: witness._capacity_plan(src.d, 0, -i, _at(src.phi)(-i), src.p),
         "beta": lambda i: witness._beta_plan(
             i, select_witness_level(q, i),
-            witness.alpha_sequence(src.phi, tgt.phi, q.rho, j_max=i)[i], q),
+            witness.alpha_sequence(src.phi, tgt.phi, q.rho, j_max=i)[i], q,
+            _at(tgt.phi), _at(src.phi)),
     }[family]
     for i in range(depth + 1):
         try:
@@ -476,28 +483,33 @@ def test_shared_lattice_changes_no_bit(name):
 
 
 def test_deep_scan_makes_o_depth_profile_evaluations(monkeypatch):
-    # each profile value of a cube candidate is computed once per scan:
-    # 3 * 1024 evaluations where every index used to evaluate the profile
-    # at each of its levels (1 050 624 here)
+    # each profile value of a scan, its plans' included, is computed once,
+    # in its space's state: a simple or capacity scan to index 1024 makes
+    # one evaluation per space per level
     calls = []
     eval_phi = phi.eval_phi
     for module in (witness, dyadic, phi, embedding):
         monkeypatch.setattr(module, "eval_phi",
                             lambda spec, t: calls.append(t) or eval_phi(spec, t))
-    q = query(*_DEEP["simple"][:2])
-    with pytest.raises(FloatRangeError, match="index-1024 "):
-        divergence_scan(q, depth=10 ** 9)
-    assert len(calls) <= 4 * 1024
-    # a beta scan adds one lattice window per profile, not one per index
-    q = query(*_DEEP["beta-rho-1"][:2])
-    phi.phi_lattice.cache_clear()
-    witness.decide(q)
-    before = phi.phi_lattice.cache_info().currsize
-    del calls[:]
-    with pytest.raises(DomainError, match="^index 1023: "):
-        divergence_scan(q, depth=10 ** 9)
-    assert phi.phi_lattice.cache_info().currsize <= before + 2
-    assert len(calls) <= 5 * 1024
+    for name in ("simple", "capacity"):
+        q = query(*_DEEP[name][:2])
+        witness.decide(q)
+        del calls[:]
+        with pytest.raises(FloatRangeError, match="index-1024 "):
+            divergence_scan(q, depth=10 ** 9)
+        assert len(calls) == 2 * 1024, name
+    # a beta scan adds one lattice window per profile, not one per index;
+    # the bounds are the counts measured on these two scans
+    for name, end, most in (("beta-rho-1", "index 1023: ", 3135), ("beta", "index 180: ", 2537)):
+        q = query(*_DEEP[name])
+        phi.phi_lattice.cache_clear()
+        witness.decide(q)
+        before = phi.phi_lattice.cache_info().currsize
+        del calls[:]
+        with pytest.raises(DomainError, match="^" + end):
+            divergence_scan(q, depth=10 ** 9)
+        assert phi.phi_lattice.cache_info().currsize <= before + 2
+        assert len(calls) <= most, name
 
 
 _SCANS = Path(__file__).parent / "data" / "witness_scans"
