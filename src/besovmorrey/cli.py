@@ -28,9 +28,12 @@ Exit codes are part of the interface:
       as one line naming its type; also an error writing stdout, such as a
       full disk.
 
-A reader that closes stdout early (``| head``, ``| true``) changes no exit
-code and adds nothing to stderr: the rest of the output is dropped, with
-stdout buffered or not (``PYTHONUNBUFFERED``).
+A reader that closes stdout early (``| head``, ``| true``), or a stdout
+closed before the run (``>&-``), changes no exit code and adds nothing to
+stderr: the rest of the output is dropped, with stdout buffered or not
+(``PYTHONUNBUFFERED``).  A stderr that cannot be written (``2>/dev/full``)
+or is closed (``2>&-``) changes no exit code either; its message is
+dropped.  The commands and ``main`` write both streams through ``_Stream``.
 
 All output is deterministic: floats are printed via repr, JSON keys are
 sorted, and no timestamps or machine identifiers appear.
@@ -141,35 +144,42 @@ def _emit_json(handle, record):
     handle.write(_JSON.encode(record) + "\n")
 
 
-class _Stdout:
-    """sys.stdout, as the commands write it.  Once the reader has closed it
-    (a broken pipe), the rest of the output goes to os.devnull: the exit
-    code stays the command's, and the interpreter's final flush raises
-    nothing.  Any other write error is raised after the same switch, so it
-    is reported once."""
+class _Stream:
+    """sys.stdout or sys.stderr, by name, as this module writes it.  A
+    stream that is None (closed before the run) takes no output.  After a
+    write error the stream's fd points at os.devnull, so the rest of the
+    output is dropped and the interpreter's final flush raises nothing.  A
+    broken pipe on stdout (the reader has gone) and every error on stderr
+    end there, so the exit code stays the command's; any other stdout error
+    is raised, so it is reported once."""
+
+    def __init__(self, name):
+        self.name = name
 
     def write(self, text):
-        self._guarded(sys.stdout.write, text)
+        self._guarded("write", text)
 
     def writelines(self, lines):
-        self._guarded(sys.stdout.writelines, lines)
+        self._guarded("writelines", lines)
 
     def flush(self):
-        self._guarded(sys.stdout.flush)
+        self._guarded("flush")
 
-    @staticmethod
-    def _guarded(method, *args):
+    def _guarded(self, method, *args):
+        stream = getattr(sys, self.name)
+        if stream is None:
+            return
         try:
-            method(*args)
+            getattr(stream, method)(*args)
         except OSError as exc:
             devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
+            os.dup2(devnull, stream.fileno())
             os.close(devnull)
-            if not isinstance(exc, BrokenPipeError):
+            if self.name == "stdout" and not isinstance(exc, BrokenPipeError):
                 raise
 
 
-_STDOUT = _Stdout()
+_STDOUT, _STDERR = _Stream("stdout"), _Stream("stderr")
 
 
 # ---------------------------------------------------------------------------
@@ -391,12 +401,12 @@ def _cmd_witness(args):
         raise _CliError(EXIT_CONFIG, "depth must be >= 0")
     verdict = decide(query, nu_min=numin)
     if verdict.outcome != "fails":
-        sys.stderr.write(
-            "the embedding verdict is %r; divergence witnesses exist only "
-            "for failing pairs\n" % verdict.outcome
-        )
         # success here means "certificate produced", so a holding pair is a miss
-        return EXIT_FAILS if verdict.outcome == "holds" else EXIT_UNDETERMINED
+        raise _CliError(
+            EXIT_FAILS if verdict.outcome == "holds" else EXIT_UNDETERMINED,
+            "the embedding verdict is %r; divergence witnesses exist only "
+            "for failing pairs" % verdict.outcome,
+        )
     try:
         scan = divergence_scan(query, depth=depth, nu_min=numin)
     except DomainError as exc:
@@ -679,11 +689,11 @@ def main(argv=None):
         finally:  # a write error of the buffered output is reported here, once
             _STDOUT.flush()
     except _CliError as err:
-        sys.stderr.write(err.message + "\n")
+        _STDERR.write(err.message + "\n")
         return err.code
     except Exception as exc:  # the exit-code contract: one stderr line, no traceback
         words = " ".join(str(exc).split())
-        sys.stderr.write("internal error: %s%s\n" % (type(exc).__name__, words and ": " + words))
+        _STDERR.write("internal error: %s%s\n" % (type(exc).__name__, words and ": " + words))
         return EXIT_INTERNAL
 
 

@@ -106,7 +106,8 @@ class EmbeddingVerdict:
     range.  When an exact ("profile") verdict holds, it is an embedding
     constant on the window: ||lam||_target <= cond2.value * ||lam||_source
     for every lam on levels 0..j_max whose cells lie in one dyadic cube of
-    side 2**-nu_min."""
+    side 2**-nu_min.  decide refuses, by DomainError, a window off the
+    lattice: it needs -FINEST_NU <= nu_min <= 0 <= j_max <= FINEST_NU."""
 
     outcome: str  # "holds" | "fails" | "undetermined"
     rho: float
@@ -143,6 +144,13 @@ def _lattice_ratios(phi1, phi2, rho, nu_lo, nu_hi):
     ]
 
 
+def _check_window(j_max, nu_min):
+    """Refuse a sampled window off the lattice (see the message)."""
+    if not -FINEST_NU <= nu_min <= 0 <= j_max <= FINEST_NU:
+        raise DomainError("the sampled window needs -%d <= nu_min <= 0 <= j_max <= %d, got "
+                          "j_max=%r, nu_min=%r" % (FINEST_NU, FINEST_NU, j_max, nu_min))
+
+
 def _running_maxima(ratios, nu_lo):
     """alpha_j for j = 0, 1, ... from R(nu) listed from nu = nu_lo <= 0 on."""
     running = None
@@ -161,10 +169,10 @@ def alpha_sequence(phi1, phi2, rho, j_max=DEFAULT_J_MAX, nu_min=DEFAULT_NU_MIN):
     """Sampled running maxima alpha_j = max_{nu_min <= nu <= j} R(nu).
 
     Returns a tuple indexed by j = 0..j_max.  Scales where a tabulated
-    profile is not sampled are skipped.
+    profile is not sampled are skipped.  The window must satisfy
+    -FINEST_NU <= nu_min <= 0 <= j_max <= FINEST_NU, else DomainError.
     """
-    if j_max < 0 or nu_min > 0:
-        raise DomainError("need nu_min <= 0 <= j_max")
+    _check_window(j_max, nu_min)
     return _running_maxima(_lattice_ratios(phi1, phi2, rho, nu_min, j_max), nu_min)
 
 
@@ -233,15 +241,13 @@ def _geometric_tail(values):
 
 def _classify_sup(values):
     """Three-way verdict on boundedness of sampled values along a limit."""
-    finite = [v for v in values if v is not None and math.isfinite(v)]
-    if any(v is not None and not math.isfinite(v) for v in values):
+    sampled = [v for v in values if v is not None]
+    if not all(map(math.isfinite, sampled)):
         return "violated", math.inf
-    if not finite:
-        return "undetermined", 0.0
-    peak = max(finite)
+    peak = max(sampled)
     if peak > DIVERGENCE_CAP:
         return "violated", peak
-    return ("satisfied" if _geometric_tail(finite) else "undetermined"), peak
+    return ("satisfied" if _geometric_tail(sampled) else "undetermined"), peak
 
 
 def _classify_lq(terms, qs):
@@ -262,8 +268,6 @@ def _classify_lq(terms, qs):
             return "violated", math.inf
         if total > DIVERGENCE_CAP:
             return "violated", _qs_root(total, qs)
-    if not clean:
-        return "undetermined", 0.0
     return ("satisfied" if _geometric_tail(clean) else "undetermined"), _qs_root(total, qs)
 
 
@@ -300,25 +304,18 @@ def _pair_samples(phi1, phi2, rho, j_max, nu_min):
     Returns the running maxima alpha_j and phi1(2**-j)**(rho-1) for
     j = 0..j_max (None where unsampled), then sup R(nu) over nu = 0 down to
     nu_min and the three-way verdict on its boundedness, all from one ratio
-    per lattice level.  No alpha is reported when the window has no level 0
-    or runs past the finest level.
+    per lattice level.  The profiles are normalised, so R(0) is sampled.
     """
-    lo, hi = min(nu_min, 0), min(max(j_max, 0), FINEST_NU)
-    ratios = _lattice_ratios(phi1, phi2, rho, lo, hi)
-    rvals = tuple(ratios[nu - lo] for nu in range(0, nu_min - 1, -1))
-    alphas = ()
-    if nu_min <= 0 <= j_max <= FINEST_NU:
-        try:
-            alphas = _running_maxima(ratios, lo)
-        except DomainError:
-            pass
+    ratios = _lattice_ratios(phi1, phi2, rho, nu_min, j_max)
+    rvals = ratios[-nu_min::-1]
+    alphas = _running_maxima(ratios, nu_min)
     damps = []
-    for f1 in phi_lattice(phi1, lo, hi)[-lo:-lo + len(alphas)]:
+    for f1 in phi_lattice(phi1, nu_min, j_max)[-nu_min:]:
         try:
             damps.append(None if f1 is None else f1 ** (rho - 1.0))
         except OverflowError:
             damps.append(None)
-    sup_R = max((v for v in rvals if v is not None), default=0.0)
+    sup_R = max(v for v in rvals if v is not None)
     return alphas, tuple(damps), sup_R, _classify_sup(rvals)
 
 
@@ -330,8 +327,9 @@ def _pair_diagnostics(phi1, phi2, rho, j_max, nu_min):
     Returns alpha_j and phi1(2**-j)**(rho-1) from _pair_samples, the two
     power-log profiles (None when either profile is tabulated) and the
     large-cube report: exact from the exponents with the sampled sup R as
-    its value, or sampled.
+    its value, or sampled.  A window off the lattice raises DomainError.
     """
+    _check_window(j_max, nu_min)
     alphas, damps, sup_R, (st0, v0) = _pair_samples(phi1, phi2, rho, j_max, nu_min)
     try:
         pr1 = asymptotic_profile(phi1)
@@ -403,8 +401,10 @@ def decide(query, j_max=DEFAULT_J_MAX, nu_min=DEFAULT_NU_MIN):
 
     Exact when both profiles have power-log asymptotics; otherwise sampled
     with a three-way verdict.  The depth arguments only affect the sampled
-    diagnostics, never an exact decision.  Equal questions get the same
-    verdict object, from the memo, in either form.
+    diagnostics, never an exact decision; a window off the lattice, outside
+    -FINEST_NU <= nu_min <= 0 <= j_max <= FINEST_NU, raises DomainError.
+    Equal questions get the same verdict object, from the memo, in either
+    form.
     """
     key = query if isinstance(query, tuple) else question(query.source, query.target)
     return _decided(*key, j_max, nu_min)

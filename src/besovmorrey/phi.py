@@ -349,8 +349,9 @@ def _powerlog_damped_nonincreasing(u, a, lshift, d, p):
 class _Family(NamedTuple):
     """One profile family: the PhiSpec fields its grammar takes, in order,
     with defaults for the last ones; the raw value at t; the closed-form
-    admissibility for p; and the power-log exponents (a_zero, b_zero, a_inf,
-    b_inf), or None when the tails are not extrapolated."""
+    admissibility for p, or None where the grid check decides it; and the
+    power-log exponents (a_zero, b_zero, a_inf, b_inf), or None when the
+    tails are not extrapolated."""
 
     fields: tuple
     defaults: tuple
@@ -398,7 +399,7 @@ _FAMILIES = {
     # table(path), read by load_table
     "table": _Family((), (),
         _table_eval,
-        lambda s, p: _grid_check(s, p, s.ts)[0],
+        None,
         None),
 }
 
@@ -422,7 +423,8 @@ def check_class_gp(spec, p):
     """
     p = _positive("p", p)
     grid_ok, failures = _grid_check(spec, p, spec.ts or DEFAULT_GRID)
-    member = _family(spec.kind).gp(spec, p)
+    gp = _family(spec.kind).gp
+    member = grid_ok if gp is None else gp(spec, p)
     return GpReport(member=member, grid_member=grid_ok, failures=failures)
 
 

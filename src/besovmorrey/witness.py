@@ -38,7 +38,8 @@ import numpy as np
 from .dyadic import MAX_LEVEL, DyadicSequence, _CandidateFactors, _lex_order
 from .dyadic import _checked_supremum, _lq_term
 from .dyadic import n_norm  # noqa: F401  (bench/tracer.py's BINDINGS needs it bound here)
-from .embedding import DEFAULT_NU_MIN, _lattice_ratios, _running_maxima, alpha_sequence, decide
+from .embedding import DEFAULT_NU_MIN, _check_window, _lattice_ratios, _running_maxima
+from .embedding import alpha_sequence, decide
 from .embedding import ratio_R  # noqa: F401  (bench/tracer.py traces calls through it)
 from .errors import (
     CapacityError,
@@ -234,21 +235,19 @@ def select_witness_level(query, i, nu_min=DEFAULT_NU_MIN):
     Taking the largest admissible nu keeps the materialised witness small;
     any nu with R(nu) >= alpha_i / 2 certifies the same growth up to a
     factor 2.  Levels where a profile is unsampled or leaves the positive
-    floats are skipped.
+    floats are skipped.  The window (i, nu_min) follows decide's rule.
     """
     if i < 0:
         raise DomainError("level index must be >= 0")
+    _check_window(i, nu_min)
     phi1, phi2 = query.source.phi, query.target.phi
     return _select_level(_lattice_ratios(phi1, phi2, query.rho, nu_min, i), nu_min)
 
 
 def _select_level(ratios, nu_min):
-    """select_witness_level from R(nu) for nu = nu_min, nu_min + 1, ..., i."""
-    threshold = max((r for r in ratios if r is not None), default=math.inf) / 2.0
-    for k in range(len(ratios) - 1, -1, -1):
-        if ratios[k] is not None and ratios[k] >= threshold:
-            return nu_min + k
-    raise WitnessSelectionError("no level attains half the running maximum")
+    """select_witness_level from R(nu) for nu = nu_min..i, R(0) sampled."""
+    threshold = max(r for r in ratios if r is not None) / 2.0
+    return nu_min + max(k for k, r in enumerate(ratios) if r is not None and r >= threshold)
 
 
 def beta_witness(i, nu_i, query, nu_min=DEFAULT_NU_MIN):

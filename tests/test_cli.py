@@ -1095,6 +1095,48 @@ def test_closed_stdout_keeps_the_exit_code(tmp_path, capsys):
         assert got == [(code, b"") for code in expected], unbuffered
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_unwritable_streams_keep_the_exit_code(tmp_path, capsys):
+    # stderr full or closed before the run keeps every code, refusals
+    # included; stdout closed before the run is a reader already gone; both
+    # streams full is an error writing stdout, exit 70, with buffered or
+    # unbuffered streams
+    bad = tmp_path / "bad.csv"
+    bad.write_text("j,m,value\n0,0,1.0\n1,zero,2.0\n")
+    table = Path(__file__).parent / "data" / "sweep_small" / "sqrt_table.csv"
+    calls = [
+        ["check", "--source", "s=0,p=2", "--target", "x"],
+        ["norm", "--space", HOLD_SRC, "--seq", str(bad)],
+        ["witness", "--source", "s=0,p=2,q=2,phi=capped(2),d=2",
+         "--target", "s=0,p=2,q=2,phi=power(2),d=2", "--depth", "2000"],
+        ["witness", "--source", "s=0.5,p=1,q=1,phi=table(%s),d=1" % table,
+         "--target", "s=0,p=1,q=1,phi=power(2),d=1"],
+        ["check", "--source", HOLD_SRC, "--target", HOLD_TGT],
+        ["check", "--source", HOLD_TGT, "--target", HOLD_SRC],
+    ]
+    expected = [main(argv) for argv in calls]
+    capsys.readouterr()
+    assert expected == [64, 65, 66, 2, 0, 1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    fails = calls[-1]
+    with open(os.devnull, "wb") as null, open("/dev/full", "wb") as full:
+        cases = [(argv, code, {"stdout": null, "stderr": full}) for argv, code in
+                 zip(calls, expected)]
+        cases += [(argv, code, {"stdout": null, "preexec_fn": lambda: os.close(2)})
+                  for argv, code in zip(calls, expected)]
+        cases += [(fails, 1, {"stderr": subprocess.PIPE, "preexec_fn": lambda: os.close(1)}),
+                  (fails, 70, {"stdout": full, "stderr": full})]
+        for unbuffered in ({"PYTHONUNBUFFERED": "1"}, {}):
+            for batch in (cases[:7], cases[7:]):
+                procs = [subprocess.Popen([sys.executable, "-m", "besovmorrey.cli", *argv],
+                                          env=dict(env, **unbuffered), **streams)
+                         for argv, _, streams in batch]
+                got = [(proc.communicate(timeout=60)[1] or b"", proc.returncode)
+                       for proc in procs]
+                assert got == [(b"", code) for _, code, _ in batch], unbuffered
+
+
 def test_one_parser_serves_every_call(tmp_path):
     # the parser is built once per process; a second run of the same calls,
     # an argparse error and --version among them, prints the same

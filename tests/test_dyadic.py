@@ -66,6 +66,9 @@ def test_space_params_validation():
     assert params.d == 2
     # a key is one of s, p, q, phi, d, in any case, and comes at most once
     assert parse_space_params("S=1,P=1,Q=2,PHI=capped(1),D=2") == params
+    # empty pieces between commas, or after the last, are skipped
+    assert parse_space_params("s=1,,p=2,q=2,phi=power(2),d=1,") \
+        == parse_space_params("s=1,p=2,q=2,phi=power(2),d=1")
     for text, message in [
         ("s=1,p=1,q=2,phi=capped(1),d=2,s=-5", "repeated key 's'"),
         ("s=1,p=1,q=2,phi=capped(1),d=2,D=2", "repeated key 'd'"),

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from besovmorrey import embedding
 from besovmorrey.dyadic import INF, DyadicSequence, SpaceParams, parse_space_params
 from besovmorrey.embedding import (
     EmbeddingQuery,
@@ -20,7 +21,8 @@ from besovmorrey.embedding import (
     spaces_equal,
 )
 from besovmorrey.errors import DomainError, NotApplicableError
-from besovmorrey.phi import asymptotic_profile, parse_phi, tabulated
+from besovmorrey.phi import asymptotic_profile, parse_phi, phi_lattice, tabulated
+from besovmorrey.witness import divergence_scan, select_witness_level
 
 
 def sp(text, d=1):
@@ -53,6 +55,51 @@ def test_ratio_and_running_max():
     assert alphas[8] == pytest.approx(4.0, rel=1e-14)
     with pytest.raises(DomainError):
         alpha_sequence(p2, p4, 1.0, j_max=-1)
+
+
+HOLDING = ("s=1,p=2,q=2,phi=power(2)", "s=0,p=2,q=2,phi=power(2)")
+
+
+@pytest.mark.parametrize("j_max, nu_min", [(5, 2), (-1, -4), (1080, -2), (2000, -64),
+                                           (-1, -64), (64, 5), (64, -1075)])
+def test_a_window_off_the_lattice_is_refused(j_max, nu_min):
+    # -1074 <= nu_min <= 0 <= j_max <= 1074 at every entry that takes a
+    # window; none answers from an empty or clipped one
+    q = query(*HOLDING)
+    with pytest.raises(DomainError):
+        decide(q, j_max=j_max, nu_min=nu_min)
+    with pytest.raises(DomainError):
+        alpha_sequence(q.source.phi, q.target.phi, q.rho, j_max=j_max, nu_min=nu_min)
+    with pytest.raises(DomainError):
+        select_witness_level(q, j_max, nu_min=nu_min)
+
+
+@pytest.mark.parametrize("nu_min", [5, -1075])
+def test_divergence_scan_refuses_a_window_off_the_lattice(nu_min):
+    beta = query("s=0,p=2,q=2,phi=power(2)", "s=0.5,p=2,q=2,phi=power(2)")
+    assert divergence_scan(beta, depth=2).family == "beta"
+    with pytest.raises(DomainError, match="sampled window"):
+        divergence_scan(beta, depth=2, nu_min=nu_min)
+
+
+@pytest.mark.parametrize("j_max, nu_min", [(1074, -1074), (0, 0)])
+def test_the_widest_and_the_narrowest_window_give_the_constant(j_max, nu_min):
+    verdict = decide(query(*HOLDING), j_max=j_max, nu_min=nu_min)
+    assert (verdict.outcome, verdict.method) == ("holds", "profile")
+    assert (verdict.cond0.value, verdict.cond2.value) == (1.0, 1.0)
+
+
+def test_damps_that_overflow_are_skipped():
+    # phi1(2^-j)^(rho-1) = 2^(2j(1-rho)) with rho = 5e-5 overflows from
+    # j = 513, while phi1(2^-j) = 2^(-2j) is a positive float up to j = 537
+    q = query("s=3,p=0.5,q=2,phi=power(0.5)", "s=0,p=10000,q=1,phi=power(10000)")
+    _, damps, _, _ = embedding._pair_samples(q.source.phi, q.target.phi, q.rho, 600, -64)
+    values = phi_lattice(q.source.phi, 0, 600)
+    assert [j for j in range(601) if damps[j] is None and values[j] is not None] \
+        == list(range(513, 538))
+    wide, default = decide(q, j_max=600), decide(q)
+    assert (wide.outcome, wide.cond2.detail) == (default.outcome, default.cond2.detail)
+    assert wide.outcome == "holds"
 
 
 def test_identical_spaces_hold():
