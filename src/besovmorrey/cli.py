@@ -33,7 +33,8 @@ closed before the run (``>&-``), changes no exit code and adds nothing to
 stderr: the rest of the output is dropped, with stdout buffered or not
 (``PYTHONUNBUFFERED``).  A stderr that cannot be written (``2>/dev/full``)
 or is closed (``2>&-``) changes no exit code either; its message is
-dropped.  The commands and ``main`` write both streams through ``_Stream``.
+dropped.  The commands, ``main`` and the parser's help and version text
+write both streams through ``_Stream``.
 
 All output is deterministic: floats are printed via repr, JSON keys are
 sorted, and no timestamps or machine identifiers appear.
@@ -126,6 +127,12 @@ class _CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _CliError(EXIT_CONFIG, "%s: %s" % (self.prog, message))
+
+    def _print_message(self, message, file=None):
+        # argparse writes help and version to sys.stdout and swallows an
+        # error doing so; through _Stream that error exits 70 like any other
+        if message:
+            (_STDERR if file is sys.stderr else _STDOUT).write(message)
 
 
 def _jsonable(x):

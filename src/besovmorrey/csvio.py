@@ -16,6 +16,20 @@ call.  When it refuses a row, or could read one differently from ``int`` and
 ``float`` (text outside ASCII, the separators ``\\x1c``-``\\x1f``), the line
 reader reads the rows instead: it finds and words the errors, and it takes
 comment lines among the rows and handles that cannot seek.
+
+The bulk call reads one of two sources.  By default it takes the handle's
+lines, one Python ``str`` each.  A loader that opened the file itself
+(``load_csv``, ``load_samples``, ``load_table``) also passes its path.  When
+the text after the first row runs past one of the 2^16-character blocks in
+which the check for those characters reads it, ``np.loadtxt`` opens that
+path instead and reads it in chunks, skipping the lines before the first
+row.  The handle's lines are kept when the path is not a ``str`` (or
+``os.PathLike`` to one), when its suffix is one numpy would decompress
+(``.gz``, ``.bz2``, ``.xz``, ``.lzma``), or when it no longer names the file
+the handle has open.  The path is made absolute, so that numpy never takes
+it for a URL, and decoded as ``utf-8-sig``, so that a byte-order mark before
+a first row on line 1 is dropped.  Both sources give the same arrays, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -23,12 +37,16 @@ from __future__ import annotations
 import array
 import functools
 import itertools
+import os
 
 import numpy as np
 
 from .errors import DomainError
 
 _SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
+#: The suffixes np.loadtxt decompresses when it opens a path (numpy's
+#: _datasource, matched case-sensitively as there).
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 #: Values write_dense scales, and lines it joins, per write: bounds its Python objects.
 WRITE_SLICE = 1 << 12
 
@@ -38,7 +56,7 @@ def source_name(fh):
     return str(getattr(fh, "name", "<stream>"))
 
 
-def read_rows(fh, keys=(), lead=0, floats=1):
+def read_rows(fh, keys=(), lead=0, floats=1, path=None):
     """Read a numeric CSV from a text handle.
 
     The lines before the first row are read one at a time and the rows in
@@ -46,7 +64,9 @@ def read_rows(fh, keys=(), lead=0, floats=1):
     line reader reads them, and finds and words every error.  Returns the
     settings found among ``keys`` and two read-only arrays: the rows'
     integer fields, (n, k) int64 with k = lead (+ d when asked for), and
-    their float fields, (n, floats) float64.
+    their float fields, (n, floats) float64.  ``path`` is the file ``fh``
+    was opened from, at offset 0 with UTF-8 and universal newlines; given,
+    the bulk parse may read a large file from it (see the module notes).
     """
     name = source_name(fh)
     try:
@@ -55,7 +75,7 @@ def read_rows(fh, keys=(), lead=0, floats=1):
         if first is None:
             arrays = np.empty((0, k), np.int64), np.empty((0, floats))
         else:
-            arrays = _read_bulk(fh, first, k, floats)
+            arrays = _read_bulk(fh, first, lineno, k, floats, path)
             if arrays is None:
                 lines = itertools.chain([first], fh)
                 arrays = _read_lines(lines, lineno, keys, settings, k, floats, name)
@@ -97,10 +117,13 @@ def _read_prefix(fh, keys, lead, floats, name):
         return settings, line, lineno
 
 
-def _read_bulk(fh, first, k, floats):
-    """The rows, from ``first`` on, parsed by one ``np.loadtxt`` call, as
-    views of its record array; or None, with the handle back after
-    ``first``, when the handle cannot seek or a row is refused."""
+def _read_bulk(fh, first, lineno, k, floats, path):
+    """The rows, from ``first`` on line ``lineno`` on, parsed by one
+    ``np.loadtxt`` call, as views of its record array; or None, with the
+    handle back after ``first``, when the handle cannot seek or a row is
+    refused.  The call reads ``path`` when the check reads more than one
+    block after ``first`` and ``_reopenable`` passes it, else the handle's
+    lines."""
     if not fh.seekable():
         return None
     start = fh.tell()
@@ -109,10 +132,15 @@ def _read_bulk(fh, first, k, floats):
         # float refuse, and reads some characters outside ASCII as digits of
         # integer fields; rows holding any of these go to the line reader
         blocks = itertools.chain([first], iter(functools.partial(fh.read, 1 << 16), ""))
-        if all(block.isascii() and not any(c in block for c in _SEPARATORS) for block in blocks):
+        for n, block in enumerate(blocks):
+            if not block.isascii() or any(c in block for c in _SEPARATORS):
+                break
+        else:
             fh.seek(start)
+            source = _reopenable(fh, path) if n > 1 else None
             rows = np.loadtxt(
-                itertools.chain([first], fh), delimiter=",", comments=None, ndmin=1,
+                source or itertools.chain([first], fh), skiprows=lineno - 1 if source else 0,
+                delimiter=",", comments=None, ndmin=1, encoding="utf-8-sig",
                 dtype=[("i", np.int64, (k,)), ("v", np.float64, (floats,))],
             )
             return rows["i"], rows["v"]
@@ -120,6 +148,21 @@ def _read_bulk(fh, first, k, floats):
         pass
     fh.seek(start)
     return None
+
+
+def _reopenable(fh, path):
+    """``path`` made absolute, for np.loadtxt to open in place of ``fh``; or
+    None when it is not a ``str`` path, names a file numpy would
+    decompress, or no longer names the file ``fh`` has open."""
+    path = os.fspath(path) if isinstance(path, (str, os.PathLike)) else None
+    if not isinstance(path, str) or os.path.splitext(path)[1] in _COMPRESSED:
+        return None
+    try:
+        if not os.path.samestat(os.fstat(fh.fileno()), os.stat(path)):
+            return None
+    except (OSError, ValueError):
+        return None
+    return os.path.abspath(path)
 
 
 def _read_lines(lines, lineno, keys, settings, k, floats, name):

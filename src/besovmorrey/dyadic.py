@@ -730,14 +730,14 @@ def write_csv(seq, fh, header_lines=()):
 def load_csv(path):
     """Read a sequence written by save_csv."""
     with open(path, "r", encoding="utf-8") as fh:
-        return read_csv(fh)
+        return read_csv(fh, path=path)
 
 
-def read_csv(fh):
+def read_csv(fh, path=None):
     """Parse rows ``j, m_1..m_d, value`` in the csvio grammar.  The
     dimension comes from the ``# d=...`` comment, or failing that from the
-    width of the first row."""
-    settings, ints, values = read_rows(fh, keys=("d",), lead=1)
+    width of the first row.  ``path`` is as for ``csvio.read_rows``."""
+    settings, ints, values = read_rows(fh, keys=("d",), lead=1, path=path)
     where = source_name(fh)
     if "d" not in settings:
         raise DomainError("%s: no rows and no dimension comment" % where)

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 from .dyadic import INF, SpaceParams
@@ -145,10 +146,16 @@ def _lattice_ratios(phi1, phi2, rho, nu_lo, nu_hi):
 
 
 def _check_window(j_max, nu_min):
-    """Refuse a sampled window off the lattice (see the message)."""
-    if not -FINEST_NU <= nu_min <= 0 <= j_max <= FINEST_NU:
-        raise DomainError("the sampled window needs -%d <= nu_min <= 0 <= j_max <= %d, got "
-                          "j_max=%r, nu_min=%r" % (FINEST_NU, FINEST_NU, j_max, nu_min))
+    """Refuse a sampled window off the lattice (see the message), or not
+    of integers: ``operator.index`` must take both ends."""
+    try:
+        lo, hi = operator.index(nu_min), operator.index(j_max)
+        on_lattice = -FINEST_NU <= lo <= 0 <= hi <= FINEST_NU
+    except TypeError:
+        on_lattice = False
+    if not on_lattice:
+        raise DomainError("the sampled window needs integers -%d <= nu_min <= 0 <= j_max <= %d, "
+                          "got j_max=%r, nu_min=%r" % (FINEST_NU, FINEST_NU, j_max, nu_min))
 
 
 def _running_maxima(ratios, nu_lo):
@@ -327,9 +334,8 @@ def _pair_diagnostics(phi1, phi2, rho, j_max, nu_min):
     Returns alpha_j and phi1(2**-j)**(rho-1) from _pair_samples, the two
     power-log profiles (None when either profile is tabulated) and the
     large-cube report: exact from the exponents with the sampled sup R as
-    its value, or sampled.  A window off the lattice raises DomainError.
+    its value, or sampled.
     """
-    _check_window(j_max, nu_min)
     alphas, damps, sup_R, (st0, v0) = _pair_samples(phi1, phi2, rho, j_max, nu_min)
     try:
         pr1 = asymptotic_profile(phi1)
@@ -402,10 +408,11 @@ def decide(query, j_max=DEFAULT_J_MAX, nu_min=DEFAULT_NU_MIN):
     Exact when both profiles have power-log asymptotics; otherwise sampled
     with a three-way verdict.  The depth arguments only affect the sampled
     diagnostics, never an exact decision; a window off the lattice, outside
-    -FINEST_NU <= nu_min <= 0 <= j_max <= FINEST_NU, raises DomainError.
-    Equal questions get the same verdict object, from the memo, in either
-    form.
+    -FINEST_NU <= nu_min <= 0 <= j_max <= FINEST_NU or not of integers,
+    raises DomainError before the memo is read.  Equal questions get the
+    same verdict object, from the memo, in either form.
     """
+    _check_window(j_max, nu_min)
     key = query if isinstance(query, tuple) else question(query.source, query.target)
     return _decided(*key, j_max, nu_min)
 

@@ -519,7 +519,7 @@ def load_table(path, d=1):
     expression."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            knots = read_rows(fh, floats=2)[2]
+            knots = read_rows(fh, floats=2, path=path)[2]
     except OSError as exc:
         raise TableFormatError("cannot read table %r: %s" % (path, exc))
     except DomainError as exc:

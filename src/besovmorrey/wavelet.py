@@ -409,14 +409,15 @@ def write_samples(f, handle, header_lines=()):
 
 def load_samples(path):
     with open(path, "r", encoding="utf-8") as handle:
-        return read_samples(handle)
+        return read_samples(handle, path=path)
 
 
-def read_samples(handle):
+def read_samples(handle, path=None):
     """Parse rows ``m_1..m_d, value`` in the csvio grammar, with the settings
     ``d`` and ``js``, into a SampledFunction over the hull of the rows' cells;
-    missing cells are zero and repeated cells are summed."""
-    settings, cells, values = read_rows(handle, keys=("d", "js"))
+    missing cells are zero and repeated cells are summed.  ``path`` is as
+    for ``csvio.read_rows``."""
+    settings, cells, values = read_rows(handle, keys=("d", "js"), path=path)
     try:
         if "js" not in settings:
             raise DomainError("no '# js=' setting gives the resolution level")

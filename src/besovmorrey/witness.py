@@ -235,10 +235,9 @@ def select_witness_level(query, i, nu_min=DEFAULT_NU_MIN):
     Taking the largest admissible nu keeps the materialised witness small;
     any nu with R(nu) >= alpha_i / 2 certifies the same growth up to a
     factor 2.  Levels where a profile is unsampled or leaves the positive
-    floats are skipped.  The window (i, nu_min) follows decide's rule.
+    floats are skipped.  The window (i, nu_min) follows decide's rule, so
+    a negative or non-integer i raises DomainError.
     """
-    if i < 0:
-        raise DomainError("level index must be >= 0")
     _check_window(i, nu_min)
     phi1, phi2 = query.source.phi, query.target.phi
     return _select_level(_lattice_ratios(phi1, phi2, query.rho, nu_min, i), nu_min)

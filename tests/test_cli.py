@@ -1100,7 +1100,7 @@ def test_unwritable_streams_keep_the_exit_code(tmp_path, capsys):
     # stderr full or closed before the run keeps every code, refusals
     # included; stdout closed before the run is a reader already gone; both
     # streams full is an error writing stdout, exit 70, with buffered or
-    # unbuffered streams
+    # unbuffered streams, for argparse's help and version text too
     bad = tmp_path / "bad.csv"
     bad.write_text("j,m,value\n0,0,1.0\n1,zero,2.0\n")
     table = Path(__file__).parent / "data" / "sweep_small" / "sqrt_table.csv"
@@ -1127,8 +1127,10 @@ def test_unwritable_streams_keep_the_exit_code(tmp_path, capsys):
                   for argv, code in zip(calls, expected)]
         cases += [(fails, 1, {"stderr": subprocess.PIPE, "preexec_fn": lambda: os.close(1)}),
                   (fails, 70, {"stdout": full, "stderr": full})]
+        cases += [(argv, 70, {"stdout": full, "stderr": full})
+                  for argv in (["--help"], ["--version"], ["check", "--help"])]
         for unbuffered in ({"PYTHONUNBUFFERED": "1"}, {}):
-            for batch in (cases[:7], cases[7:]):
+            for batch in (cases[i:i + 7] for i in range(0, len(cases), 7)):
                 procs = [subprocess.Popen([sys.executable, "-m", "besovmorrey.cli", *argv],
                                           env=dict(env, **unbuffered), **streams)
                          for argv, _, streams in batch]

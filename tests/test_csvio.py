@@ -7,10 +7,13 @@ blocks, a missing cell and a repeated one), and the outputs that ``norm``,
 three formats shared one reader and one row writer.  They are compared byte
 for byte.  The regression tests below each name the defect they pin; the
 fuzz test drives all three formats through the CLI, and holds the reader's
-bulk route to its line route.
+bulk route to its line route.  The path-route tests hold a loader's file of
+more than one read block, which np.loadtxt reads from its path, to the line
+route, and pin the names and files that keep the handle's lines.
 """
 
 import io
+import os
 import re
 import tracemalloc
 from pathlib import Path
@@ -20,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from besovmorrey import csvio, wavelet
+from besovmorrey import csvio, dyadic, phi, wavelet
 from besovmorrey.cli import main
 from besovmorrey.csvio import read_rows, source_name, write_rows
 from besovmorrey.dyadic import load_csv, read_csv, save_csv
@@ -221,50 +224,52 @@ def test_bulk_route_reads_clean_files_in_one_call(monkeypatch):
 _LATE = "# d=1\n" + "".join("%d,%d,0.5\n" % (i % 7, i) for i in range(60000))
 
 
-@pytest.mark.parametrize(
-    "fmt, text",
-    [
-        ("coefficients", "0,0,1.0 # c\n1,0,2.0\n"),
-        ("coefficients", "0,0,1.0\n1.0,0,2.0\n"),
-        ("coefficients", "0,0,1.0\n1e3,0,2.0\n"),
-        ("coefficients", "0,0,1.0\n1_0,0,2.0\n"),
-        ("coefficients", "0,0,1.0\n\u0661,\u0e52,2.0\n"),
-        ("coefficients", "0,0,1.0\n1,\uff13,2.0\n"),
-        ("coefficients", "0,0,1.0\n1,\u01fe,2.0\n"),
-        ("coefficients", "0,0,1.0\n1,0,\u0662.5\n"),
-        ("coefficients", "0,0,1.0\n1,0,1_000.5\n"),
-        ("coefficients", "0,0,1.0\n1,0,\x1c2.0\n"),
-        ("coefficients", "0,\x1f0,1.0\n"),
-        ("coefficients", "0,0,1.0\n1,0,2.0\x1c\n"),
-        ("coefficients", "# d=1\n0,0,1.0\n# d=3\n1,0,2.0\n"),
-        ("coefficients", "# d=1\n0,0,1.0\n# d=1 note\n1,0,2.0\n"),
-        ("samples", "# d=1\n0,1.0\n# js=4\n1,2.0\n"),
-        ("coefficients", "0,0,1.0\r\n\r\n1,1,2.0\r\n"),
-        ("coefficients", "0,0,1.0\n\n   \n\t\n1,1,2.0\n\n"),
-        ("coefficients", "0,0,1.0\r1,1,2.0\n"),
-        ("coefficients", "j,m_1,value\n"),
-        ("samples", "# d=2 js=1\nm_1,m_2,value\n"),
-        ("knots", "t,phi\n"),
-        ("knots", ""),
-        ("coefficients", "0,0,1.0\n1,9223372036854775808,2.0\n"),
-        ("coefficients", "0,-9223372036854775808,1.0\n1,9223372036854775807,2.0\n"),
-        ("coefficients", "0,0,nan\n0,1,-nan\n0,2,-0.0\n0,3,1e309\n0,4,5e-324\n0,5,0.1\n"),
-        ("coefficients", "0,0,1.0\n1,0,2.0,\n"),
-        ("coefficients", "0,0,1.0\n1,,2.0\n"),
-        ("knots", " 0.25 , 0.5 \n+1,1.\n4,2e0\n"),
-        ("knots", "0.25,0.5\n1,\ufeff1\n"),
-        ("samples", "# d=1 js=2\n\ufeff0,1.0\n"),
-        ("coefficients", _LATE + "x,0,1.0\n"),
-        ("coefficients", _LATE + "# d=1\n0,0,1.0\n"),
-    ],
-    ids=["inline-comment", "float-int", "exponent-int", "underscore-int", "unicode-digits",
-         "fullwidth-digit", "letter-outside-ascii", "unicode-float", "underscore-float",
-         "separator-float", "separator-int", "separator-at-line-end", "mid-body-d",
-         "mid-body-matching-d", "mid-body-js", "crlf", "blank-lines", "lone-cr",
-         "header-only", "samples-header-only", "knots-header-only", "empty", "int64-overflow",
-         "int64-extremes", "float-bits", "trailing-comma", "empty-field", "spaces-and-signs",
-         "mid-file-bom", "bom-after-line-1", "late-malformed-row", "late-comment"],
-)
+_ROUTE_CASES = [
+    ("coefficients", "0,0,1.0 # c\n1,0,2.0\n"),
+    ("coefficients", "0,0,1.0\n1.0,0,2.0\n"),
+    ("coefficients", "0,0,1.0\n1e3,0,2.0\n"),
+    ("coefficients", "0,0,1.0\n1_0,0,2.0\n"),
+    ("coefficients", "0,0,1.0\n\u0661,\u0e52,2.0\n"),
+    ("coefficients", "0,0,1.0\n1,\uff13,2.0\n"),
+    ("coefficients", "0,0,1.0\n1,\u01fe,2.0\n"),
+    ("coefficients", "0,0,1.0\n1,0,\u0662.5\n"),
+    ("coefficients", "0,0,1.0\n1,0,1_000.5\n"),
+    ("coefficients", "0,0,1.0\n1,0,\x1c2.0\n"),
+    ("coefficients", "0,\x1f0,1.0\n"),
+    ("coefficients", "0,0,1.0\n1,0,2.0\x1c\n"),
+    ("coefficients", "# d=1\n0,0,1.0\n# d=3\n1,0,2.0\n"),
+    ("coefficients", "# d=1\n0,0,1.0\n# d=1 note\n1,0,2.0\n"),
+    ("samples", "# d=1\n0,1.0\n# js=4\n1,2.0\n"),
+    ("coefficients", "0,0,1.0\r\n\r\n1,1,2.0\r\n"),
+    ("coefficients", "0,0,1.0\n\n   \n\t\n1,1,2.0\n\n"),
+    ("coefficients", "0,0,1.0\r1,1,2.0\n"),
+    ("coefficients", "j,m_1,value\n"),
+    ("samples", "# d=2 js=1\nm_1,m_2,value\n"),
+    ("knots", "t,phi\n"),
+    ("knots", ""),
+    ("coefficients", "0,0,1.0\n1,9223372036854775808,2.0\n"),
+    ("coefficients", "0,-9223372036854775808,1.0\n1,9223372036854775807,2.0\n"),
+    ("coefficients", "0,0,nan\n0,1,-nan\n0,2,-0.0\n0,3,1e309\n0,4,5e-324\n0,5,0.1\n"),
+    ("coefficients", "0,0,1.0\n1,0,2.0,\n"),
+    ("coefficients", "0,0,1.0\n1,,2.0\n"),
+    ("knots", " 0.25 , 0.5 \n+1,1.\n4,2e0\n"),
+    ("knots", "0.25,0.5\n1,\ufeff1\n"),
+    ("samples", "# d=1 js=2\n\ufeff0,1.0\n"),
+    ("coefficients", _LATE + "x,0,1.0\n"),
+    ("coefficients", _LATE + "# d=1\n0,0,1.0\n"),
+]
+_ROUTE_IDS = [
+    "inline-comment", "float-int", "exponent-int", "underscore-int", "unicode-digits",
+    "fullwidth-digit", "letter-outside-ascii", "unicode-float", "underscore-float",
+    "separator-float", "separator-int", "separator-at-line-end", "mid-body-d",
+    "mid-body-matching-d", "mid-body-js", "crlf", "blank-lines", "lone-cr", "header-only",
+    "samples-header-only", "knots-header-only", "empty", "int64-overflow", "int64-extremes",
+    "float-bits", "trailing-comma", "empty-field", "spaces-and-signs", "mid-file-bom",
+    "bom-after-line-1", "late-malformed-row", "late-comment",
+]
+
+
+@pytest.mark.parametrize("fmt, text", _ROUTE_CASES, ids=_ROUTE_IDS)
 def test_bulk_and_line_routes_agree(fmt, text):
     assert _outcome(io.StringIO(text), fmt) == _outcome(_Unseekable(io.StringIO(text)), fmt)
 
@@ -276,6 +281,161 @@ def test_routes_agree_on_a_late_undecodable_byte(tmp_path):
     with open(path, encoding="utf-8") as bulk, open(path, encoding="utf-8") as line:
         outcomes = [_outcome(bulk, "coefficients"), _outcome(_Unseekable(line), "coefficients")]
     assert outcomes == ["%s: not UTF-8 text (invalid start byte)" % path] * 2
+
+
+# ---------------------------------------------------------------------------
+# the path route: a loader's large file parsed by np.loadtxt from its path
+
+LOADERS = {"coefficients": load_csv, "samples": load_samples, "knots": load_table}
+# more than one 1 << 16-character block of the reader's check after any first row
+_PAD = "\n" * (1 << 16)
+_BIG = {
+    "coefficients": _LATE,
+    "samples": "# d=1 js=17\nm_1,value\n" + "".join(
+        "%d,%r\n" % (i, i / 7) for i in range(20000)),
+    "knots": "t,phi\n" + "".join(
+        "%r,%r\n" % (2.0 ** (k / 64), 2.0 ** (k / 128)) for k in range(-3000, 3000)),
+}
+
+
+def _line_route(fh, path=None, **kwargs):
+    return read_rows(_Unseekable(fh), **kwargs)
+
+
+def _loaded(fmt, path):
+    """What the loader of a format gives for a file: the object's bits, or
+    the error text."""
+    try:
+        obj = LOADERS[fmt](path)
+    except DomainError as exc:
+        return str(exc)
+    if fmt == "coefficients":
+        return (obj.d, *(arr.tobytes() for arr in obj.cells()))
+    if fmt == "samples":
+        return obj.d, obj.js, obj.offset, obj.values.shape, obj.values.tobytes()
+    return np.array(obj.ts).tobytes(), np.array(obj.vals).tobytes()
+
+
+def _loaded_by_lines(monkeypatch, fmt, path):
+    """_loaded with every loader's rows read on the line route."""
+    with monkeypatch.context() as patch:
+        for module in (dyadic, phi, wavelet):
+            patch.setattr(module, "read_rows", _line_route)
+        return _loaded(fmt, path)
+
+
+@pytest.fixture
+def sources(monkeypatch):
+    """The first argument of each np.loadtxt call: a path, or the type of
+    the lines it was given.  A relative path fails the call, so that numpy
+    never takes one for a URL."""
+    calls = []
+    loadtxt = np.loadtxt
+
+    def spy(fname, *args, **kwargs):
+        assert not isinstance(fname, str) or os.path.isabs(fname), fname
+        calls.append(fname if isinstance(fname, str) else type(fname))
+        return loadtxt(fname, *args, **kwargs)
+
+    monkeypatch.setattr(csvio.np, "loadtxt", spy)
+    return calls
+
+
+@pytest.mark.parametrize("head", ["", "# padded\n\n"], ids=["tail", "head-and-tail"])
+@pytest.mark.parametrize("fmt, text", _ROUTE_CASES, ids=_ROUTE_IDS)
+def test_path_and_line_routes_agree(tmp_path, monkeypatch, fmt, text, head):
+    path = tmp_path / "data.csv"
+    path.write_text(head + text + _PAD, encoding="utf-8", newline="")
+    assert _loaded(fmt, str(path)) == _loaded_by_lines(monkeypatch, fmt, str(path))
+
+
+@pytest.mark.parametrize("fmt", sorted(_BIG))
+def test_a_large_file_is_read_from_its_path(tmp_path, monkeypatch, sources, fmt):
+    path = tmp_path / "data.csv"
+    path.write_text(_BIG[fmt])
+    expected = _loaded_by_lines(monkeypatch, fmt, str(path))
+    assert sources == []
+    monkeypatch.setattr(csvio, "_read_lines", None)  # the line reader must not run
+    assert _loaded(fmt, str(path)) == expected
+    assert sources == [str(path)]
+
+
+@pytest.mark.parametrize("fmt", ["coefficients", "knots"])
+def test_a_byte_order_mark_keeps_the_path_route(tmp_path, monkeypatch, sources, fmt):
+    # the mark before a first row on line 1 is decoded away, as the prefix
+    # reader drops it
+    path = tmp_path / "data.csv"
+    path.write_text("\ufeff" + _BIG[fmt].split("\n", 1)[1])
+    expected = _loaded_by_lines(monkeypatch, fmt, str(path))
+    assert sources == []
+    monkeypatch.setattr(csvio, "_read_lines", None)  # the line reader must not run
+    assert _loaded(fmt, str(path)) == expected
+    assert sources == [str(path)]
+
+
+def test_a_file_within_one_block_keeps_the_handle_lines(tmp_path, sources):
+    path = tmp_path / "seq.csv"
+    text = _LATE[:_LATE.rindex("\n", 0, 1 << 16) + 1]
+    path.write_text(text)
+    assert len(text) > (1 << 16) - 20
+    assert load_csv(str(path)).d == 1
+    assert len(sources) == 1 and not isinstance(sources[0], str)
+
+
+@pytest.mark.parametrize("name", ["seq.csv.gz", "seq.csv.bz2", "seq.csv.xz", "seq.csv.lzma",
+                                  "seq.csv.GZ", "seq.gz.csv"])
+def test_a_suffix_numpy_decompresses_keeps_the_handle_lines(tmp_path, monkeypatch, sources,
+                                                            name):
+    # plain text under a compressed file's name: the path route would hand
+    # it to gzip.open and friends; numpy matches the suffix case-sensitively
+    path = tmp_path / name
+    path.write_text(_LATE)
+    assert _loaded("coefficients", str(path)) == \
+        _loaded_by_lines(monkeypatch, "coefficients", str(path))
+    by_path = os.path.splitext(name)[1] not in (".gz", ".bz2", ".xz", ".lzma")
+    assert (sources[0] == str(path)) is by_path and len(sources) == 1
+
+
+def test_a_relative_url_like_name_is_read_as_a_file(tmp_path, monkeypatch, sources):
+    # "http://x" names the file x in the directory "http:"; numpy would
+    # take the relative name for a URL, so the path goes absolute
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "http:").mkdir()
+    (tmp_path / "http:" / "x").write_text(_LATE)
+    assert _loaded("coefficients", "http://x") == \
+        _loaded_by_lines(monkeypatch, "coefficients", "http://x")
+    assert sources == [str(tmp_path / "http:" / "x")]
+
+
+def test_a_file_replaced_after_the_open_keeps_the_handle_lines(tmp_path, monkeypatch,
+                                                               sources):
+    # numpy must not parse bytes the reader's check did not see
+    path, other = tmp_path / "seq.csv", tmp_path / "other.csv"
+    path.write_text(_LATE)
+    expected = _loaded_by_lines(monkeypatch, "coefficients", str(path))
+    other.write_text(_LATE.replace(",0.5\n", ",0.25\n"))
+    read_prefix = csvio._read_prefix
+
+    def replaced(fh, *args):
+        found = read_prefix(fh, *args)
+        os.replace(other, path)
+        return found
+
+    monkeypatch.setattr(csvio, "_read_prefix", replaced)
+    assert _loaded("coefficients", str(path)) == expected
+    assert len(sources) == 1 and not isinstance(sources[0], str)
+    assert not other.exists() and "0.25" in path.read_text()
+
+
+def test_path_types(tmp_path, monkeypatch, sources):
+    # a pathlib.Path takes the path route; bytes, which numpy's reader
+    # does not open, keep the handle's lines
+    path = tmp_path / "seq.csv"
+    path.write_text(_LATE)
+    expected = _loaded_by_lines(monkeypatch, "coefficients", str(path))
+    assert _loaded("coefficients", path) == expected
+    assert _loaded("coefficients", os.fsencode(path)) == expected
+    assert sources[0] == str(path) and not isinstance(sources[1], str) and len(sources) == 2
 
 
 # ---------------------------------------------------------------------------

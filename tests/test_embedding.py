@@ -2,6 +2,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from besovmorrey import embedding
@@ -72,6 +73,33 @@ def test_a_window_off_the_lattice_is_refused(j_max, nu_min):
         alpha_sequence(q.source.phi, q.target.phi, q.rho, j_max=j_max, nu_min=nu_min)
     with pytest.raises(DomainError):
         select_witness_level(q, j_max, nu_min=nu_min)
+
+
+@pytest.mark.parametrize("j_max, nu_min", [(64.0, -64), (64.5, -64), (64, -64.0), (64, "0"),
+                                           (None, -64), (2.0, 0)])
+def test_a_window_not_of_integers_is_refused(j_max, nu_min):
+    # a float window raised a bare TypeError deep in the lattice, or, once
+    # the equal int window was decided, got its verdict from the memo
+    q = query(*HOLDING)
+    if isinstance(j_max, float) and isinstance(nu_min, int):
+        assert decide(q, j_max=int(j_max), nu_min=nu_min).outcome == "holds"
+    with pytest.raises(DomainError, match="sampled window needs integers"):
+        decide(q, j_max=j_max, nu_min=nu_min)
+    with pytest.raises(DomainError, match="sampled window needs integers"):
+        alpha_sequence(q.source.phi, q.target.phi, q.rho, j_max=j_max, nu_min=nu_min)
+    with pytest.raises(DomainError, match="sampled window needs integers"):
+        select_witness_level(q, j_max, nu_min=nu_min)
+
+
+def test_a_window_of_integer_types_is_taken():
+    # operator.index takes numpy integers and bool; they key the memo as the
+    # equal int does
+    q = query(*HOLDING)
+    expected = decide(q, j_max=64, nu_min=-64)
+    assert decide(q, j_max=np.int64(64), nu_min=np.int32(-64)) is expected
+    assert decide(q, j_max=True, nu_min=False) is decide(q, j_max=1, nu_min=0)
+    assert select_witness_level(q, np.int64(3), nu_min=np.int64(-4)) == \
+        select_witness_level(q, 3, nu_min=-4)
 
 
 @pytest.mark.parametrize("nu_min", [5, -1075])
